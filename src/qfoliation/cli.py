@@ -12,11 +12,14 @@ invariant breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from typing import Any
 
 import numpy as np
 
@@ -51,75 +54,169 @@ class RunConfig:
     log_level: str
 
 
-# -- config parsing -----------------------------------------------------------
+# -- config schema ------------------------------------------------------------
+
+_REQUIRED = object()
+_OMIT = object()
 
 
-def _require_number(params: dict, key: str, *, optional: bool = False):
-    if key not in params or params[key] is None:
-        if optional:
-            return None
-        raise ValidationError(f"missing required config key {key!r}")
-    val = params[key]
+@dataclass(frozen=True)
+class Key:
+    """One config key: its kind, its default and, if no dataclass checks it, its lower bound.
+
+    kind is number, int, choice, bool, path, matrix, vector, betas, qsd,
+    or any (passed on as given, for a key a dataclass checks). default is
+    _REQUIRED, _OMIT (absent from the resolved params), a constant, or a
+    function of the keys resolved before it. A key given as null counts as
+    not given.
+    """
+
+    kind: str
+    default: Any = _REQUIRED
+    choices: tuple = ()
+    ge: float | None = None
+    gt: float | None = None
+    dim: int | None = None
+
+
+def _rk4_step(r: dict) -> float | None:
+    """1e-3/gamma; none at gamma = 0, where the evolution is unitary and takes no step."""
+    return 1e-3 / r["gamma"] if r["gamma"] > 0.0 else None
+
+
+# the fields of CounterexampleParams other than qsd
+_OFFSET_KEYS = {
+    "beta": Key("number"),
+    "ell": Key("number"),
+    "gamma": Key("number"),
+    "method": Key("any", "exact"),
+    "step": Key("number", _rk4_step),
+    "c": Key("number", 1.0),
+}
+_QSD_KEYS = {
+    "n_traj": Key("int"),
+    "seed": Key("int", lambda r: r["seed"]),  # the master seed
+    "step": Key("number", None),
+}
+_SCHEMA = {
+    "counterexample": {**_OFFSET_KEYS, "qsd": Key("qsd", _OMIT)},
+    "sweep": {**_OFFSET_KEYS, "betas": Key("betas"), "k_correction": Key("matrix", _OMIT, dim=2)},
+    "consistency": {
+        **_OFFSET_KEYS,
+        "gamma": Key("number", 0.0),
+        "h": Key("matrix", _OMIT),
+        "k": Key("matrix", _OMIT),
+        "observable": Key("matrix", _OMIT),
+        "psi0": Key("vector", _OMIT),
+    },
+    "lindblad": {
+        "gamma": Key("number", ge=0),
+        "span": Key("number", ge=0),
+        "method": Key("choice", "exact", choices=("exact", "rk4")),
+        "step": Key("number", _rk4_step, gt=0),
+        "samples": Key("int", 1, ge=1),
+        "rho0": Key("matrix", _OMIT, dim=2),
+    },
+    "qsd-ensemble": {
+        "gamma": Key("number", ge=0),
+        "span": Key("number", gt=0),
+        "n_traj": Key("int", ge=1),
+        "step": Key("number", lambda r: 0.01 / r["gamma"] if r["gamma"] > 0.0 else r["span"] / 100.0,
+                    gt=0),
+        "renormalize": Key("bool", True),
+        "psi0": Key("vector", _OMIT),
+    },
+}
+_TOP_LEVEL_KEYS = {
+    "seed": Key("int", 0, ge=0),
+    "format": Key("choice", "csv", choices=("csv", "json")),
+    "log_level": Key("choice", "info", choices=tuple(_LOG_LEVELS)),
+    "output_path": Key("path", lambda r: f"{r['command']}_report.{r['format']}"),
+}
+
+
+def _number(val, key: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ValidationError(f"config key {key!r} must be a number, got {val!r}")
-    if not math.isfinite(val):
+    if not abs(val) <= sys.float_info.max:  # NaN, inf, or an int beyond the float range
         raise ValidationError(f"config key {key!r} must be finite, got {val!r}")
     return float(val)
 
 
-def _require_int(params: dict, key: str, *, optional: bool = False, minimum: int = 0):
-    if key not in params or params[key] is None:
-        if optional:
-            return None
-        raise ValidationError(f"missing required config key {key!r}")
-    val = params[key]
-    if isinstance(val, bool) or not isinstance(val, int):
+def _convert(key: str, spec: Key, val, known: dict):
+    """The resolved value of a given key, checked against its kind and bounds."""
+    if spec.kind == "number":
+        val = _number(val, key)
+    elif spec.kind == "int" and (isinstance(val, bool) or not isinstance(val, int)):
         raise ValidationError(f"config key {key!r} must be an integer, got {val!r}")
-    if val < minimum:
-        raise ValidationError(f"config key {key!r} must be >= {minimum}, got {val}")
+    elif spec.kind == "choice" and val not in spec.choices:
+        raise ValidationError(f"config key {key!r} must be one of {spec.choices}, got {val!r}")
+    elif spec.kind == "bool" and not isinstance(val, bool):
+        raise ValidationError(f"config key {key!r} must be a boolean, got {val!r}")
+    elif spec.kind == "path" and (not isinstance(val, str) or not val or "\0" in val):
+        raise ValidationError(f"config key {key!r} must be a non-empty string without NUL")
+    elif spec.kind == "matrix":
+        val = matrix_to_pairs(matrix_from_config(val, key, spec.dim))
+    elif spec.kind == "vector":
+        val = [[float(x.real), float(x.imag)] for x in _complex_array(val, key, ndim=1)]
+    elif spec.kind == "betas":
+        if not isinstance(val, list) or not val:
+            raise ValidationError(f"config key {key!r} must be a non-empty list")
+        val = [_number(b, key) for b in val]
+    elif spec.kind == "qsd":
+        val = _resolve(_QSD_KEYS, val, repr(key), known)
+    if spec.ge is not None and val < spec.ge:
+        raise ValidationError(f"config key {key!r} must be >= {spec.ge}, got {val}")
+    if spec.gt is not None and val <= spec.gt:
+        raise ValidationError(f"config key {key!r} must be > {spec.gt}, got {val}")
     return val
 
 
-def _require_choice(params: dict, key: str, choices: tuple, default: str) -> str:
-    val = params.get(key, default)
-    if val not in choices:
-        raise ValidationError(f"config key {key!r} must be one of {choices}, got {val!r}")
-    return val
+def _resolve(schema: dict, raw, where: str, known: dict) -> dict:
+    """Check the object raw against schema and fill its defaults.
 
-
-def _reject_unknown(params: dict, allowed: set, where: str) -> None:
-    unknown = set(params) - allowed
+    known holds values resolved outside raw that derived defaults may read.
+    """
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config key {where} must be an object")
+    unknown = set(raw) - set(schema)
     if unknown:
         raise ValidationError(f"unknown config key(s) in {where}: {sorted(unknown)}")
+    out = {}
+    for key, spec in schema.items():
+        if raw.get(key) is not None:
+            out[key] = _convert(key, spec, raw[key], {**known, **out})
+        elif spec.default is _REQUIRED:
+            raise ValidationError(f"missing required config key {key!r}")
+        elif callable(spec.default):
+            out[key] = spec.default({**known, **out})
+        elif spec.default is not _OMIT:
+            out[key] = spec.default
+    return out
 
 
-def _check_beta(beta: float, key: str = "beta") -> float:
-    if abs(beta) >= 1.0:
-        raise ValidationError(f"config key {key!r} must satisfy |beta| < 1, got {beta}")
-    return beta
-
-
-def _check_positive(val: float | None, key: str):
-    if val is not None and val <= 0.0:
-        raise ValidationError(f"config key {key!r} must be positive, got {val}")
-    return val
+def _complex_array(obj, key: str, ndim: int) -> np.ndarray:
+    """Decode complex entries given as [re, im] pairs into an ndim array."""
+    try:
+        arr = np.array(obj, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"config key {key!r}: not numeric [re, im] pairs: {exc}") from exc
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2 or (ndim == 2 and arr.shape[0] != arr.shape[1]):
+        raise ValidationError(
+            f"config key {key!r} must be a {'square matrix' if ndim == 2 else 'list'} "
+            f"of [re, im] pairs, got shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"config key {key!r} contains non-finite entries")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def matrix_from_config(obj, key: str, dim: int | None = None) -> np.ndarray:
     """Decode a complex matrix given as row-major [re, im] pairs."""
-    try:
-        arr = np.array(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config key {key!r}: not a numeric matrix: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(
-            f"config key {key!r} must be a square matrix of [re, im] pairs, got shape {arr.shape}"
-        )
-    if dim is not None and arr.shape[0] != dim:
-        raise ValidationError(f"config key {key!r} must have dimension {dim}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"config key {key!r} contains non-finite entries")
-    return arr[..., 0] + 1j * arr[..., 1]
+    m = _complex_array(obj, key, ndim=2)
+    if dim is not None and m.shape[0] != dim:
+        raise ValidationError(f"config key {key!r} must have dimension {dim}, got {m.shape[0]}")
+    return m
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
@@ -128,149 +225,38 @@ def matrix_to_pairs(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
-def vector_from_config(obj, key: str) -> np.ndarray:
-    try:
-        arr = np.array(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config key {key!r}: not a numeric vector: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValidationError(f"config key {key!r} must be a list of [re, im] pairs")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"config key {key!r} contains non-finite entries")
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
-def _parse_qsd_block(obj, seed: int) -> dict:
-    if not isinstance(obj, dict):
-        raise ValidationError("config key 'qsd' must be an object")
-    _reject_unknown(obj, {"n_traj", "seed", "step"}, "'qsd'")
-    n_traj = _require_int(obj, "n_traj", minimum=1)
-    qsd_seed = _require_int(obj, "seed", optional=True)
-    step = _check_positive(_require_number(obj, "step", optional=True), "qsd.step")
-    return {"n_traj": n_traj, "seed": seed if qsd_seed is None else qsd_seed, "step": step}
-
-
-def _fill_step_default(params: dict, gamma: float) -> float | None:
-    step = _check_positive(_require_number(params, "step", optional=True), "step")
-    if step is None and gamma > 0.0:
-        step = 1e-3 / gamma
-    return step
-
-
-def _parse_counterexample(params: dict, seed: int) -> dict:
-    _reject_unknown(
-        params, {"beta", "ell", "gamma", "method", "step", "qsd", "c"}, "'counterexample'"
+def _counterexample_params(params: dict) -> scenarios.CounterexampleParams:
+    qsd = params.get("qsd")
+    return scenarios.CounterexampleParams(
+        **{key: params[key] for key in _OFFSET_KEYS},
+        qsd=None if qsd is None else scenarios.QsdSettings(**qsd),
     )
-    beta = _check_beta(_require_number(params, "beta"))
-    ell = _check_positive(_require_number(params, "ell"), "ell")
-    gamma = _require_number(params, "gamma")
-    if gamma < 0.0:
-        raise ValidationError(f"config key 'gamma' must be non-negative, got {gamma}")
-    method = _require_choice(params, "method", ("exact", "rk4"), "exact")
-    step = _fill_step_default(params, gamma)
-    c = _check_positive(_require_number(params, "c", optional=True), "c") or 1.0
-    out = {"beta": beta, "ell": ell, "gamma": gamma, "method": method, "step": step, "c": c}
-    if params.get("qsd") is not None:
-        out["qsd"] = _parse_qsd_block(params["qsd"], seed)
-    return out
 
 
-def _parse_sweep(params: dict, seed: int) -> dict:
-    base_keys = {"beta", "ell", "gamma", "method", "step", "c", "betas", "k_correction"}
-    _reject_unknown(params, base_keys, "'sweep'")
-    betas = params.get("betas")
-    if not isinstance(betas, list) or not betas:
-        raise ValidationError("config key 'betas' must be a non-empty list")
-    for b in betas:
-        if isinstance(b, bool) or not isinstance(b, (int, float)) or not math.isfinite(b):
-            raise ValidationError(f"config key 'betas' must hold finite numbers, got {b!r}")
-        _check_beta(float(b), "betas")
-    out = _parse_counterexample(
-        {k: v for k, v in params.items() if k not in ("betas", "k_correction")}, seed
-    )
-    out["betas"] = [float(b) for b in betas]
-    if params.get("k_correction") is not None:
-        k = matrix_from_config(params["k_correction"], "k_correction", dim=2)
-        out["k_correction"] = matrix_to_pairs(k)
-    return out
+def _check_sweep(params: dict) -> None:
+    p = _counterexample_params(params)
+    for beta in params["betas"]:
+        replace(p, beta=beta)
 
 
-def _parse_consistency(params: dict, seed: int) -> dict:
-    allowed = {"beta", "ell", "gamma", "method", "step", "c", "h", "k", "observable", "psi0"}
-    _reject_unknown(params, allowed, "'consistency'")
-    beta = _check_beta(_require_number(params, "beta"))
-    ell = _check_positive(_require_number(params, "ell"), "ell")
-    gamma = _require_number(params, "gamma", optional=True) or 0.0
-    if gamma < 0.0:
-        raise ValidationError(f"config key 'gamma' must be non-negative, got {gamma}")
-    method = _require_choice(params, "method", ("exact", "rk4"), "exact")
-    step = _fill_step_default(params, gamma)
-    c = _check_positive(_require_number(params, "c", optional=True), "c") or 1.0
-    out = {
-        "beta": beta, "ell": ell, "gamma": gamma,
-        "method": method, "step": step, "c": c,
-    }
-    for key in ("h", "k", "observable"):
-        if params.get(key) is not None:
-            out[key] = matrix_to_pairs(matrix_from_config(params[key], key))
-    if params.get("psi0") is not None:
-        vec = vector_from_config(params["psi0"], "psi0")
-        out["psi0"] = [[float(x.real), float(x.imag)] for x in vec]
-    return out
+def _check_consistency(params: dict) -> None:
+    if params["gamma"] == 0.0:
+        # the unitary check takes either sign of beta; the dataclass checks the rest
+        params = {**params, "beta": abs(params["beta"])}
+    else:
+        ignored = [key for key in ("h", "k", "observable", "psi0") if key in params]
+        if ignored:
+            raise ValidationError(f"config key(s) {ignored} apply only to the unitary check "
+                                  "(gamma = 0); the dissipative run would ignore them")
+    _counterexample_params(params)
 
 
-def _parse_lindblad(params: dict, seed: int) -> dict:
-    _reject_unknown(params, {"gamma", "span", "method", "step", "samples", "rho0"}, "'lindblad'")
-    gamma = _require_number(params, "gamma")
-    if gamma < 0.0:
-        raise ValidationError(f"config key 'gamma' must be non-negative, got {gamma}")
-    span = _require_number(params, "span")
-    if span < 0.0:
-        raise ValidationError(f"config key 'span' must be non-negative, got {span}")
-    method = _require_choice(params, "method", ("exact", "rk4"), "exact")
-    step = _fill_step_default(params, gamma)
-    samples = _require_int(params, "samples", optional=True, minimum=1) or 1
-    out = {"gamma": gamma, "span": span, "method": method, "step": step, "samples": samples}
-    if params.get("rho0") is not None:
-        out["rho0"] = matrix_to_pairs(matrix_from_config(params["rho0"], "rho0", dim=2))
-    return out
-
-
-def _parse_qsd_ensemble(params: dict, seed: int) -> dict:
-    allowed = {"gamma", "span", "n_traj", "step", "renormalize", "psi0"}
-    _reject_unknown(params, allowed, "'qsd-ensemble'")
-    gamma = _require_number(params, "gamma")
-    if gamma < 0.0:
-        raise ValidationError(f"config key 'gamma' must be non-negative, got {gamma}")
-    span = _require_number(params, "span")
-    if span <= 0.0:
-        raise ValidationError(f"config key 'span' must be positive, got {span}")
-    n_traj = _require_int(params, "n_traj", minimum=1)
-    step = _check_positive(_require_number(params, "step", optional=True), "step")
-    if step is None:
-        step = 0.01 / gamma if gamma > 0.0 else span / 100.0
-    renormalize = params.get("renormalize", True)
-    if not isinstance(renormalize, bool):
-        raise ValidationError(f"config key 'renormalize' must be a boolean, got {renormalize!r}")
-    out = {
-        "gamma": gamma, "span": span, "n_traj": n_traj,
-        "step": step, "renormalize": renormalize,
-    }
-    if params.get("psi0") is not None:
-        vec = vector_from_config(params["psi0"], "psi0")
-        out["psi0"] = [[float(x.real), float(x.imag)] for x in vec]
-    return out
-
-
-_PARSERS = {
-    "counterexample": _parse_counterexample,
-    "sweep": _parse_sweep,
-    "consistency": _parse_consistency,
-    "lindblad": _parse_lindblad,
-    "qsd-ensemble": _parse_qsd_ensemble,
+# range checks that the parameter dataclasses own
+_CHECKS = {
+    "counterexample": _counterexample_params,
+    "sweep": _check_sweep,
+    "consistency": _check_consistency,
 }
-
-_TOP_LEVEL_KEYS = {"command", "params", "output_path", "format", "seed", "log_level"}
 
 
 def parse_config(text: str, command: str | None = None) -> RunConfig:
@@ -286,9 +272,8 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"config document must be a JSON object, got {type(doc).__name__}")
-    _reject_unknown(doc, _TOP_LEVEL_KEYS, "config document")
 
-    cfg_command = doc.get("command", command)
+    cfg_command = command if doc.get("command") is None else doc["command"]
     if cfg_command is None:
         raise ValidationError("no command given (config key 'command' or CLI argument)")
     if cfg_command not in COMMANDS:
@@ -298,40 +283,17 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
             f"config command {cfg_command!r} does not match CLI command {command!r}"
         )
 
-    seed = _require_int(doc, "seed", optional=True)
-    seed = 0 if seed is None else seed
-    fmt = _require_choice(doc, "format", ("csv", "json"), "csv")
-    log_level = _require_choice(doc, "log_level", tuple(_LOG_LEVELS), "info")
-    output_path = doc.get("output_path", f"{cfg_command}_report.{fmt}")
-    if not isinstance(output_path, str) or not output_path:
-        raise ValidationError("config key 'output_path' must be a non-empty string")
-
-    raw_params = doc.get("params", {})
-    if not isinstance(raw_params, dict):
-        raise ValidationError("config key 'params' must be an object")
-    params = _PARSERS[cfg_command](raw_params, seed)
-
-    return RunConfig(
-        command=cfg_command,
-        params=params,
-        output_path=output_path,
-        format=fmt,
-        seed=seed,
-        log_level=log_level,
-    )
+    top = {key: val for key, val in doc.items() if key not in ("command", "params")}
+    top = _resolve(_TOP_LEVEL_KEYS, top, "config document", {"command": cfg_command})
+    params = _resolve(_SCHEMA[cfg_command], doc.get("params", {}), "'params'", top)
+    if cfg_command in _CHECKS:
+        _CHECKS[cfg_command](params)
+    return RunConfig(command=cfg_command, params=params, **top)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Inverse of parse_config: parse_config(serialize_config(cfg)) == cfg."""
-    doc = {
-        "command": cfg.command,
-        "params": cfg.params,
-        "output_path": cfg.output_path,
-        "format": cfg.format,
-        "seed": cfg.seed,
-        "log_level": cfg.log_level,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 # -- number formatting --------------------------------------------------------
@@ -400,38 +362,25 @@ def _counterexample_json(report: scenarios.CounterexampleReport) -> dict:
     return out
 
 
+def _matrix_param(params: dict, key: str, default):
+    return matrix_from_config(params[key], key) if key in params else default
+
+
+def _state_param(params: dict) -> np.ndarray:
+    if "psi0" in params:
+        return validate_state(_complex_array(params["psi0"], "psi0", ndim=1))
+    return scenarios.initial_state_vector()
+
+
 def _run_counterexample(cfg: RunConfig) -> tuple[list, list, dict]:
-    p = _params_from_config(cfg.params)
-    report = scenarios.run_counterexample(p)
+    report = scenarios.run_counterexample(_counterexample_params(cfg.params))
     header, rows = _counterexample_rows(report)
     return header, rows, _counterexample_json(report)
 
 
-def _params_from_config(params: dict) -> scenarios.CounterexampleParams:
-    qsd = None
-    if params.get("qsd") is not None:
-        qsd = scenarios.QsdSettings(
-            n_traj=params["qsd"]["n_traj"],
-            seed=params["qsd"]["seed"],
-            step=params["qsd"]["step"],
-        )
-    return scenarios.CounterexampleParams(
-        beta=params["beta"],
-        ell=params["ell"],
-        gamma=params["gamma"],
-        method=params["method"],
-        step=params["step"],
-        qsd=qsd,
-        c=params["c"],
-    )
-
-
 def _run_sweep(cfg: RunConfig) -> tuple[list, list, dict]:
-    params = {k: v for k, v in cfg.params.items() if k not in ("betas", "k_correction")}
-    p = _params_from_config(params)
-    k_corr = None
-    if cfg.params.get("k_correction") is not None:
-        k_corr = matrix_from_config(cfg.params["k_correction"], "k_correction")
+    p = _counterexample_params(cfg.params)
+    k_corr = _matrix_param(cfg.params, "k_correction", None)
     points = scenarios.sweep_velocity(p, cfg.params["betas"], k_corr)
     header = ["beta", "ell", "a0", "expectation_R", "expectation_M", "discrepancy"]
     rows = [[pt.beta, pt.ell, pt.a0, pt.expectation_R, pt.expectation_M, pt.discrepancy]
@@ -443,23 +392,15 @@ def _run_sweep(cfg: RunConfig) -> tuple[list, list, dict]:
 def _run_consistency(cfg: RunConfig) -> tuple[list, list, dict]:
     params = cfg.params
     if params["gamma"] > 0.0:
-        p = scenarios.CounterexampleParams(
-            beta=params["beta"], ell=params["ell"], gamma=params["gamma"],
-            method=params["method"], step=params["step"], c=params["c"],
-        )
-        report = scenarios.dissipative_consistency(p)
+        report = scenarios.dissipative_consistency(_counterexample_params(params))
     else:
-        dim = 2
-        h = (matrix_from_config(params["h"], "h") if params.get("h") is not None
-             else np.zeros((dim, dim), dtype=np.complex128))
-        k = (matrix_from_config(params["k"], "k") if params.get("k") is not None
-             else np.zeros_like(h))
-        a_op = (matrix_from_config(params["observable"], "observable")
-                if params.get("observable") is not None else scenarios.spin_observable())
-        psi0 = (validate_state(vector_from_config(params["psi0"], "psi0"))
-                if params.get("psi0") is not None else scenarios.initial_state_vector())
+        h = _matrix_param(params, "h", np.zeros((2, 2), dtype=np.complex128))
+        k = _matrix_param(params, "k", np.zeros_like(h))
+        a_op = _matrix_param(params, "observable", scenarios.spin_observable())
         gen = GeneratorSet(H=h, Ks=(k,), Ls=())
-        report = scenarios.check_unitary_consistency(gen, params["beta"], params["ell"], psi0, a_op)
+        report = scenarios.check_unitary_consistency(
+            gen, params["beta"], params["ell"], _state_param(params), a_op
+        )
     header = ["beta", "ell", "gamma", "deviation", "path_order_difference", "dissipative"]
     rows = [[params["beta"], params["ell"], params["gamma"], report.deviation,
              report.path_order_difference, report.dissipative]]
@@ -482,8 +423,7 @@ def _run_consistency(cfg: RunConfig) -> tuple[list, list, dict]:
 def _run_lindblad(cfg: RunConfig) -> tuple[list, list, dict]:
     params = cfg.params
     gamma, span, samples = params["gamma"], params["span"], params["samples"]
-    rho0 = (matrix_from_config(params["rho0"], "rho0")
-            if params.get("rho0") is not None else scenarios.initial_state())
+    rho0 = _matrix_param(params, "rho0", scenarios.initial_state())
     gen = GeneratorSet(H=np.zeros((2, 2)), Ls=(decohering_coupling(gamma),))
     header = ["a", "offdiag_numeric", "offdiag_exact", "abs_error", "trace_distance"]
     rows = []
@@ -507,16 +447,15 @@ def _run_lindblad(cfg: RunConfig) -> tuple[list, list, dict]:
 def _run_qsd_ensemble(cfg: RunConfig) -> tuple[list, list, dict]:
     params = cfg.params
     gamma, span = params["gamma"], params["span"]
-    psi0 = (validate_state(vector_from_config(params["psi0"], "psi0"))
-            if params.get("psi0") is not None else scenarios.initial_state_vector())
+    psi0 = _state_param(params)
     gen = GeneratorSet(H=np.zeros((2, 2)), Ls=(decohering_coupling(gamma),))
     steps = max(1, math.ceil(span / params["step"]))
     step = span / steps
     traj_cfg = TrajectoryConfig(step=step, steps=steps, seed=cfg.seed,
                                 renormalize=params["renormalize"])
     rho = ensemble_density(psi0, gen, traj_cfg, params["n_traj"])
-    rho_ref = lindblad_propagate(scenarios.initial_state() if params.get("psi0") is None
-                                 else np.outer(psi0, psi0.conj()), gen, span)
+    rho_ref = lindblad_propagate(np.outer(psi0, psi0.conj()) if "psi0" in params
+                                 else scenarios.initial_state(), gen, span)
     a_op = scenarios.spin_observable()
     header = ["gamma", "span", "n_traj", "step", "steps", "seed",
               "expectation", "trace_distance_to_lindblad"]
@@ -545,7 +484,7 @@ _RUNNERS = {
 # -- output -------------------------------------------------------------------
 
 
-def _write_csv(path: str, cfg: RunConfig, header: list, rows: list) -> None:
+def _csv_text(cfg: RunConfig, header: list, rows: list) -> str:
     lines = [
         "# qfoliation report",
         f"# command: {cfg.command}",
@@ -555,20 +494,29 @@ def _write_csv(path: str, cfg: RunConfig, header: list, rows: list) -> None:
     ]
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: str, cfg: RunConfig, payload: dict) -> None:
+def _json_text(cfg: RunConfig, payload: dict) -> str:
     doc = {
         "command": cfg.command,
         "config": {"params": cfg.params, "seed": cfg.seed,
                    "format": cfg.format, "output_path": cfg.output_path},
         "results": payload,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_report(path: str, text: str) -> None:
+    """Write via a temp file in the target directory, so a failed write leaves no partial report."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def run(cfg: RunConfig) -> int:
@@ -579,16 +527,18 @@ def run(cfg: RunConfig) -> int:
     print(f"seed: {cfg.seed}")
     try:
         header, rows, payload = _RUNNERS[cfg.command](cfg)
-        if cfg.format == "csv":
-            _write_csv(cfg.output_path, cfg, header, rows)
-        else:
-            _write_json(cfg.output_path, cfg, payload)
-    except (ValidationError, ParseError, ValueError) as exc:
+        text = _csv_text(cfg, header, rows) if cfg.format == "csv" else _json_text(cfg, payload)
+    except (ValidationError, ValueError) as exc:
         log.error("validation failure: %s", exc)
         return 1
-    except (NumericalError, AssertionError) as exc:
+    except NumericalError as exc:
         log.error("numerical invariant breach: %s", exc)
         return 2
+    try:
+        _write_report(cfg.output_path, text)
+    except OSError as exc:
+        log.error("cannot write report %s: %s", cfg.output_path, exc.strerror or exc)
+        return 1
     log.info("wrote %s", cfg.output_path)
     return 0
 
@@ -621,14 +571,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(text, command=args.command)
         if args.seed is not None:
             cfg = _reseed(cfg, args.seed)
-        if args.format is not None or args.out is not None:
-            fmt = args.format or cfg.format
-            out = args.out or cfg.output_path
-            cfg = RunConfig(cfg.command, cfg.params, out, fmt, cfg.seed, cfg.log_level)
-    except OSError as exc:
+        cfg = replace(cfg, format=args.format or cfg.format,
+                      output_path=args.out or cfg.output_path)
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"qfoliation: cannot read config: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, ParseError) as exc:
+    except ValidationError as exc:
         print(f"qfoliation: {exc}", file=sys.stderr)
         return 1
     return run(cfg)
@@ -641,7 +589,7 @@ def _reseed(cfg: RunConfig, seed: int) -> RunConfig:
     params = dict(cfg.params)
     if isinstance(params.get("qsd"), dict) and params["qsd"]["seed"] == cfg.seed:
         params["qsd"] = {**params["qsd"], "seed": seed}
-    return RunConfig(cfg.command, params, cfg.output_path, cfg.format, seed, cfg.log_level)
+    return replace(cfg, params=params, seed=seed)
 
 
 if __name__ == "__main__":

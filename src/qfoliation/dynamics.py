@@ -29,16 +29,14 @@ from . import rng
 from .errors import (
     DimMismatch,
     MissingBoostGenerator,
-    NonHermitianInput,
     StepTooLarge,
     SuperluminalBeta,
     ZeroNorm,
 )
 from .linalg import (
-    HERMITICITY_TOL,
     as_complex,
     expm_generator,
-    hermiticity_defect,
+    require_hermitian,
     require_square,
     validate_density,
     validate_state,
@@ -71,24 +69,15 @@ class GeneratorSet:
     Ls: tuple = ()
 
     def __post_init__(self) -> None:
-        h = require_square(as_complex(self.H))
-        if hermiticity_defect(h) > HERMITICITY_TOL:
-            raise NonHermitianInput(
-                f"H Hermiticity defect {hermiticity_defect(h):.3e} exceeds {HERMITICITY_TOL:.1e}"
-            )
+        h = require_hermitian(self.H, "H")
         object.__setattr__(self, "H", _readonly(h))
         if len(self.Ks) > 3:
             raise ValueError(f"at most 3 boost generators supported, got {len(self.Ks)}")
         ks = []
         for i, k in enumerate(self.Ks):
-            k = require_square(as_complex(k))
+            k = require_hermitian(k, f"K[{i}]")
             if k.shape != h.shape:
                 raise DimMismatch(f"K[{i}] shape {k.shape} != H shape {h.shape}")
-            if hermiticity_defect(k) > HERMITICITY_TOL:
-                raise NonHermitianInput(
-                    f"K[{i}] Hermiticity defect {hermiticity_defect(k):.3e} "
-                    f"exceeds {HERMITICITY_TOL:.1e}"
-                )
             ks.append(_readonly(k))
         object.__setattr__(self, "Ks", tuple(ks))
         ls = []

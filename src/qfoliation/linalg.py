@@ -16,6 +16,7 @@ from .errors import (
     NonHermitianInput,
     NotHermitian,
     NotPositive,
+    NumericalError,
     ValidationError,
     ZeroNorm,
 )
@@ -59,18 +60,22 @@ def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
+def require_hermitian(m, name: str, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """m as a square complex array; NonHermitianInput names it if it is not Hermitian."""
+    m = require_square(as_complex(m))
+    defect = hermiticity_defect(m)
+    if defect > tol:
+        raise NonHermitianInput(f"{name} Hermiticity defect {defect:.3e} exceeds tolerance {tol:.1e}")
+    return m
+
+
 def expm_generator(g: np.ndarray, s: float, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """exp(-i*s*g) for Hermitian g, via eigendecomposition.
 
     Unitary to floating-point accuracy for the small dimensions handled
     here; raises NonHermitianInput if g fails the Hermiticity check.
     """
-    g = require_square(as_complex(g))
-    defect = hermiticity_defect(g)
-    if defect > tol:
-        raise NonHermitianInput(
-            f"generator Hermiticity defect {defect:.3e} exceeds tolerance {tol:.1e}"
-        )
+    g = require_hermitian(g, "generator", tol)
     w, v = np.linalg.eigh(g)
     phases = np.exp(-1j * s * w)
     return (v * phases) @ v.conj().T
@@ -96,9 +101,7 @@ def expectation(a: np.ndarray, rho: np.ndarray) -> float:
     a = require_square(np.asarray(a))
     rho = require_square(np.asarray(rho))
     require_same_dim(a, rho)
-    tr = complex(np.trace(a @ rho))
-    assert abs(tr.imag) <= 1e-10, f"non-real expectation value: Im = {tr.imag:.3e}"
-    return tr.real
+    return _real_part(complex(np.trace(a @ rho)))
 
 
 def state_expectation(a: np.ndarray, psi: np.ndarray) -> float:
@@ -106,8 +109,13 @@ def state_expectation(a: np.ndarray, psi: np.ndarray) -> float:
     a = require_square(np.asarray(a))
     psi = np.asarray(psi)
     require_same_dim(a, psi)
-    val = complex(np.vdot(psi, a @ psi))
-    assert abs(val.imag) <= 1e-10, f"non-real expectation value: Im = {val.imag:.3e}"
+    return _real_part(complex(np.vdot(psi, a @ psi)))
+
+
+def _real_part(val: complex) -> float:
+    """The real part of an expectation value whose imaginary part must be negligible."""
+    if abs(val.imag) > 1e-10:
+        raise NumericalError(f"non-real expectation value: Im = {val.imag:.3e}")
     return val.real
 
 

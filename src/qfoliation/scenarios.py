@@ -30,7 +30,7 @@ from .dynamics import (
     ensemble_density,
     lindblad_propagate,
 )
-from .errors import NonCommutingGenerators, SuperluminalBeta, ValidationError
+from .errors import NonCommutingGenerators, NumericalError, SuperluminalBeta, ValidationError
 from .foliation import (
     FourVector,
     Hyperplane,
@@ -43,6 +43,7 @@ from .linalg import (
     expectation,
     expm_generator,
     purity,
+    require_hermitian,
     state_expectation,
     trace_distance,
     validate_state,
@@ -79,11 +80,11 @@ class QsdSettings:
 
     def __post_init__(self) -> None:
         if self.n_traj < 1:
-            raise ValidationError(f"n_traj must be >= 1, got {self.n_traj}")
+            raise ValidationError(f"qsd n_traj must be >= 1, got {self.n_traj}")
         if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+            raise ValidationError(f"qsd seed must be non-negative, got {self.seed}")
         if self.step is not None and self.step <= 0.0:
-            raise ValidationError(f"step must be positive, got {self.step:.6g}")
+            raise ValidationError(f"qsd step must be positive, got {self.step:.6g}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,12 @@ class CounterexampleParams:
     def __post_init__(self) -> None:
         if abs(self.beta) >= 1.0:
             raise SuperluminalBeta(f"|beta| = {abs(self.beta):.6g} >= 1")
+        if self.beta < 0.0:
+            raise ValidationError(
+                f"beta must be non-negative, got {self.beta:.6g}: decohering evolution "
+                "runs forward in the offset and cannot reach the negative coincidence "
+                "offset a0 = ell*beta/c"
+            )
         if self.ell <= 0.0:
             raise ValidationError(f"ell must be positive, got {self.ell:.6g}")
         if self.gamma < 0.0:
@@ -175,12 +182,16 @@ def run_counterexample(
     rho_r = lindblad_propagate(rho0, gen, a0, method=p.method, step=p.step)
     rho_m = boost_transport(rho0, gen, p.beta)
 
-    assert purity(rho_r) <= purity(rho0) + 1e-12, "purity increased along the R branch"
+    if purity(rho_r) > purity(rho0) + 1e-12:
+        raise NumericalError(
+            f"purity increased along the R branch: {purity(rho0):.12g} -> {purity(rho_r):.12g}"
+        )
 
     exp_r = expectation(a_op, rho_r)
     exp_m = expectation(a_op, rho_m)
     for name, val in (("expectation_R", exp_r), ("expectation_M", exp_m)):
-        assert -1.0 - 1e-9 <= val <= 1.0 + 1e-9, f"{name} = {val} outside [-1, 1]"
+        if not -1.0 - 1e-9 <= val <= 1.0 + 1e-9:
+            raise NumericalError(f"{name} = {val} outside [-1, 1]")
 
     qsd_outcome = None
     if p.qsd is not None:
@@ -238,13 +249,15 @@ def check_unitary_consistency(
     """Compare the two observers' expectations under purely unitary transport.
 
     The rest branch evolves psi0 along the offset to a0; the moving branch
-    boosts psi0 at offset zero. Requires a vanishing dissipator and
-    commuting (H, K_x): for non-commuting generators the transport would be
-    path-ordering dependent, which is a different effect than observer
-    inconsistency, so such inputs are refused.
+    boosts psi0 at offset zero. Requires a Hermitian observable, a
+    vanishing dissipator and commuting (H, K_x): for non-commuting
+    generators the transport would be path-ordering dependent, which is a
+    different effect than observer inconsistency, so such inputs are
+    refused.
     """
     if any(np.any(lk) for lk in gen.Ls):
         raise ValidationError("unitary consistency check requires a vanishing dissipator")
+    a_op = require_hermitian(a_op, "observable")
     psi0 = validate_state(psi0)
     k_x = gen.Ks[0] if gen.Ks else np.zeros_like(gen.H)
     comm = gen.H @ k_x - k_x @ gen.H
@@ -309,7 +322,8 @@ def sweep_velocity(
 
     Each beta gets ell rescaled to a0/beta so the coincidence offset (and
     with it the R branch) stays fixed while the boost correction shrinks;
-    beta = 0 degenerates to a0 = 0 where both observers coincide.
+    beta = 0 degenerates to a0 = 0 where both observers coincide. Each
+    beta passes the CounterexampleParams checks.
     """
     if not betas:
         raise ValidationError("betas must be non-empty")
@@ -321,8 +335,6 @@ def sweep_velocity(
         if beta == 0.0:
             point = replace(p, beta=0.0)
         else:
-            if abs(beta) >= 1.0:
-                raise SuperluminalBeta(f"|beta| = {abs(beta):.6g} >= 1")
             point = replace(p, beta=beta, ell=a0 * p.c / beta)
         report = run_counterexample(point, k_correction)
         rows.append(

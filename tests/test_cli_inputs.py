@@ -1,0 +1,121 @@
+"""Malformed inputs exit 1 with a message that names the problem."""
+
+import json
+import os
+
+import pytest
+
+from qfoliation.cli import main, parse_config
+from qfoliation.errors import ValidationError
+
+SIGMA_Z = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+NOT_HERMITIAN = {
+    "complex": [[[0, 0], [0, 1]], [[0, 0], [0, 0]]],  # [[0, i], [0, 0]]
+    "real": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],  # [[0, 1], [0, 0]]
+}
+
+
+def run_doc(tmp_path, doc, capsys):
+    """Exit status, stderr and report path of one CLI run on doc."""
+    doc = {"output_path": str(tmp_path / "report.csv"), **doc}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    status = main([doc["command"], "--config", str(cfg_path)])
+    return status, capsys.readouterr().err, doc["output_path"]
+
+
+# -- unwritable output path -------------------------------------------------------
+
+def test_output_in_missing_directory_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.csv"
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0},
+           "output_path": str(out)}
+    status, err, _ = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert str(out) in err and "No such file or directory" in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_output_path_is_a_directory_exits_1_and_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "reports"
+    target.mkdir()
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0},
+           "output_path": str(target)}
+    status, err, _ = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert str(target) in err
+    assert target.is_dir() and not any(target.iterdir())
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "reports"]
+
+
+# -- negative beta ---------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"command": "counterexample", "params": {"beta": -0.01, "ell": 3000, "gamma": 1.0}},
+        {"command": "sweep",
+         "params": {"beta": 0.01, "ell": 3000, "gamma": 1.0, "betas": [-0.01]}},
+        {"command": "consistency", "params": {"beta": -0.01, "ell": 3000, "gamma": 1.0}},
+    ],
+    ids=["counterexample", "sweep", "dissipative-consistency"],
+)
+def test_negative_beta_gets_a_physical_message(tmp_path, capsys, doc):
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert "beta must be non-negative" in err
+    assert "cannot reach the negative coincidence offset" in err
+    assert not os.path.exists(out)
+
+
+def test_unitary_consistency_accepts_negative_beta(tmp_path, capsys):
+    doc = {"command": "consistency",
+           "params": {"beta": -0.2, "ell": 40.0, "h": SIGMA_Z, "observable": SIGMA_Z}}
+    status, _, out = run_doc(tmp_path, doc, capsys)
+    assert status == 0
+    assert os.path.exists(out)
+
+
+# -- consistency validates what it is given -----------------------------------------------
+
+@pytest.mark.parametrize("observable", NOT_HERMITIAN.values(), ids=NOT_HERMITIAN.keys())
+def test_consistency_rejects_non_hermitian_observable(tmp_path, capsys, observable):
+    doc = {"command": "consistency",
+           "params": {"beta": 0.2, "ell": 40.0, "observable": observable}}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert "observable Hermiticity defect" in err
+    assert not os.path.exists(out)
+
+
+def test_dissipative_consistency_rejects_unitary_only_keys():
+    doc = {"command": "consistency",
+           "params": {"beta": 0.01, "ell": 3000.0, "gamma": 1.0,
+                      "h": SIGMA_Z, "observable": SIGMA_Z}}
+    with pytest.raises(ValidationError, match=r"\['h', 'observable'\].*unitary check"):
+        parse_config(json.dumps(doc))
+
+
+# -- inputs that used to end in a traceback ----------------------------------------------
+
+def test_int_beyond_float_range_is_rejected():
+    for doc in (
+        {"command": "counterexample", "params": {"beta": 10**400, "ell": 1, "gamma": 1}},
+        {"command": "lindblad",
+         "params": {"gamma": 1, "span": 1, "rho0": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]}},
+    ):
+        with pytest.raises(ValidationError):
+            parse_config(json.dumps(doc))
+
+
+def test_output_path_with_nul_is_rejected():
+    doc = {"command": "lindblad", "params": {"gamma": 1, "span": 1}, "output_path": "a\0b"}
+    with pytest.raises(ValidationError, match="output_path"):
+        parse_config(json.dumps(doc))
+
+
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(b'{"command": "lindblad", "params": {"gamma": 1, "span": 1}} \xff')
+    assert main(["lindblad", "--config", str(cfg_path)]) == 1
+    assert "cannot read config" in capsys.readouterr().err

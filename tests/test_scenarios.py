@@ -7,6 +7,7 @@ import pytest
 from qfoliation.dynamics import GeneratorSet
 from qfoliation.errors import (
     NonCommutingGenerators,
+    NonHermitianInput,
     SuperluminalBeta,
     ValidationError,
 )
@@ -74,6 +75,13 @@ def test_params_reject_bad_ell_gamma_method():
         CounterexampleParams(beta=0.1, ell=1.0, gamma=1.0, method="euler")
     with pytest.raises(ValidationError):
         QsdSettings(n_traj=0, seed=1)
+
+
+def test_params_reject_negative_beta():
+    with pytest.raises(ValidationError, match="negative coincidence offset"):
+        CounterexampleParams(beta=-0.01, ell=3000.0, gamma=1.0)
+    with pytest.raises(ValidationError, match="beta must be non-negative"):
+        sweep_velocity(HEADLINE, [0.01, -0.01])
 
 
 # -- the counter-example -------------------------------------------------------------
@@ -190,6 +198,12 @@ def test_unitary_consistency_refuses_non_commuting():
     gen = GeneratorSet(H=SZ, Ks=(SY / 2,))
     with pytest.raises(NonCommutingGenerators):
         check_unitary_consistency(gen, 0.1, 10.0, initial_state_vector(), SX)
+
+
+def test_unitary_consistency_refuses_non_hermitian_observable():
+    gen = GeneratorSet(H=SZ, Ks=(ZERO2,))
+    with pytest.raises(NonHermitianInput, match="observable"):
+        check_unitary_consistency(gen, 0.1, 10.0, initial_state_vector(), np.array([[0, 1], [0, 0]]))
 
 
 def test_unitary_consistency_refuses_dissipator():
