@@ -427,7 +427,6 @@ def _run_lindblad(cfg: RunConfig) -> tuple[list, list, dict]:
     gen = GeneratorSet(H=np.zeros((2, 2)), Ls=(decohering_coupling(gamma),))
     header = ["a", "offdiag_numeric", "offdiag_exact", "abs_error", "trace_distance"]
     rows = []
-    matrices = []
     for i in range(1, samples + 1):
         a = span * i / samples
         rho_num = lindblad_propagate(rho0, gen, a, method=params["method"], step=params["step"])
@@ -439,8 +438,8 @@ def _run_lindblad(cfg: RunConfig) -> tuple[list, list, dict]:
             float(np.max(np.abs(rho_num - rho_ref))),
             trace_distance(rho_num, rho_ref),
         ])
-        matrices.append(_report_matrix(rho_num))
-    payload = {"points": [dict(zip(header, row)) for row in rows], "rho_final": matrices[-1]}
+    payload = {"points": [dict(zip(header, row)) for row in rows],
+               "rho_final": _report_matrix(rho_num)}
     return header, rows, payload
 
 

@@ -10,10 +10,17 @@ Three transports act on a state:
 * unitary transport between hyperplane normals, i.e. boosts
   (`boost_transport`).
 
+The Lindblad generator has one encoding, the superoperator `liouvillian`.
+Both Lindblad methods are a matrix applied to vec(rho): expm(span*L) for
+`exact`, and for `rk4` the Runge-Kutta polynomial P(hL)^n, which equals n
+classical RK4 steps of h because L does not depend on a.
+
 The unraveling is the standard quantum-state-diffusion Ito form with one
 complex Wiener process per coupling operator: drift
 (<L^dag>L - L^dag L/2 - <L^dag><L>/2) psi and diffusion (L - <L>) psi per
 channel, integrated by Euler-Maruyama with optional per-step renormalization.
+One loop (`_qsd_batches`) advances every trajectory; `qsd_trajectory`
+records its path and `ensemble_final_states` keeps only the last batch.
 """
 
 from __future__ import annotations
@@ -147,31 +154,6 @@ def liouvillian(gen: GeneratorSet) -> np.ndarray:
     return sup
 
 
-def lindblad_rhs(rho: np.ndarray, gen: GeneratorSet) -> np.ndarray:
-    """-i[H, rho] + sum_k (L rho L^dag - {L^dag L, rho}/2)."""
-    out = -1j * (gen.H @ rho - rho @ gen.H)
-    for lk in gen.Ls:
-        ldl = lk.conj().T @ lk
-        out += lk @ rho @ lk.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
-    return out
-
-
-def _operator_rhs(gen: GeneratorSet):
-    """lindblad_rhs on flattened states, operators precomputed."""
-    d = gen.dim
-    h = gen.H
-    pairs = [(lk, lk.conj().T, lk.conj().T @ lk) for lk in gen.Ls]
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        rho = v.reshape(d, d)
-        out = -1j * (h @ rho - rho @ h)
-        for lk, lkd, ldl in pairs:
-            out += lk @ rho @ lkd - 0.5 * (ldl @ rho + rho @ ldl)
-        return out.reshape(-1)
-
-    return rhs
-
-
 def lindblad_propagate(
     rho0: np.ndarray,
     gen: GeneratorSet,
@@ -181,10 +163,16 @@ def lindblad_propagate(
 ) -> np.ndarray:
     """Propagate a density matrix by `span` in the hyperplane offset.
 
-    `exact` exponentiates the vectorized superoperator (preferred for small
-    dimensions); `rk4` integrates with fixed step and must satisfy
-    step * ||generator|| <= 1. The output is validated: trace, Hermiticity
-    and positivity to 1e-9 (exact) or 1e-6 (rk4).
+    Both methods build the d^2 x d^2 superoperator L = liouvillian(gen).
+    `exact` applies expm(span*L) and validates to 1e-9. `rk4` takes
+    n = ceil(span/step) equal classical Runge-Kutta steps of h = span/n,
+    which for this offset-independent generator is exactly
+    P(hL)^n vec(rho0) with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, applied by
+    repeated squaring; it requires step * ||generator|| <= 1 and validates
+    to 1e-6. Both costs grow as d^6: at dim 33 (span 1, step 1e-3) each
+    takes about 2 s on a 2-core OpenBLAS host, six times what stepping the
+    operator form takes there, while at dim 2 (span 30, step 1e-3) rk4
+    takes 0.3 ms. No caller goes above dim 4.
     """
     rho0 = validate_density(rho0)
     if rho0.shape[0] != gen.dim:
@@ -200,7 +188,6 @@ def lindblad_propagate(
 
     if method == "exact":
         propagator = _expm(liouvillian(gen) * span)
-        rho = (propagator @ rho0.reshape(-1)).reshape(rho0.shape)
         tol = 1e-9
     elif method == "rk4":
         if step is None or step <= 0.0:
@@ -211,29 +198,16 @@ def lindblad_propagate(
                 f"step*||generator|| = {step * bound:.3e} > 1; reduce step below {1.0 / bound:.3e}"
             )
         n = max(1, math.ceil(span / step))
-        h = span / n
-        # one superoperator matvec per stage beats four operator products
-        # per stage; fall back to the operator form when dim^2 gets large
-        if gen.dim <= 32:
-            sup = liouvillian(gen)
-
-            def rhs(v: np.ndarray) -> np.ndarray:
-                return sup @ v
-
-        else:
-            rhs = _operator_rhs(gen)
-        v = rho0.reshape(-1).copy()
-        for _ in range(n):
-            k1 = rhs(v)
-            k2 = rhs(v + 0.5 * h * k1)
-            k3 = rhs(v + 0.5 * h * k2)
-            k4 = rhs(v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = v.reshape(rho0.shape)
+        x = liouvillian(gen) * (span / n)
+        eye = np.eye(x.shape[0], dtype=np.complex128)
+        # P(x) in Horner form
+        one_step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)
+        propagator = np.linalg.matrix_power(one_step, n)
         tol = 1e-6
     else:
         raise ValueError(f"unknown method {method!r}, expected 'exact' or 'rk4'")
 
+    rho = (propagator @ rho0.reshape(-1)).reshape(rho0.shape)
     return validate_density(rho, hermiticity_tol=tol, trace_tol=tol, positivity_tol=tol)
 
 
@@ -356,8 +330,30 @@ def _warn_if_step_coarse(gen: GeneratorSet, step: float) -> None:
         warnings.warn(
             f"step*max||L^dag L|| = {step * max(norms):.3g} exceeds {QSD_STEP_SAFETY}; "
             "stochastic integration error may dominate",
-            stacklevel=3,
+            stacklevel=4,  # past _qsd_batches and the integrator, to its caller
         )
+
+
+def _qsd_batches(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, streams):
+    """Run one trajectory per noise stream from psi0; yields the batch, shape
+    (len(streams), dim), at step 0 and after each of the cfg.steps steps.
+
+    Row m runs on noise stream (cfg.seed, streams[m]) and, since the step
+    arithmetic is per row, is bit-identical whatever the other rows are.
+    """
+    psi0 = validate_state(psi0)
+    if psi0.shape[0] != gen.dim:
+        raise DimMismatch(f"state shape {psi0.shape} incompatible with dim {gen.dim}")
+    _warn_if_step_coarse(gen, cfg.step)
+    ls, ldl_sum = _qsd_ops(gen)
+    k = ls.shape[0]
+    keys = rng.stream_keys(cfg.seed, streams)
+    psis = np.tile(psi0, (len(keys), 1))
+    yield psis
+    for s in range(cfg.steps):
+        dxi = rng.wiener_block(keys, s, k, cfg.step) if k else np.zeros((len(keys), 0), complex)
+        psis = _qsd_step_batch(psis, gen.H, ls, ldl_sum, dxi, cfg.step, cfg.renormalize)
+        yield psis
 
 
 def qsd_trajectory(
@@ -371,20 +367,9 @@ def qsd_trajectory(
     Deterministic given (cfg.seed, stream): the noise at every step is a
     pure function of those, so identical seeds give bit-identical paths.
     """
-    psi0 = validate_state(psi0)
-    if psi0.shape[0] != gen.dim:
-        raise DimMismatch(f"state shape {psi0.shape} incompatible with dim {gen.dim}")
-    _warn_if_step_coarse(gen, cfg.step)
-    ls, ldl_sum = _qsd_ops(gen)
-    k = ls.shape[0]
-    keys = rng.stream_keys(cfg.seed, [stream])
     path = np.empty((cfg.steps + 1, gen.dim), dtype=np.complex128)
-    path[0] = psi0
-    psis = psi0[None, :]
-    for s in range(cfg.steps):
-        dxi = rng.wiener_block(keys, s, k, cfg.step) if k else np.zeros((1, 0), complex)
-        psis = _qsd_step_batch(psis, gen.H, ls, ldl_sum, dxi, cfg.step, cfg.renormalize)
-        path[s + 1] = psis[0]
+    for s, psis in enumerate(_qsd_batches(psi0, gen, cfg, [stream])):
+        path[s] = psis[0]
     return path
 
 
@@ -400,19 +385,10 @@ def ensemble_final_states(
     to qsd_trajectory(..., stream=m) finals regardless of batch size, which
     also makes the ensemble independent of any execution schedule.
     """
-    psi0 = validate_state(psi0)
-    if psi0.shape[0] != gen.dim:
-        raise DimMismatch(f"state shape {psi0.shape} incompatible with dim {gen.dim}")
     if n_traj < 1:
         raise ValueError(f"need at least one trajectory, got {n_traj}")
-    _warn_if_step_coarse(gen, cfg.step)
-    ls, ldl_sum = _qsd_ops(gen)
-    k = ls.shape[0]
-    keys = rng.stream_keys(cfg.seed, np.arange(n_traj))
-    psis = np.tile(psi0, (n_traj, 1))
-    for s in range(cfg.steps):
-        dxi = rng.wiener_block(keys, s, k, cfg.step) if k else np.zeros((n_traj, 0), complex)
-        psis = _qsd_step_batch(psis, gen.H, ls, ldl_sum, dxi, cfg.step, cfg.renormalize)
+    for psis in _qsd_batches(psi0, gen, cfg, np.arange(n_traj)):
+        pass
     return psis
 
 

@@ -14,7 +14,6 @@ from qfoliation.dynamics import (
     ensemble_final_states,
     lindblad_exact_twolevel,
     lindblad_propagate,
-    lindblad_rhs,
     liouvillian,
     qsd_step,
     qsd_trajectory,
@@ -136,6 +135,21 @@ def test_lindblad_rk4_matches_exact():
     assert trace_distance(rk4, exact) <= 1e-6
 
 
+def test_lindblad_rk4_is_the_runge_kutta_polynomial():
+    # pure dephasing: the coherence is an eigenvector of the generator with
+    # eigenvalue -gamma/2, so n RK4 steps of h scale it by P(-gamma*h/2)^n;
+    # the span is not a multiple of the step, and the steps are coarse
+    # enough that P^n is far from the exact exp(-gamma*span/2)
+    gamma, span, step = 2.0, 1.75, 0.1
+    n = math.ceil(span / step)
+    x = -0.5 * gamma * span / n
+    expected = 0.5 * (1.0 + x + x**2 / 2 + x**3 / 6 + x**4 / 24) ** n
+    rho = lindblad_propagate(PLUS_RHO, decoherence_model(gamma), span, method="rk4", step=step)
+    assert rho[0, 1].real == pytest.approx(expected, rel=1e-12)
+    assert rho[1, 0].real == pytest.approx(expected, rel=1e-12)
+    assert abs(expected - 0.5 * math.exp(-0.5 * gamma * span)) > 1e-8
+
+
 def test_lindblad_rk4_step_too_large():
     gen = decoherence_model(10.0)
     with pytest.raises(StepTooLarge, match="reduce step"):
@@ -192,11 +206,20 @@ def test_unital_purity_non_increasing():
             last = p
 
 
+def lindblad_operator_form(rho, gen):
+    """-i[H, rho] + sum_k (L rho L^dag - {L^dag L, rho}/2), an oracle for liouvillian."""
+    out = -1j * (gen.H @ rho - rho @ gen.H)
+    for lk in gen.Ls:
+        ldl = lk.conj().T @ lk
+        out += lk @ rho @ lk.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+    return out
+
+
 def test_liouvillian_matches_rhs():
     rng = np.random.default_rng(23)
     gen = random_model(rng, 3, n_ls=2)
     rho = random_density(rng, 3)
-    direct = lindblad_rhs(rho, gen)
+    direct = lindblad_operator_form(rho, gen)
     via_super = (liouvillian(gen) @ rho.reshape(-1)).reshape(3, 3)
     np.testing.assert_allclose(via_super, direct, atol=1e-12)
 
@@ -323,8 +346,12 @@ def test_ensemble_single_trajectory_projector():
     assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_ensemble_row_matches_standalone_trajectory_bitwise():
-    gen = decoherence_model()
+@pytest.mark.parametrize("gen", [
+    pytest.param(decoherence_model(), id="one-channel"),
+    pytest.param(GeneratorSet(H=SZ), id="zero-channel"),
+    pytest.param(GeneratorSet(H=SZ, Ls=(decohering_coupling(1.0), 0.5 * SX)), id="two-channel"),
+])
+def test_ensemble_row_matches_standalone_trajectory_bitwise(gen):
     cfg = TrajectoryConfig(step=0.02, steps=100, seed=4)
     finals = ensemble_final_states(PLUS_STATE, gen, cfg, 30)
     for stream in (0, 7, 29):
