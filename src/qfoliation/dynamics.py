@@ -21,6 +21,15 @@ complex Wiener process per coupling operator: drift
 channel, integrated by Euler-Maruyama with optional per-step renormalization.
 One loop (`_qsd_batches`) advances every trajectory; `qsd_trajectory`
 records its path and `ensemble_final_states` keeps only the last batch.
+The batch is held as columns, shape (dim, M), so component i of every
+trajectory is one contiguous row. The drift terms linear in psi are folded
+into one matrix G = 1 + step*(-iH - sum_k L_k^dag L_k / 2), built once per
+run; a step applies G and each L_k entry by entry to whole rows and adds
+the <L_k> terms, all with preallocated buffers. Every operation is an
+elementwise numpy ufunc over rows of length M, and none is an in-place
+complex product (whose rounding depends on the length), so a trajectory's
+arithmetic, and its result to the last bit, does not depend on the batch it
+runs in.
 """
 
 from __future__ import annotations
@@ -242,50 +251,122 @@ def decohering_coupling(gamma: float, dim: int = 2) -> np.ndarray:
 # -- quantum state diffusion --------------------------------------------------
 
 
-def _qsd_ops(gen: GeneratorSet):
-    """Stacked arrays reused across steps: (Ls, sum_k L^dag L)."""
+def _sparse_rows(op: np.ndarray) -> tuple:
+    """Nonzero entries of a square matrix by row: row i is ((j, op[i, j]), ...)."""
+    return tuple(
+        tuple((j, op[i, j]) for j in range(op.shape[1]) if op[i, j] != 0)
+        for i in range(op.shape[0])
+    )
+
+
+def _qsd_ops(gen: GeneratorSet, step: float):
+    """The operators of one step, as sparse rows: (G, (L_1, ..., L_K)).
+
+    G = 1 + step*(-iH - sum_k L_k^dag L_k / 2) holds every drift term that
+    is linear in psi; only the <L_k> terms are left to each step.
+    """
     d = gen.dim
-    if gen.Ls:
-        ls = np.stack(gen.Ls)
-        ldl_sum = np.einsum("kji,kjl->il", ls.conj(), ls)
-    else:
-        ls = np.zeros((0, d, d), dtype=np.complex128)
-        ldl_sum = np.zeros((d, d), dtype=np.complex128)
-    return ls, ldl_sum
+    ldl_sum = np.zeros((d, d), dtype=np.complex128)
+    for lk in gen.Ls:
+        ldl_sum += lk.conj().T @ lk
+    g = np.eye(d, dtype=np.complex128) + step * (-1j * gen.H - 0.5 * ldl_sum)
+    return _sparse_rows(g), tuple(_sparse_rows(lk) for lk in gen.Ls)
+
+
+def _apply(rows: tuple, cols: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = op @ cols for columns cols, shape (d, M), given op's sparse rows."""
+    for i, row in enumerate(rows):
+        acc = out[i]
+        if not row:
+            acc[...] = 0.0
+            continue
+        (j, c), *rest = row
+        np.multiply(cols[j], c, out=acc)
+        for j, c in rest:
+            acc += np.multiply(cols[j], c, out=tmp)
+
+
+class _StepBuffers:
+    """Scratch arrays of `_qsd_step_batch` for a (d, M) batch, made once per
+    run: at M = 10^4 fresh temporaries cost more in page faults than in
+    arithmetic."""
+
+    def __init__(self, d: int, m: int) -> None:
+        self.lcol = np.empty((d, m), dtype=np.complex128)
+        self.tmp, self.conj, self.lexp, self.lexp_c, self.coef, self.shift = np.empty(
+            (6, m), dtype=np.complex128
+        )
+        self.sq = np.empty((d, 2 * m))
+        self.norms = np.empty(m)
+        self.norms_pairs = np.empty((m, 2))
 
 
 def _qsd_step_batch(
-    psis: np.ndarray,
-    h_op: np.ndarray,
-    ls: np.ndarray,
-    ldl_sum: np.ndarray,
-    dxi: np.ndarray,
+    cols: np.ndarray,
+    out: np.ndarray,
+    ops: tuple,
+    dxi,
     step: float,
     renormalize: bool,
+    buf: _StepBuffers,
 ) -> np.ndarray:
-    """One Euler-Maruyama step on a batch of states, shape (M, d).
+    """One Euler-Maruyama step on a batch of states held as columns, shape (d, M).
 
-    einsum keeps per-row arithmetic independent of the batch size, so a
-    batch row is bit-identical to the same trajectory run alone.
+    With (G, L_k) = ops from `_qsd_ops` and dxi[k] the (M,) increments of
+    channel k, writes into `out` (not `cols`) and returns it:
+        G psi + sum_k (step conj<L_k> + dxi_k) L_k psi
+              - sum_k <L_k> (step conj<L_k> / 2 + dxi_k) psi,
+    with <L_k> = sum_i conj(psi_i) (L_k psi)_i. Each term is a ufunc over one
+    component row of the batch, scaled by an operator entry (exact zeros
+    skipped) or by another (M,) row, so every trajectory sees the same
+    elementwise operations in the same order whatever the batch size: a
+    column is bit-identical to the same trajectory run alone. No complex
+    product is taken in place: numpy's in-place complex multiply rounds a
+    length-1 array differently from a long one.
     """
-    drift = -1j * np.einsum("ij,mj->mi", h_op, psis)
-    if ls.shape[0]:
-        lpsi = np.einsum("kij,mj->kmi", ls, psis)
-        lexp = np.einsum("mi,kmi->km", psis.conj(), lpsi)
-        drift += np.einsum("km,kmi->mi", lexp.conj(), lpsi)
-        drift -= 0.5 * np.einsum("ij,mj->mi", ldl_sum, psis)
-        drift -= 0.5 * np.einsum("km,km->m", lexp.conj(), lexp)[:, None] * psis
-        noise = np.einsum("kmi,km->mi", lpsi, dxi.T)
-        noise -= np.einsum("km,km->m", lexp, dxi.T)[:, None] * psis
-        out = psis + drift * step + noise
-    else:
-        out = psis + drift * step
-    norms = np.sqrt(np.einsum("mi,mi->m", out.conj(), out).real)
-    if np.any(norms < _ZERO_NORM_FLOOR):
-        worst = float(np.min(norms))
+    g_rows, l_rows = ops
+    d = cols.shape[0]
+    tmp = buf.tmp
+    _apply(g_rows, cols, out, tmp)
+    if l_rows:
+        lcol, lexp, lexp_c, coef, shift = buf.lcol, buf.lexp, buf.lexp_c, buf.coef, buf.shift
+        shift[...] = 0.0
+        for rows, dx in zip(l_rows, dxi):
+            _apply(rows, cols, lcol, tmp)
+            live = [i for i, row in enumerate(rows) if row]
+            lexp[...] = 0.0
+            for i in live:
+                lexp += np.multiply(np.conjugate(cols[i], out=buf.conj), lcol[i], out=tmp)
+            np.conjugate(lexp, out=lexp_c)
+            np.multiply(lexp_c, step, out=coef)
+            coef += dx
+            for i in live:
+                acc = out[i]
+                acc += np.multiply(lcol[i], coef, out=tmp)
+            np.multiply(lexp_c, 0.5 * step, out=coef)
+            coef += dx
+            shift += np.multiply(coef, lexp, out=tmp)
+        for i in range(d):
+            acc = out[i]
+            acc -= np.multiply(cols[i], shift, out=tmp)
+    sq = np.square(out.view(np.float64), out=buf.sq)  # re^2, im^2 interleaved
+    norms = np.add(sq[0, 0::2], sq[0, 1::2], out=buf.norms)
+    for i in range(1, d):
+        norms += sq[i, 0::2]
+        norms += sq[i, 1::2]
+    np.sqrt(norms, out=norms)
+    worst = float(norms.min())
+    if worst < _ZERO_NORM_FLOOR:
         raise ZeroNorm(f"trajectory norm collapsed to {worst:.3e} before renormalization")
     if renormalize:
-        out = out / norms[:, None]
+        # divide as floats: faster than complex division, and numpy's
+        # broadcast complex-by-real division rounds a one-trajectory batch
+        # differently from a long one
+        pairs = buf.norms_pairs
+        pairs[:, 0] = norms
+        pairs[:, 1] = norms
+        flat = out.view(np.float64)
+        flat /= pairs.reshape(-1)
     return out
 
 
@@ -316,12 +397,13 @@ def qsd_step(
     psi = as_complex(psi)
     if psi.ndim != 1 or psi.shape[0] != gen.dim:
         raise DimMismatch(f"state shape {psi.shape} incompatible with dim {gen.dim}")
-    ls, ldl_sum = _qsd_ops(gen)
-    dxi = _noise_or_empty(dxi, ls.shape[0])
+    ops = _qsd_ops(gen, step)
+    dxi = _noise_or_empty(dxi, len(ops[1]))
+    cols = psi[:, None]
     out = _qsd_step_batch(
-        psi[None, :], gen.H, ls, ldl_sum, dxi[None, :], step, renormalize
+        cols, np.empty_like(cols), ops, dxi[:, None], step, renormalize, _StepBuffers(gen.dim, 1)
     )
-    return out[0]
+    return out[:, 0]
 
 
 def _warn_if_step_coarse(gen: GeneratorSet, step: float) -> None:
@@ -339,21 +421,26 @@ def _qsd_batches(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, str
     (len(streams), dim), at step 0 and after each of the cfg.steps steps.
 
     Row m runs on noise stream (cfg.seed, streams[m]) and, since the step
-    arithmetic is per row, is bit-identical whatever the other rows are.
+    arithmetic is per trajectory, is bit-identical whatever the other rows
+    are. The batch is stepped as columns, shape (dim, M), in two alternating
+    buffers; each yield is a transposed view that the step after next
+    overwrites, so a caller copies what it keeps before advancing twice.
     """
     psi0 = validate_state(psi0)
     if psi0.shape[0] != gen.dim:
         raise DimMismatch(f"state shape {psi0.shape} incompatible with dim {gen.dim}")
     _warn_if_step_coarse(gen, cfg.step)
-    ls, ldl_sum = _qsd_ops(gen)
-    k = ls.shape[0]
+    ops = _qsd_ops(gen, cfg.step)
+    k = len(ops[1])
     keys = rng.stream_keys(cfg.seed, streams)
-    psis = np.tile(psi0, (len(keys), 1))
-    yield psis
+    cols = np.repeat(psi0[:, None], len(keys), axis=1)
+    yield cols.T
+    outs = np.empty((2,) + cols.shape, dtype=np.complex128)
+    buf = _StepBuffers(*cols.shape)
     for s in range(cfg.steps):
-        dxi = rng.wiener_block(keys, s, k, cfg.step) if k else np.zeros((len(keys), 0), complex)
-        psis = _qsd_step_batch(psis, gen.H, ls, ldl_sum, dxi, cfg.step, cfg.renormalize)
-        yield psis
+        dxi = rng.wiener_block(keys, s, k, cfg.step).T if k else ()
+        cols = _qsd_step_batch(cols, outs[s % 2], ops, dxi, cfg.step, cfg.renormalize, buf)
+        yield cols.T
 
 
 def qsd_trajectory(

@@ -23,12 +23,13 @@ _U64_MASK = (1 << 64) - 1
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
-    x ^= x >> np.uint64(30)
+    """splitmix64 output permutation of the uint64 array x, in place; returns x."""
+    tmp = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=tmp)
     x *= _MIX_A
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=tmp)
     x *= _MIX_B
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=tmp)
     return x
 
 
@@ -58,18 +59,39 @@ def uniforms(key: np.uint64 | np.ndarray, counters: np.ndarray) -> np.ndarray:
     counters = np.asarray(counters, dtype=np.uint64)
     z = _mix(key + (counters + np.uint64(1)) * _GOLDEN)
     # 53 mantissa bits, offset by half a ulp so 0 is never produced
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def standard_normals(key: np.uint64 | np.ndarray, counters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pair of standard-normal arrays via Box-Muller on counters (2c, 2c+1)."""
     counters = np.asarray(counters, dtype=np.uint64)
-    two = np.uint64(2)
-    u1 = uniforms(key, counters * two)
-    u2 = uniforms(key, counters * two + np.uint64(1))
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    return radius * np.cos(angle), radius * np.sin(angle)
+    doubled = counters * np.uint64(2)
+    radius = uniforms(key, doubled)
+    doubled += np.uint64(1)
+    angle = uniforms(key, doubled)
+    # radius = sqrt(-2 log u1), angle = 2 pi u2, each in place
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    g1 = np.cos(angle)
+    g1 *= radius
+    g2 = np.sin(angle, out=angle)
+    g2 *= radius
+    return g1, g2
+
+
+def _increments(g1: np.ndarray, g2: np.ndarray, step: float) -> np.ndarray:
+    """sqrt(step/2) * (g1 + i*g2), written through the real and imaginary views."""
+    amp = np.sqrt(step / 2.0)
+    out = np.empty(g1.shape, dtype=np.complex128)
+    np.multiply(g1, amp, out=out.real)
+    np.multiply(g2, amp, out=out.imag)
+    return out
 
 
 def wiener_increments(
@@ -82,9 +104,7 @@ def wiener_increments(
     """
     key = stream_key(seed, stream)
     counters = np.arange(steps * channels, dtype=np.uint64)
-    g1, g2 = standard_normals(key, counters)
-    amp = np.sqrt(step / 2.0)
-    return (amp * (g1 + 1j * g2)).reshape(steps, channels)
+    return _increments(*standard_normals(key, counters), step).reshape(steps, channels)
 
 
 def wiener_block(
@@ -98,6 +118,4 @@ def wiener_block(
     """
     base = np.uint64(step_index * channels)
     counters = base + np.arange(channels, dtype=np.uint64)
-    g1, g2 = standard_normals(keys[:, None], counters[None, :])
-    amp = np.sqrt(step / 2.0)
-    return amp * (g1 + 1j * g2)
+    return _increments(*standard_normals(keys[:, None], counters[None, :]), step)

@@ -33,6 +33,7 @@ from qfoliation.linalg import (
     trace_distance,
     validate_density,
 )
+from qfoliation.rng import stream_keys, wiener_block
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -333,6 +334,62 @@ def test_qsd_reduction_frequencies():
     assert collapsed.mean() > 0.95
     frac_up = (p_up > 0.5).mean()
     assert abs(frac_up - 0.5) <= 3.0 / math.sqrt(400)
+
+
+def qsd_step_einsum(psis, gen, dxi, step, renormalize):
+    """One Euler-Maruyama step on rows psis, shape (M, d), with noise dxi, shape
+    (M, K): the drift and noise written term by term in einsum, an oracle for
+    the column kernel behind qsd_step and the ensembles."""
+    d = gen.dim
+    ls = np.stack(gen.Ls) if gen.Ls else np.zeros((0, d, d), dtype=complex)
+    ldl_sum = np.einsum("kji,kjl->il", ls.conj(), ls)
+    drift = -1j * np.einsum("ij,mj->mi", gen.H, psis)
+    if ls.shape[0]:
+        lpsi = np.einsum("kij,mj->kmi", ls, psis)
+        lexp = np.einsum("mi,kmi->km", psis.conj(), lpsi)
+        drift += np.einsum("km,kmi->mi", lexp.conj(), lpsi)
+        drift -= 0.5 * np.einsum("ij,mj->mi", ldl_sum, psis)
+        drift -= 0.5 * np.einsum("km,km->m", lexp.conj(), lexp)[:, None] * psis
+        noise = np.einsum("kmi,km->mi", lpsi, dxi.T)
+        noise -= np.einsum("km,km->m", lexp, dxi.T)[:, None] * psis
+        out = psis + drift * step + noise
+    else:
+        out = psis + drift * step
+    if renormalize:
+        out = out / np.sqrt(np.einsum("mi,mi->m", out.conj(), out).real)[:, None]
+    return out
+
+
+@pytest.mark.parametrize("renormalize", [True, False], ids=["renormalize", "raw"])
+@pytest.mark.parametrize("n_ls", [0, 1, 2])
+def test_qsd_kernel_matches_einsum_reference(n_ls, renormalize):
+    rng = np.random.default_rng(300 + n_ls)
+    gen = random_model(rng, 3, n_ls=n_ls)
+    assert np.any(gen.H)
+    for lk in gen.Ls:
+        assert np.linalg.norm(lk @ lk.conj().T - lk.conj().T @ lk) > 0.1  # non-normal
+    step, m = 0.01, 7
+    psis = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
+    psis /= np.linalg.norm(psis, axis=1)[:, None]
+    dxi = math.sqrt(step / 2) * (rng.normal(size=(m, n_ls)) + 1j * rng.normal(size=(m, n_ls)))
+    ref = qsd_step_einsum(psis, gen, dxi, step, renormalize)
+    for row in range(m):
+        got = qsd_step(psis[row], gen, dxi[row] if n_ls else None, step, renormalize)
+        np.testing.assert_allclose(got, ref[row], rtol=0, atol=1e-13)
+
+    # a batch step on the ensemble's own noise
+    psi0 = psis[0]
+    cfg = TrajectoryConfig(step=step, steps=1, seed=31, renormalize=renormalize)
+    noise = wiener_block(stream_keys(31, np.arange(m)), 0, n_ls, step)
+    ref = qsd_step_einsum(np.tile(psi0, (m, 1)), gen, noise, step, renormalize)
+    np.testing.assert_allclose(ensemble_final_states(psi0, gen, cfg, m), ref, rtol=0, atol=1e-13)
+
+    # row m of an M = 7 batch is the same stream run alone, to the bit
+    cfg = TrajectoryConfig(step=step, steps=25, seed=31, renormalize=renormalize)
+    finals = ensemble_final_states(psi0, gen, cfg, m)
+    for row in range(m):
+        path = qsd_trajectory(psi0, gen, cfg, stream=row)
+        np.testing.assert_array_equal(finals[row], path[-1])
 
 
 # -- ensembles ---------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,32 @@ def test_shapes():
     assert xi.shape == (7, 3)
     block = wiener_block(stream_keys(0, np.arange(5)), 0, 3, 0.1)
     assert block.shape == (5, 3)
+
+
+# sha256 of the raw float64 words of fixed noise blocks: any change to the
+# stream's bits, which would move every QSD result, fails here. The digests
+# also depend on how numpy's float64 log, cos and sin round; they were taken
+# with numpy 2.4 on x86-64 with AVX-512.
+WIENER_BLOCK_SHA256 = {
+    0: "7a75db3d69d6f128952d1026816c3563397be4f3e5230a2da15369446bacbeba",
+    1: "d7cf368244435e0e1232fce6bbe411d9196e3a3103f3fac99bd774064058a507",
+    2999: "df155637316b09e50485ede3a96b00d81d897fb1f07bbab6c2239be911b8afe4",
+}
+WIENER_INCREMENTS_SHA256 = "935a3ed5db0dc15b3cfb87836cd94b84d98dba83b430380494f8f3df9190122d"
+
+
+def _sha256(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).view(np.uint64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("step_index", sorted(WIENER_BLOCK_SHA256))
+def test_wiener_block_bits_pinned(step_index):
+    block = wiener_block(stream_keys(20260808, np.arange(64)), step_index, 2, 0.01)
+    assert block.shape == (64, 2) and block.dtype == np.complex128
+    assert _sha256(block) == WIENER_BLOCK_SHA256[step_index]
+
+
+def test_wiener_increments_bits_pinned():
+    xi = wiener_increments(20260808, 5, steps=40, channels=3, step=0.02)
+    assert xi.shape == (40, 3) and xi.dtype == np.complex128
+    assert _sha256(xi) == WIENER_INCREMENTS_SHA256
