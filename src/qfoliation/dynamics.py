@@ -260,8 +260,10 @@ def _sparse_rows(op: np.ndarray) -> tuple:
 
 
 def _qsd_ops(gen: GeneratorSet, step: float):
-    """The operators of one step, as sparse rows: (G, (L_1, ..., L_K)).
+    """The operators of one step: (G, ((L_1, live_1), ..., (L_K, live_K))).
 
+    G and each L_k are sparse rows; live_k lists the rows of L_k that have
+    a nonzero entry, the only components that enter <L_k> and L_k psi.
     G = 1 + step*(-iH - sum_k L_k^dag L_k / 2) holds every drift term that
     is linear in psi; only the <L_k> terms are left to each step.
     """
@@ -270,7 +272,11 @@ def _qsd_ops(gen: GeneratorSet, step: float):
     for lk in gen.Ls:
         ldl_sum += lk.conj().T @ lk
     g = np.eye(d, dtype=np.complex128) + step * (-1j * gen.H - 0.5 * ldl_sum)
-    return _sparse_rows(g), tuple(_sparse_rows(lk) for lk in gen.Ls)
+    channels = []
+    for lk in gen.Ls:
+        rows = _sparse_rows(lk)
+        channels.append((rows, tuple(i for i, row in enumerate(rows) if row)))
+    return _sparse_rows(g), tuple(channels)
 
 
 def _apply(rows: tuple, cols: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
@@ -312,8 +318,8 @@ def _qsd_step_batch(
 ) -> np.ndarray:
     """One Euler-Maruyama step on a batch of states held as columns, shape (d, M).
 
-    With (G, L_k) = ops from `_qsd_ops` and dxi[k] the (M,) increments of
-    channel k, writes into `out` (not `cols`) and returns it:
+    With G and L_k from ops = `_qsd_ops(gen, step)` and dxi[k] the (M,)
+    increments of channel k, writes into `out` (not `cols`) and returns it:
         G psi + sum_k (step conj<L_k> + dxi_k) L_k psi
               - sum_k <L_k> (step conj<L_k> / 2 + dxi_k) psi,
     with <L_k> = sum_i conj(psi_i) (L_k psi)_i. Each term is a ufunc over one
@@ -324,16 +330,15 @@ def _qsd_step_batch(
     product is taken in place: numpy's in-place complex multiply rounds a
     length-1 array differently from a long one.
     """
-    g_rows, l_rows = ops
+    g_rows, channels = ops
     d = cols.shape[0]
     tmp = buf.tmp
     _apply(g_rows, cols, out, tmp)
-    if l_rows:
+    if channels:
         lcol, lexp, lexp_c, coef, shift = buf.lcol, buf.lexp, buf.lexp_c, buf.coef, buf.shift
         shift[...] = 0.0
-        for rows, dx in zip(l_rows, dxi):
+        for (rows, live), dx in zip(channels, dxi):
             _apply(rows, cols, lcol, tmp)
-            live = [i for i, row in enumerate(rows) if row]
             lexp[...] = 0.0
             for i in live:
                 lexp += np.multiply(np.conjugate(cols[i], out=buf.conj), lcol[i], out=tmp)

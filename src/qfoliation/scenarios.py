@@ -162,10 +162,7 @@ def _counterexample_generators(gamma: float, k_correction: np.ndarray | None) ->
 
 
 def run_counterexample(
-    p: CounterexampleParams,
-    k_correction: np.ndarray | None = None,
-    *,
-    rho_r: np.ndarray | None = None,
+    p: CounterexampleParams, k_correction: np.ndarray | None = None
 ) -> CounterexampleReport:
     """Evolve both observers' branches to the coincidence event and compare.
 
@@ -173,8 +170,6 @@ def run_counterexample(
     boost transport of the initial state (identity for the default zero
     boost generator). The discrepancy is signed, M minus R. When p.qsd is
     set, the unraveling ensemble is run against the R branch as well.
-    A given rho_r is taken as the R branch instead of propagating it; it
-    must be that branch at this a0 (sweep_velocity reuses its own).
     """
     a0 = coincidence_offset(p.ell, p.beta, p.c)
     if 0.0 < p.gamma * a0 < STRONG_REDUCTION_THRESHOLD:
@@ -187,8 +182,7 @@ def run_counterexample(
     rho0 = initial_state()
     a_op = spin_observable()
 
-    if rho_r is None:
-        rho_r = lindblad_propagate(rho0, gen, a0, method=p.method, step=p.step)
+    rho_r = lindblad_propagate(rho0, gen, a0, method=p.method, step=p.step)
     rho_m = boost_transport(rho0, gen, p.beta)
 
     if purity(rho_r) > purity(rho0) + 1e-12:
@@ -335,8 +329,7 @@ def sweep_velocity(
     discrepancy, only at second order in beta, because rho0 commutes with
     the measured observable (for K = SY/2 the shift is cos(atanh beta) - 1).
     beta = 0 degenerates to a0 = 0 where both observers coincide. Each
-    beta passes the CounterexampleParams checks. The R branch is propagated
-    once, at the first nonzero beta, and reused for the others.
+    beta passes the CounterexampleParams checks.
     """
     if not betas:
         raise ValidationError("betas must be non-empty")
@@ -344,18 +337,16 @@ def sweep_velocity(
     if k_correction is not None:
         k_correction = as_complex(k_correction)
     rows = []
-    rho_r = None
     for beta in betas:
         if beta == 0.0:
-            report = run_counterexample(replace(p, beta=0.0), k_correction)
+            point = replace(p, beta=0.0)
         else:
             point = replace(p, beta=beta, ell=a0 * p.c / beta)
-            report = run_counterexample(point, k_correction, rho_r=rho_r)
-            rho_r = report.rho_R
+        report = run_counterexample(point, k_correction)
         rows.append(
             SweepPoint(
                 beta=beta,
-                ell=report.params.ell,
+                ell=point.ell,
                 a0=report.a0,
                 expectation_R=report.expectation_R,
                 expectation_M=report.expectation_M,

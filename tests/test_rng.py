@@ -80,30 +80,63 @@ def test_shapes():
     assert block.shape == (5, 3)
 
 
-# sha256 of the raw float64 words of fixed noise blocks: any change to the
-# stream's bits, which would move every QSD result, fails here. The digests
-# also depend on how numpy's float64 log, cos and sin round; they were taken
-# with numpy 2.4 on x86-64 with AVX-512.
-WIENER_BLOCK_SHA256 = {
-    0: "7a75db3d69d6f128952d1026816c3563397be4f3e5230a2da15369446bacbeba",
-    1: "d7cf368244435e0e1232fce6bbe411d9196e3a3103f3fac99bd774064058a507",
-    2999: "df155637316b09e50485ede3a96b00d81d897fb1f07bbab6c2239be911b8afe4",
+# The integer half of the stream is pinned by digest. splitmix64 and the
+# conversion to doubles (wrapping uint64 arithmetic, an exact int-to-float
+# cast, one correctly rounded add and a power-of-two scale) give the same
+# bits on every platform, so these are the uniforms' bits anywhere. The
+# Gaussians go through log, cos and sin, whose last bit may vary with numpy's
+# SIMD code; they are checked bitwise against the out-of-place formulas below
+# on whatever machine runs the test.
+UNIFORMS_SHA256 = {
+    0: "7f2acb5631fb5888ded1d0e5213cbfc521db40c41d419d4fd6005517cbfec42e",
+    1: "ac49f9ef6ec5891fca896b7f22011a38a9266157868429f4bcd3fcab369a4b29",
+    2999: "7952837d7e6c8d8edb44bec1e4854e518bd6dda60c385e3d20c5296f5e0439f9",
 }
-WIENER_INCREMENTS_SHA256 = "935a3ed5db0dc15b3cfb87836cd94b84d98dba83b430380494f8f3df9190122d"
+INCREMENTS_UNIFORMS_SHA256 = "7abf837b4da758854793b019e0ad973af3f650ed8c8022a2a205955002141924"
 
 
 def _sha256(arr):
     return hashlib.sha256(np.ascontiguousarray(arr).view(np.uint64).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("step_index", sorted(WIENER_BLOCK_SHA256))
+def _reference_normals(key, counters):
+    """Box-Muller on counters (2c, 2c+1), each operation out of place."""
+    counters = np.asarray(counters, dtype=np.uint64)
+    two = np.uint64(2)
+    u1 = uniforms(key, counters * two)
+    u2 = uniforms(key, counters * two + np.uint64(1))
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    return radius * np.cos(angle), radius * np.sin(angle)
+
+
+def _reference_increments(g1, g2, step):
+    return np.sqrt(step / 2.0) * (g1 + 1j * g2)
+
+
+def _assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("step_index", sorted(UNIFORMS_SHA256))
 def test_wiener_block_bits_pinned(step_index):
-    block = wiener_block(stream_keys(20260808, np.arange(64)), step_index, 2, 0.01)
-    assert block.shape == (64, 2) and block.dtype == np.complex128
-    assert _sha256(block) == WIENER_BLOCK_SHA256[step_index]
+    keys = stream_keys(20260808, np.arange(64))
+    counters = np.arange(2 * step_index, 2 * step_index + 2, dtype=np.uint64)[None, :]
+    uniform_counters = np.arange(4 * step_index, 4 * step_index + 4, dtype=np.uint64)[None, :]
+    assert _sha256(uniforms(keys[:, None], uniform_counters)) == UNIFORMS_SHA256[step_index]
+    ref_g1, ref_g2 = _reference_normals(keys[:, None], counters)
+    g1, g2 = standard_normals(keys[:, None], counters)
+    _assert_bitwise(g1, ref_g1)
+    _assert_bitwise(g2, ref_g2)
+    block = wiener_block(keys, step_index, 2, 0.01)
+    _assert_bitwise(block, _reference_increments(ref_g1, ref_g2, 0.01))
 
 
 def test_wiener_increments_bits_pinned():
+    key = stream_key(20260808, 5)
+    drawn = uniforms(key, np.arange(2 * 40 * 3, dtype=np.uint64))
+    assert _sha256(drawn) == INCREMENTS_UNIFORMS_SHA256
     xi = wiener_increments(20260808, 5, steps=40, channels=3, step=0.02)
-    assert xi.shape == (40, 3) and xi.dtype == np.complex128
-    assert _sha256(xi) == WIENER_INCREMENTS_SHA256
+    ref = _reference_increments(*_reference_normals(key, np.arange(40 * 3, dtype=np.uint64)), 0.02)
+    _assert_bitwise(xi, ref.reshape(40, 3))
