@@ -259,12 +259,15 @@ _CHECKS = {
 }
 
 
-def parse_config(text: str, command: str | None = None) -> RunConfig:
+def parse_config(text: str, command: str | None = None, *, seed: int | None = None,
+                 format: str | None = None, output_path: str | None = None) -> RunConfig:
     """Parse and validate a JSON configuration document.
 
     The document has top-level keys command, params, and optional
-    output_path, format, seed, log_level. Defaults are filled so the
-    returned config is fully resolved; unknown keys anywhere are errors.
+    output_path, format, seed, log_level. seed, format and output_path,
+    when not None, replace the document's keys of those names before any
+    default is filled (the CLI flags). Defaults are filled so the returned
+    config is fully resolved; unknown keys anywhere are errors.
     """
     try:
         doc = json.loads(text)
@@ -284,6 +287,8 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
         )
 
     top = {key: val for key, val in doc.items() if key not in ("command", "params")}
+    flags = {"seed": seed, "format": format, "output_path": output_path}
+    top.update({key: val for key, val in flags.items() if val is not None})
     top = _resolve(_TOP_LEVEL_KEYS, top, "config document", {"command": cfg_command})
     params = _resolve(_SCHEMA[cfg_command], doc.get("params", {}), "'params'", top)
     if cfg_command in _CHECKS:
@@ -323,43 +328,8 @@ def _cell(value) -> str:
 # -- report building ----------------------------------------------------------
 
 
-def _counterexample_rows(report: scenarios.CounterexampleReport) -> tuple[list, list]:
-    p = report.params
-    header = ["beta", "ell", "gamma", "a0", "expectation_R", "expectation_M",
-              "discrepancy", "offdiag_final"]
-    row = [p.beta, p.ell, p.gamma, report.a0, report.expectation_R,
-           report.expectation_M, report.discrepancy, report.offdiag_final]
-    if report.qsd is not None:
-        header += ["qsd_n_traj", "qsd_expectation", "qsd_trace_distance"]
-        row += [report.qsd.n_traj, report.qsd.expectation, report.qsd.distance_to_lindblad]
-    return header, [row]
-
-
 def _report_matrix(m: np.ndarray) -> dict:
     return {"dim": int(m.shape[0]), "entries_row_major": matrix_to_pairs(m)}
-
-
-def _counterexample_json(report: scenarios.CounterexampleReport) -> dict:
-    out = {
-        "a0": report.a0,
-        "expectation_R": report.expectation_R,
-        "expectation_M": report.expectation_M,
-        "discrepancy": report.discrepancy,
-        "offdiag_final": report.offdiag_final,
-        "rho_initial": _report_matrix(report.rho_initial),
-        "rho_R": _report_matrix(report.rho_R),
-        "rho_M": _report_matrix(report.rho_M),
-    }
-    if report.qsd is not None:
-        out["qsd"] = {
-            "n_traj": report.qsd.n_traj,
-            "seed": report.qsd.seed,
-            "step": report.qsd.step,
-            "steps": report.qsd.steps,
-            "expectation": report.qsd.expectation,
-            "trace_distance_to_lindblad": report.qsd.distance_to_lindblad,
-        }
-    return out
 
 
 def _matrix_param(params: dict, key: str, default):
@@ -372,24 +342,30 @@ def _state_param(params: dict) -> np.ndarray:
     return scenarios.initial_state_vector()
 
 
-def _run_counterexample(cfg: RunConfig) -> tuple[list, list, dict]:
+def _run_counterexample(cfg: RunConfig) -> dict:
     report = scenarios.run_counterexample(_counterexample_params(cfg.params))
-    header, rows = _counterexample_rows(report)
-    return header, rows, _counterexample_json(report)
+    results = {key: getattr(report, key) for key in
+               ("a0", "expectation_R", "expectation_M", "discrepancy", "offdiag_final")}
+    for key in ("rho_initial", "rho_R", "rho_M"):
+        results[key] = _report_matrix(getattr(report, key))
+    if report.qsd is not None:
+        results["qsd"] = asdict(report.qsd)
+        results["qsd"]["trace_distance_to_lindblad"] = results["qsd"].pop("distance_to_lindblad")
+    return results
 
 
-def _run_sweep(cfg: RunConfig) -> tuple[list, list, dict]:
+def _run_sweep(cfg: RunConfig) -> dict:
     p = _counterexample_params(cfg.params)
     k_corr = _matrix_param(cfg.params, "k_correction", None)
-    points = scenarios.sweep_velocity(p, cfg.params["betas"], k_corr)
-    header = ["beta", "ell", "a0", "expectation_R", "expectation_M", "discrepancy"]
-    rows = [[pt.beta, pt.ell, pt.a0, pt.expectation_R, pt.expectation_M, pt.discrepancy]
-            for pt in points]
-    payload = {"points": [dict(zip(header, row)) for row in rows]}
-    return header, rows, payload
+    return {"points": [asdict(pt) for pt in
+                       scenarios.sweep_velocity(p, cfg.params["betas"], k_corr)]}
 
 
-def _run_consistency(cfg: RunConfig) -> tuple[list, list, dict]:
+def _plane(plane) -> dict:
+    return {"normal_t": plane.normal.t, "normal_x": plane.normal.x, "offset": plane.offset}
+
+
+def _run_consistency(cfg: RunConfig) -> dict:
     params = cfg.params
     if params["gamma"] > 0.0:
         report = scenarios.dissipative_consistency(_counterexample_params(params))
@@ -399,55 +375,43 @@ def _run_consistency(cfg: RunConfig) -> tuple[list, list, dict]:
         a_op = _matrix_param(params, "observable", scenarios.spin_observable())
         gen = GeneratorSet(H=h, Ks=(k,), Ls=())
         report = scenarios.check_unitary_consistency(
-            gen, params["beta"], params["ell"], _state_param(params), a_op
+            gen, params["beta"], params["ell"], _state_param(params), a_op, c=params["c"]
         )
-    header = ["beta", "ell", "gamma", "deviation", "path_order_difference", "dissipative"]
-    rows = [[params["beta"], params["ell"], params["gamma"], report.deviation,
-             report.path_order_difference, report.dissipative]]
-    payload = {
+    return {
         "deviation": report.deviation,
         "path_order_difference": report.path_order_difference,
         "dissipative": report.dissipative,
-        "event": {"t": report.event.t, "x": report.event.x,
-                  "y": report.event.y, "z": report.event.z},
-        "plane_rest": {"normal_t": report.plane_rest.normal.t,
-                       "normal_x": report.plane_rest.normal.x,
-                       "offset": report.plane_rest.offset},
-        "plane_moving": {"normal_t": report.plane_moving.normal.t,
-                         "normal_x": report.plane_moving.normal.x,
-                         "offset": report.plane_moving.offset},
+        "event": asdict(report.event),
+        "plane_rest": _plane(report.plane_rest),
+        "plane_moving": _plane(report.plane_moving),
     }
-    return header, rows, payload
 
 
-def _run_lindblad(cfg: RunConfig) -> tuple[list, list, dict]:
+def _run_lindblad(cfg: RunConfig) -> dict:
     params = cfg.params
     gamma, span, samples = params["gamma"], params["span"], params["samples"]
     rho0 = _matrix_param(params, "rho0", scenarios.initial_state())
     gen = GeneratorSet(H=np.zeros((2, 2)), Ls=(decohering_coupling(gamma),))
-    header = ["a", "offdiag_numeric", "offdiag_exact", "abs_error", "trace_distance"]
-    rows = []
+    points = []
     for i in range(1, samples + 1):
         a = span * i / samples
         rho_num = lindblad_propagate(rho0, gen, a, method=params["method"], step=params["step"])
         rho_ref = lindblad_exact_twolevel(rho0, gamma, a)
-        rows.append([
-            a,
-            float(abs(rho_num[0, 1])),
-            float(abs(rho_ref[0, 1])),
-            float(np.max(np.abs(rho_num - rho_ref))),
-            trace_distance(rho_num, rho_ref),
-        ])
-    payload = {"points": [dict(zip(header, row)) for row in rows],
-               "rho_final": _report_matrix(rho_num)}
-    return header, rows, payload
+        points.append({
+            "a": a,
+            "offdiag_numeric": float(abs(rho_num[0, 1])),
+            "offdiag_exact": float(abs(rho_ref[0, 1])),
+            "abs_error": float(np.max(np.abs(rho_num - rho_ref))),
+            "trace_distance": trace_distance(rho_num, rho_ref),
+        })
+    return {"points": points, "rho_final": _report_matrix(rho_num)}
 
 
-def _run_qsd_ensemble(cfg: RunConfig) -> tuple[list, list, dict]:
+def _run_qsd_ensemble(cfg: RunConfig) -> dict:
     params = cfg.params
-    gamma, span = params["gamma"], params["span"]
+    span = params["span"]
     psi0 = _state_param(params)
-    gen = GeneratorSet(H=np.zeros((2, 2)), Ls=(decohering_coupling(gamma),))
+    gen = GeneratorSet(H=np.zeros((2, 2)), Ls=(decohering_coupling(params["gamma"]),))
     steps = max(1, math.ceil(span / params["step"]))
     step = span / steps
     traj_cfg = TrajectoryConfig(step=step, steps=steps, seed=cfg.seed,
@@ -455,20 +419,14 @@ def _run_qsd_ensemble(cfg: RunConfig) -> tuple[list, list, dict]:
     rho = ensemble_density(psi0, gen, traj_cfg, params["n_traj"])
     rho_ref = lindblad_propagate(np.outer(psi0, psi0.conj()) if "psi0" in params
                                  else scenarios.initial_state(), gen, span)
-    a_op = scenarios.spin_observable()
-    header = ["gamma", "span", "n_traj", "step", "steps", "seed",
-              "expectation", "trace_distance_to_lindblad"]
-    rows = [[gamma, span, params["n_traj"], step, steps, cfg.seed,
-             expectation(a_op, rho), trace_distance(rho, rho_ref)]]
-    payload = {
-        "expectation": rows[0][6],
-        "trace_distance_to_lindblad": rows[0][7],
+    return {
+        "expectation": expectation(scenarios.spin_observable(), rho),
+        "trace_distance_to_lindblad": trace_distance(rho, rho_ref),
         "step": step,
         "steps": steps,
         "rho_ensemble": _report_matrix(rho),
         "rho_lindblad": _report_matrix(rho_ref),
     }
-    return header, rows, payload
 
 
 _RUNNERS = {
@@ -479,29 +437,53 @@ _RUNNERS = {
     "qsd-ensemble": _run_qsd_ensemble,
 }
 
+# The counterexample's qsd columns: CSV name -> key of results["qsd"].
+_QSD_COLUMNS = {"qsd_n_traj": "n_traj", "qsd_expectation": "expectation",
+                "qsd_trace_distance": "trace_distance_to_lindblad"}
+
+# CSV columns per command, one row per results point (or one row when the
+# results hold no points). A column reads the key of its name from the
+# point, the results, the params or, for seed, the master seed; the qsd
+# columns are left out when no qsd block ran.
+_CSV_COLUMNS = {
+    "counterexample": ("beta", "ell", "gamma", "a0", "expectation_R", "expectation_M",
+                       "discrepancy", "offdiag_final", *_QSD_COLUMNS),
+    "sweep": ("beta", "ell", "a0", "expectation_R", "expectation_M", "discrepancy"),
+    "consistency": ("beta", "ell", "gamma", "deviation", "path_order_difference", "dissipative"),
+    "lindblad": ("a", "offdiag_numeric", "offdiag_exact", "abs_error", "trace_distance"),
+    "qsd-ensemble": ("gamma", "span", "n_traj", "step", "steps", "seed", "expectation",
+                     "trace_distance_to_lindblad"),
+}
+
 
 # -- output -------------------------------------------------------------------
 
 
-def _csv_text(cfg: RunConfig, header: list, rows: list) -> str:
+def _csv_text(cfg: RunConfig, results: dict) -> str:
+    base = {**cfg.params, "seed": cfg.seed, **results}
+    if "qsd" in results:
+        base.update({name: results["qsd"][key] for name, key in _QSD_COLUMNS.items()})
+    columns = [col for col in _CSV_COLUMNS[cfg.command]
+               if "qsd" in results or col not in _QSD_COLUMNS]
     lines = [
         "# qfoliation report",
         f"# command: {cfg.command}",
         f"# seed: {cfg.seed}",
         f"# config: {json.dumps({'command': cfg.command, 'params': cfg.params, 'seed': cfg.seed}, sort_keys=True)}",
-        ",".join(header),
+        ",".join(columns),
     ]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    for point in results.get("points", [{}]):
+        row = {**base, **point}
+        lines.append(",".join(_cell(row[col]) for col in columns))
     return "\n".join(lines) + "\n"
 
 
-def _json_text(cfg: RunConfig, payload: dict) -> str:
+def _json_text(cfg: RunConfig, results: dict) -> str:
     doc = {
         "command": cfg.command,
         "config": {"params": cfg.params, "seed": cfg.seed,
                    "format": cfg.format, "output_path": cfg.output_path},
-        "results": payload,
+        "results": results,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -525,8 +507,8 @@ def run(cfg: RunConfig) -> int:
     )
     print(f"seed: {cfg.seed}")
     try:
-        header, rows, payload = _RUNNERS[cfg.command](cfg)
-        text = _csv_text(cfg, header, rows) if cfg.format == "csv" else _json_text(cfg, payload)
+        results = _RUNNERS[cfg.command](cfg)
+        text = _csv_text(cfg, results) if cfg.format == "csv" else _json_text(cfg, results)
     except (ValidationError, ValueError) as exc:
         log.error("validation failure: %s", exc)
         return 1
@@ -567,11 +549,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-        cfg = parse_config(text, command=args.command)
-        if args.seed is not None:
-            cfg = _reseed(cfg, args.seed)
-        cfg = replace(cfg, format=args.format or cfg.format,
-                      output_path=args.out or cfg.output_path)
+        cfg = parse_config(text, command=args.command, seed=args.seed, format=args.format,
+                           output_path=args.out)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"qfoliation: cannot read config: {exc}", file=sys.stderr)
         return 1
@@ -579,16 +558,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qfoliation: {exc}", file=sys.stderr)
         return 1
     return run(cfg)
-
-
-def _reseed(cfg: RunConfig, seed: int) -> RunConfig:
-    """Re-resolve the config under a new master seed (qsd blocks follow it)."""
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
-    params = dict(cfg.params)
-    if isinstance(params.get("qsd"), dict) and params["qsd"]["seed"] == cfg.seed:
-        params["qsd"] = {**params["qsd"], "seed": seed}
-    return replace(cfg, params=params, seed=seed)
 
 
 if __name__ == "__main__":

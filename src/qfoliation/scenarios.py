@@ -35,6 +35,7 @@ from .dynamics import (
 )
 from .errors import NonCommutingGenerators, NumericalError, SuperluminalBeta, ValidationError
 from .foliation import (
+    SPEED_OF_LIGHT,
     FourVector,
     Hyperplane,
     ObserverFrame,
@@ -248,15 +249,16 @@ def check_unitary_consistency(
     ell: float,
     psi0: np.ndarray,
     a_op: np.ndarray,
+    c: float = SPEED_OF_LIGHT,
 ) -> ConsistencyReport:
     """Compare the two observers' expectations under purely unitary transport.
 
-    The rest branch evolves psi0 along the offset to a0; the moving branch
-    boosts psi0 at offset zero. Requires a Hermitian observable, a
-    vanishing dissipator and commuting (H, K_x): for non-commuting
-    generators the transport would be path-ordering dependent, which is a
-    different effect than observer inconsistency, so such inputs are
-    refused.
+    The rest branch evolves psi0 along the offset to a0 = ell*beta/c; the
+    moving branch boosts psi0 at offset zero. Requires a Hermitian
+    observable, a vanishing dissipator and commuting (H, K_x): for
+    non-commuting generators the transport would be path-ordering
+    dependent, which is a different effect than observer inconsistency, so
+    such inputs are refused.
     """
     if any(np.any(lk) for lk in gen.Ls):
         raise ValidationError("unitary consistency check requires a vanishing dissipator")
@@ -271,7 +273,7 @@ def check_unitary_consistency(
             f"||[H, K]|| = {defect:.3e}: transport would be path-dependent"
         )
 
-    a0 = coincidence_offset(ell, beta)
+    a0 = coincidence_offset(ell, beta, c)
     u_offset = expm_generator(gen.H, a0)
     psi_rest = u_offset @ psi0
     psi_moving = boost_transport(psi0, gen, beta)
@@ -284,7 +286,7 @@ def check_unitary_consistency(
     return ConsistencyReport(
         deviation=deviation,
         path_order_difference=path_order_difference,
-        event=coincidence_event(ell, beta),
+        event=coincidence_event(ell, beta, c),
         plane_rest=Hyperplane(FourVector(1.0), a0),
         plane_moving=ObserverFrame(beta).simultaneity_plane(0.0),
         dissipative=False,

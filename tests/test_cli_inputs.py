@@ -119,3 +119,35 @@ def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
     cfg_path.write_bytes(b'{"command": "lindblad", "params": {"gamma": 1, "span": 1}} \xff')
     assert main(["lindblad", "--config", str(cfg_path)]) == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+# -- flags resolve through the schema --------------------------------------------------
+
+LINDBLAD = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0}}
+
+
+def run_flags(tmp_path, doc, *flags):
+    (tmp_path / "c.json").write_text(json.dumps(doc), encoding="utf-8")
+    return main([doc["command"], "--config", "c.json", *flags])
+
+
+def test_format_flag_sets_the_default_output_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_flags(tmp_path, LINDBLAD, "--format", "json") == 0
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "lindblad_report.json"]
+    report = json.loads((tmp_path / "lindblad_report.json").read_text(encoding="utf-8"))
+    assert report["config"]["format"] == "json"
+    assert report["config"]["output_path"] == "lindblad_report.json"
+
+
+def test_negative_seed_flag_gets_the_schema_message(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_flags(tmp_path, LINDBLAD, "--seed", "-1") == 1
+    assert "config key 'seed' must be >= 0" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+def test_seed_flag_replaces_an_invalid_document_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_flags(tmp_path, {**LINDBLAD, "seed": "abc"}, "--seed", "3") == 0
+    assert "seed: 3" in capsys.readouterr().out

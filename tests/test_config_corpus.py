@@ -1,12 +1,14 @@
 """Resolved configs of a fixed corpus, pinned against the recorded snapshot.
 
-Every document below is resolved with `parse_config` (and, where a case
-names a seed, re-seeded the way `--seed` does) and serialized; the text
-must equal the snapshot in `data/resolved_configs.json`, which was recorded
-from the hand-written parsers this schema replaced. The corpus covers each
-command with every optional key both absent and given, gamma = 0 for each
-step default, int inputs for float keys, qsd seed inheritance and
-re-seeding.
+Every document below is resolved with `parse_config` (with the case's
+seed, where it names one, passed as `--seed` passes it) and serialized;
+the text must equal the snapshot in `data/resolved_configs.json`, which
+was recorded from the hand-written parsers this schema replaced. The
+corpus covers each command with every optional key both absent and given,
+gamma = 0 for each step default, int inputs for float keys, qsd seed
+inheritance and re-seeding: a seed flag moves a qsd seed that was left
+out and keeps one that was given, even when it equals the document's
+seed.
 """
 
 import json
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qfoliation.cli import _reseed, parse_config, serialize_config
+from qfoliation.cli import parse_config, serialize_config
 
 SNAPSHOT = Path(__file__).parent / "data" / "resolved_configs.json"
 
@@ -120,10 +122,7 @@ CORPUS = {
 
 
 def resolve(doc: dict, seed) -> str:
-    cfg = parse_config(json.dumps(doc))
-    if seed is not None:
-        cfg = _reseed(cfg, seed)
-    return serialize_config(cfg)
+    return serialize_config(parse_config(json.dumps(doc), seed=seed))
 
 
 def test_snapshot_covers_corpus():

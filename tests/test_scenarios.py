@@ -194,6 +194,17 @@ def test_unitary_consistency_planes_share_the_event():
     assert contains_event(report.plane_moving, report.event)
 
 
+def test_unitary_consistency_honours_c():
+    beta, ell, c = 0.2, 40.0, 3.0
+    gen = GeneratorSet(H=SZ, Ks=(ZERO2,))
+    report = check_unitary_consistency(gen, beta, ell, initial_state_vector(), SZ, c=c)
+    assert report.event.t == pytest.approx(ell * beta / c, rel=1e-15)
+    assert report.plane_rest.offset == report.event.t
+    # gamma * a0 = 26.7, so the dissipative run reduces fully and does not warn
+    dissipative = dissipative_consistency(CounterexampleParams(beta=beta, ell=ell, gamma=10.0, c=c))
+    assert report.event == dissipative.event
+
+
 def test_unitary_consistency_refuses_non_commuting():
     gen = GeneratorSet(H=SZ, Ks=(SY / 2,))
     with pytest.raises(NonCommutingGenerators):
