@@ -27,13 +27,15 @@ from . import scenarios
 from .dynamics import (
     GeneratorSet,
     TrajectoryConfig,
+    _lindblad_apply,
     decohering_coupling,
     ensemble_density,
     lindblad_exact_twolevel,
     lindblad_propagate,
+    liouvillian,
 )
 from .errors import NumericalError, ParseError, ValidationError
-from .linalg import expectation, trace_distance, validate_state
+from .linalg import expectation, trace_distance, validate_density, validate_state
 
 log = logging.getLogger("qfoliation")
 
@@ -390,12 +392,13 @@ def _run_consistency(cfg: RunConfig) -> dict:
 def _run_lindblad(cfg: RunConfig) -> dict:
     params = cfg.params
     gamma, span, samples = params["gamma"], params["span"], params["samples"]
-    rho0 = _matrix_param(params, "rho0", scenarios.initial_state())
+    rho0 = validate_density(_matrix_param(params, "rho0", scenarios.initial_state()))
     gen = GeneratorSet(H=np.zeros((2, 2)), Ls=(decohering_coupling(gamma),))
+    sup = liouvillian(gen)
     points = []
     for i in range(1, samples + 1):
         a = span * i / samples
-        rho_num = lindblad_propagate(rho0, gen, a, method=params["method"], step=params["step"])
+        rho_num = _lindblad_apply(rho0, gen, sup, a, params["method"], params["step"])
         rho_ref = lindblad_exact_twolevel(rho0, gamma, a)
         points.append({
             "a": a,

@@ -13,7 +13,8 @@ Three transports act on a state:
 The Lindblad generator has one encoding, the superoperator `liouvillian`.
 Both Lindblad methods are a matrix applied to vec(rho): expm(span*L) for
 `exact`, and for `rk4` the Runge-Kutta polynomial P(hL)^n, which equals n
-classical RK4 steps of h because L does not depend on a.
+classical RK4 steps of h because L does not depend on a. The exponential is
+`_expm`, a Pade scaling-and-squaring method in numpy (Higham 2005).
 
 The unraveling is the standard quantum-state-diffusion Ito form with one
 complex Wiener process per coupling operator: drift
@@ -39,12 +40,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 from . import rng
 from .errors import (
     DimMismatch,
     MissingBoostGenerator,
+    NumericalError,
     StepTooLarge,
     SuperluminalBeta,
     ZeroNorm,
@@ -146,6 +147,12 @@ def generator_norm_bound(gen: GeneratorSet) -> float:
     return 2.0 * h_norm + 2.0 * sum(coupling_norms(gen))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) for square matrices of one dimension, by broadcasting."""
+    d = a.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+
+
 def liouvillian(gen: GeneratorSet) -> np.ndarray:
     """Superoperator matrix on row-major-vectorized density matrices.
 
@@ -155,12 +162,62 @@ def liouvillian(gen: GeneratorSet) -> np.ndarray:
     d = gen.dim
     eye = np.eye(d, dtype=np.complex128)
     h = gen.H
-    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    sup = -1j * (_kron(h, eye) - _kron(eye, h.T))
     for lk in gen.Ls:
         ldl = lk.conj().T @ lk
-        sup += np.kron(lk, lk.conj())
-        sup -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+        sup += _kron(lk, lk.conj())
+        sup -= 0.5 * (_kron(ldl, eye) + _kron(eye, ldl.T))
     return sup
+
+
+# Higham, "The scaling and squaring method for the matrix exponential
+# revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179, table 2.3 and
+# eq. (2.2): per degree m, the 1-norm bound theta_m up to which the [m/m]
+# Pade approximant has backward error below the unit roundoff 2^-53, and
+# the coefficients b_0..b_m of its numerator as two rows, even b_2j and
+# odd b_2j+1.
+_PADE = tuple(
+    (m, theta, np.array(b, dtype=np.complex128).reshape(-1, 2).T)
+    for m, theta, b in (
+        (3, 1.495585217958292e-2, (120, 60, 12, 1)),
+        (5, 2.539398330063230e-1, (30240, 15120, 3360, 420, 30, 1)),
+        (7, 9.504178996162932e-1, (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1)),
+        (9, 2.097847961257068e0, (17643225600, 8821612800, 2075673600, 302702400, 30270240,
+                                  2162160, 110880, 3960, 90, 1)),
+        (13, 5.371920351148152e0, (64764752532480000, 32382376266240000, 7771770303897600,
+                                   1187353796428800, 129060195264000, 10559470521600,
+                                   670442572800, 33522128640, 1323241920, 40840800, 960960,
+                                   16380, 182, 1)),
+    )
+)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a square matrix, by Pade scaling and squaring (Higham 2005).
+
+    The degree is the least m whose theta_m bounds ||a||_1; above theta_13,
+    a is scaled by 2^-s into range and the approximant squared s times. The
+    [m/m] approximant is q(-a)^-1 q(a) with q(a) = V + U, V the even and U
+    the odd part of its numerator.
+    """
+    n = a.shape[0]
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise NumericalError(f"exponent 1-norm is {norm}: expm(span*L) overflows")
+    m, theta, coef = next((p for p in _PADE if norm <= p[1]), _PADE[-1])
+    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    a = a / 2.0**s
+    powers = np.empty((m // 2 + 1, n, n), dtype=np.complex128)  # 1, a^2, a^4, ..., a^(m-1)
+    powers[0] = np.eye(n)
+    np.matmul(a, a, out=powers[1])
+    for j in range(2, len(powers)):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    v, odd = (coef @ powers.reshape(len(powers), -1)).reshape(2, n, n)
+    u = a @ odd
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def lindblad_propagate(
@@ -178,14 +235,25 @@ def lindblad_propagate(
     which for this offset-independent generator is exactly
     P(hL)^n vec(rho0) with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, applied by
     repeated squaring; it requires step * ||generator|| <= 1 and validates
-    to 1e-6. Both costs grow as d^6: at dim 33 (span 1, step 1e-3) each
-    takes about 2 s on a 2-core OpenBLAS host, six times what stepping the
-    operator form takes there, while at dim 2 (span 30, step 1e-3) rk4
-    takes 0.3 ms. No caller goes above dim 4.
+    to 1e-6. Both costs grow as d^6; no caller goes above dim 4.
     """
     rho0 = validate_density(rho0)
     if rho0.shape[0] != gen.dim:
         raise DimMismatch(f"state dim {rho0.shape[0]} != generator dim {gen.dim}")
+    return _lindblad_apply(rho0, gen, liouvillian(gen), span, method, step)
+
+
+def _lindblad_apply(
+    rho0: np.ndarray,
+    gen: GeneratorSet,
+    sup: np.ndarray,
+    span: float,
+    method: str,
+    step: float | None,
+) -> np.ndarray:
+    """`lindblad_propagate` of a validated rho0 of dimension gen.dim, given
+    sup = liouvillian(gen): a caller propagating one state to many offsets
+    builds L and checks rho0 once."""
     if span < 0.0:
         raise ValueError(f"span must be non-negative, got {span:.6g}")
     if span == 0.0:
@@ -196,7 +264,7 @@ def lindblad_propagate(
         return u @ rho0 @ u.conj().T
 
     if method == "exact":
-        propagator = _expm(liouvillian(gen) * span)
+        propagator = _expm(sup * span)
         tol = 1e-9
     elif method == "rk4":
         if step is None or step <= 0.0:
@@ -207,7 +275,7 @@ def lindblad_propagate(
                 f"step*||generator|| = {step * bound:.3e} > 1; reduce step below {1.0 / bound:.3e}"
             )
         n = max(1, math.ceil(span / step))
-        x = liouvillian(gen) * (span / n)
+        x = sup * (span / n)
         eye = np.eye(x.shape[0], dtype=np.complex128)
         # P(x) in Horner form
         one_step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)

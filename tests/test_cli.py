@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfoliation
 from qfoliation.cli import (
     RunConfig,
     format_fixed,
@@ -343,3 +348,30 @@ def test_run_config_equality_semantics():
     cfg = parse_config(MINIMAL_CE)
     again = parse_config(MINIMAL_CE)
     assert cfg == again and isinstance(cfg, RunConfig)
+
+
+SCIPY_PROBE = """
+import json, sys
+from qfoliation.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {"import": scipy_modules()}
+for command, params in (("lindblad", {"gamma": 1.0, "span": 30.0, "samples": 3}),
+                        ("counterexample", {"beta": 0.01, "ell": 3000.0, "gamma": 1.0})):
+    with open("config.json", "w") as fh:
+        json.dump({"command": command, "params": params, "output_path": command + ".csv"}, fh)
+    seen[command] = [main([command, "--config", "config.json"]), scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    src = str(Path(qfoliation.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": [], "lindblad": [0, []], "counterexample": [0, []]}

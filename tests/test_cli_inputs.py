@@ -108,6 +108,16 @@ def test_int_beyond_float_range_is_rejected():
             parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize("gamma, span", [(1e200, 1e200), (1e300, 1e10), (1e155, 1e155)])
+def test_exact_propagator_overflow_exits_2(tmp_path, capsys, gamma, span):
+    doc = {"command": "lindblad", "params": {"gamma": gamma, "span": span}}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 2
+    assert "numerical invariant breach" in err and "overflows" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_output_path_with_nul_is_rejected():
     doc = {"command": "lindblad", "params": {"gamma": 1, "span": 1}, "output_path": "a\0b"}
     with pytest.raises(ValidationError, match="output_path"):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from qfoliation.dynamics import (
+    _PADE,
     GeneratorSet,
     TrajectoryConfig,
+    _expm,
     boost_transport,
     coupling_norms,
     decohering_coupling,
@@ -22,6 +24,7 @@ from qfoliation.errors import (
     DimMismatch,
     MissingBoostGenerator,
     NonHermitianInput,
+    NumericalError,
     StepTooLarge,
     SuperluminalBeta,
     ZeroNorm,
@@ -223,6 +226,79 @@ def test_liouvillian_matches_rhs():
     direct = lindblad_operator_form(rho, gen)
     via_super = (liouvillian(gen) @ rho.reshape(-1)).reshape(3, 3)
     np.testing.assert_allclose(via_super, direct, atol=1e-12)
+
+
+def liouvillian_kron(gen):
+    """liouvillian with np.kron products, kept as the reference for its broadcast products."""
+    eye = np.eye(gen.dim, dtype=np.complex128)
+    h = gen.H
+    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for lk in gen.Ls:
+        ldl = lk.conj().T @ lk
+        sup += np.kron(lk, lk.conj())
+        sup -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    return sup
+
+
+def test_liouvillian_matches_kron_form_bitwise():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        gen = random_model(rng, int(rng.integers(1, 5)), n_ls=int(rng.integers(0, 3)))
+        got, ref = liouvillian(gen), liouvillian_kron(gen)
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+# -- matrix exponential ------------------------------------------------------------
+
+def norm1(m):
+    return float(np.abs(m).sum(axis=0).max())
+
+
+def pade_choice(a):
+    """(degree m, squarings s) that Higham's rule picks for a."""
+    m, theta = next(((m, theta) for m, theta, _ in _PADE if norm1(a) <= theta), _PADE[-1][:2])
+    return m, max(0, math.ceil(math.log2(norm1(a) / theta)))
+
+
+def test_expm_matches_scipy_on_random_generators():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(31)
+    choices, worst = set(), 0.0
+    for _ in range(60):
+        gen = random_model(rng, int(rng.integers(2, 5)), n_ls=int(rng.integers(0, 3)))
+        sup = liouvillian(gen)
+        # 1-norms of span*L that pick m = 3, 5, 7, 9 and 13, the last with s = 0, 3 and 6
+        for target in (0.01, 0.2, 0.9, 2.0, 5.0, 40.0, 300.0):
+            a = sup * (target / norm1(sup))
+            choices.add(pade_choice(a))
+            ref = scipy_linalg.expm(a)
+            worst = max(worst, norm1(_expm(a) - ref) / norm1(ref))
+    assert {m for m, _ in choices} == {3, 5, 7, 9, 13}
+    assert max(s for _, s in choices) > 0
+    assert worst <= 1e-12
+
+
+def test_expm_of_zero_is_identity_exactly():
+    for n in (1, 2, 4, 9):
+        np.testing.assert_array_equal(_expm(np.zeros((n, n), dtype=complex)), np.eye(n))
+
+
+@pytest.mark.parametrize("gamma_span", [1e-3, 0.05, 0.5, 1.5, 4.0, 10.0, 30.0, 200.0])
+def test_expm_dephasing_matches_closed_form(gamma_span):
+    rho0 = random_density(np.random.default_rng(37), 2)
+    for rho in (PLUS_RHO, rho0):
+        got = lindblad_propagate(rho, decoherence_model(1.0), gamma_span, method="exact")
+        ref = lindblad_exact_twolevel(rho, 1.0, gamma_span)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_expm_refuses_non_finite_exponent(bad):
+    a = np.zeros((4, 4), dtype=complex)
+    a[1, 1] = bad
+    with pytest.raises(NumericalError, match="overflows"):
+        _expm(a)
 
 
 # -- closed-form two-level oracle ---------------------------------------------------
