@@ -28,14 +28,12 @@ from .dynamics import (
     GeneratorSet,
     TrajectoryConfig,
     _lindblad_apply,
-    decohering_coupling,
-    ensemble_density,
     lindblad_exact_twolevel,
     lindblad_propagate,
     liouvillian,
 )
 from .errors import NumericalError, ParseError, ValidationError
-from .linalg import expectation, trace_distance, validate_density, validate_state
+from .linalg import trace_distance, validate_density, validate_state
 
 log = logging.getLogger("qfoliation")
 
@@ -352,7 +350,6 @@ def _run_counterexample(cfg: RunConfig) -> dict:
         results[key] = _report_matrix(getattr(report, key))
     if report.qsd is not None:
         results["qsd"] = asdict(report.qsd)
-        results["qsd"]["trace_distance_to_lindblad"] = results["qsd"].pop("distance_to_lindblad")
     return results
 
 
@@ -379,21 +376,15 @@ def _run_consistency(cfg: RunConfig) -> dict:
         report = scenarios.check_unitary_consistency(
             gen, params["beta"], params["ell"], _state_param(params), a_op, c=params["c"]
         )
-    return {
-        "deviation": report.deviation,
-        "path_order_difference": report.path_order_difference,
-        "dissipative": report.dissipative,
-        "event": asdict(report.event),
-        "plane_rest": _plane(report.plane_rest),
-        "plane_moving": _plane(report.plane_moving),
-    }
+    return {**asdict(report), "plane_rest": _plane(report.plane_rest),
+            "plane_moving": _plane(report.plane_moving)}
 
 
 def _run_lindblad(cfg: RunConfig) -> dict:
     params = cfg.params
     gamma, span, samples = params["gamma"], params["span"], params["samples"]
     rho0 = validate_density(_matrix_param(params, "rho0", scenarios.initial_state()))
-    gen = GeneratorSet(H=np.zeros((2, 2)), Ls=(decohering_coupling(gamma),))
+    gen = scenarios.dephasing_model(gamma)
     sup = liouvillian(gen)
     points = []
     for i in range(1, samples + 1):
@@ -412,24 +403,15 @@ def _run_lindblad(cfg: RunConfig) -> dict:
 
 def _run_qsd_ensemble(cfg: RunConfig) -> dict:
     params = cfg.params
-    span = params["span"]
     psi0 = _state_param(params)
-    gen = GeneratorSet(H=np.zeros((2, 2)), Ls=(decohering_coupling(params["gamma"]),))
-    steps = max(1, math.ceil(span / params["step"]))
-    step = span / steps
-    traj_cfg = TrajectoryConfig(step=step, steps=steps, seed=cfg.seed,
-                                renormalize=params["renormalize"])
-    rho = ensemble_density(psi0, gen, traj_cfg, params["n_traj"])
+    gen = scenarios.dephasing_model(params["gamma"])
+    plan = TrajectoryConfig.covering(params["span"], params["step"], cfg.seed, params["renormalize"])
     rho_ref = lindblad_propagate(np.outer(psi0, psi0.conj()) if "psi0" in params
-                                 else scenarios.initial_state(), gen, span)
-    return {
-        "expectation": expectation(scenarios.spin_observable(), rho),
-        "trace_distance_to_lindblad": trace_distance(rho, rho_ref),
-        "step": step,
-        "steps": steps,
-        "rho_ensemble": _report_matrix(rho),
-        "rho_lindblad": _report_matrix(rho_ref),
-    }
+                                 else scenarios.initial_state(), gen, params["span"])
+    outcome, rho = scenarios.run_qsd(psi0, gen, plan, params["n_traj"], rho_ref)
+    results = {key: getattr(outcome, key) for key in
+               ("expectation", "trace_distance_to_lindblad", "step", "steps")}
+    return {**results, "rho_ensemble": _report_matrix(rho), "rho_lindblad": _report_matrix(rho_ref)}
 
 
 _RUNNERS = {
@@ -514,6 +496,9 @@ def run(cfg: RunConfig) -> int:
         text = _csv_text(cfg, results) if cfg.format == "csv" else _json_text(cfg, results)
     except (ValidationError, ValueError) as exc:
         log.error("validation failure: %s", exc)
+        return 1
+    except MemoryError as exc:
+        log.error("input too large to allocate: %s", exc)
         return 1
     except NumericalError as exc:
         log.error("numerical invariant breach: %s", exc)

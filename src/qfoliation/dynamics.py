@@ -14,7 +14,9 @@ The Lindblad generator has one encoding, the superoperator `liouvillian`.
 Both Lindblad methods are a matrix applied to vec(rho): expm(span*L) for
 `exact`, and for `rk4` the Runge-Kutta polynomial P(hL)^n, which equals n
 classical RK4 steps of h because L does not depend on a. The exponential is
-`_expm`, a Pade scaling-and-squaring method in numpy (Higham 2005).
+`_expm`, a Pade scaling-and-squaring method in numpy (Higham 2005). Fixed-step
+methods take n = max(1, ceiling of span/step) equal steps of h = span/n: rk4
+through `_fixed_steps`, the QSD ensembles through `TrajectoryConfig.covering`.
 
 The unraveling is the standard quantum-state-diffusion Ito form with one
 complex Wiener process per coupling operator: drift
@@ -48,6 +50,7 @@ from .errors import (
     NumericalError,
     StepTooLarge,
     SuperluminalBeta,
+    ValidationError,
     ZeroNorm,
 )
 from .linalg import (
@@ -131,9 +134,23 @@ class TrajectoryConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
+    @classmethod
+    def covering(cls, span: float, step: float, seed: int = 0, renormalize: bool = True):
+        """The `_fixed_steps(span, step)` plan; a zero span takes zero steps of step."""
+        h, n = _fixed_steps(span, step) if span != 0.0 else (step, 0)
+        return cls(step=h, steps=n, seed=seed, renormalize=renormalize)
+
     @property
     def span(self) -> float:
         return self.step * self.steps
+
+
+def _fixed_steps(span: float, step: float) -> tuple[float, int]:
+    """(h, n): the least n >= 1 not below span/step, and h = span/n."""
+    if not math.isfinite(span / step):
+        raise ValidationError(f"span/step = {span:.6g}/{step:.6g} has no finite step count")
+    n = max(1, math.ceil(span / step))
+    return span / n, n
 
 
 def coupling_norms(gen: GeneratorSet) -> list[float]:
@@ -198,15 +215,20 @@ def _expm(a: np.ndarray) -> np.ndarray:
     The degree is the least m whose theta_m bounds ||a||_1; above theta_13,
     a is scaled by 2^-s into range and the approximant squared s times. The
     [m/m] approximant is q(-a)^-1 q(a) with q(a) = V + U, V the even and U
-    the odd part of its numerator.
+    the odd part of its numerator. For an upper triangular a with s > 0, the
+    diagonal is reset to the exact exp(2^-j diag(a)) before and after each squaring,
+    which would amplify its error 2^s-fold (Al-Mohy & Higham, SIMAX 31 (2009) 970,
+    Fragment 2.1).
     """
     n = a.shape[0]
     norm = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(norm):
         raise NumericalError(f"exponent 1-norm is {norm}: expm(span*L) overflows")
     m, theta, coef = next((p for p in _PADE if norm <= p[1]), _PADE[-1])
-    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    frac, s = math.frexp(norm / theta)  # the least s >= 0 with norm <= 2^s theta
+    s = max(0, s - (frac == 0.5))
     a = a / 2.0**s
+    triangular = s > 0 and not any(np.count_nonzero(a[i, :i]) for i in range(1, n))  # upper
     powers = np.empty((m // 2 + 1, n, n), dtype=np.complex128)  # 1, a^2, a^4, ..., a^(m-1)
     powers[0] = np.eye(n)
     np.matmul(a, a, out=powers[1])
@@ -215,8 +237,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
     v, odd = (coef @ powers.reshape(len(powers), -1)).reshape(2, n, n)
     u = a @ odd
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    for j in range(s + 1):
+        r = r @ r if j else r
+        if triangular:
+            r.flat[:: n + 1] = np.exp(a.diagonal() * 2.0**j)
     return r
 
 
@@ -230,8 +254,8 @@ def lindblad_propagate(
     """Propagate a density matrix by `span` in the hyperplane offset.
 
     Both methods build the d^2 x d^2 superoperator L = liouvillian(gen).
-    `exact` applies expm(span*L) and validates to 1e-9. `rk4` takes
-    n = ceil(span/step) equal classical Runge-Kutta steps of h = span/n,
+    `exact` applies expm(span*L) and validates to 1e-9. `rk4` takes the
+    `_fixed_steps(span, step)` plan of n classical Runge-Kutta steps of h,
     which for this offset-independent generator is exactly
     P(hL)^n vec(rho0) with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, applied by
     repeated squaring; it requires step * ||generator|| <= 1 and validates
@@ -264,7 +288,9 @@ def _lindblad_apply(
         return u @ rho0 @ u.conj().T
 
     if method == "exact":
-        propagator = _expm(sup * span)
+        with np.errstate(over="ignore", invalid="ignore"):  # _expm refuses a non-finite product
+            exponent = sup * span
+        propagator = _expm(exponent)
         tol = 1e-9
     elif method == "rk4":
         if step is None or step <= 0.0:
@@ -274,8 +300,8 @@ def _lindblad_apply(
             raise StepTooLarge(
                 f"step*||generator|| = {step * bound:.3e} > 1; reduce step below {1.0 / bound:.3e}"
             )
-        n = max(1, math.ceil(span / step))
-        x = sup * (span / n)
+        h, n = _fixed_steps(span, step)
+        x = sup * h
         eye = np.eye(x.shape[0], dtype=np.complex128)
         # P(x) in Horner form
         one_step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)

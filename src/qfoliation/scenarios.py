@@ -129,7 +129,7 @@ class QsdOutcome:
     step: float
     steps: int
     expectation: float
-    distance_to_lindblad: float
+    trace_distance_to_lindblad: float
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,20 @@ class ConsistencyReport:
     dissipative: bool
 
 
-def _counterexample_generators(gamma: float, k_correction: np.ndarray | None) -> GeneratorSet:
+def dephasing_model(gamma: float, k_x: np.ndarray | None = None) -> GeneratorSet:
+    """H = 0, the one coupling sqrt(gamma)|0><0| and the boost generator k_x (zero if None)."""
     h = np.zeros((2, 2), dtype=np.complex128)
-    k_x = np.zeros((2, 2), dtype=np.complex128) if k_correction is None else k_correction
-    return GeneratorSet(H=h, Ks=(k_x,), Ls=(decohering_coupling(gamma),))
+    return GeneratorSet(H=h, Ks=(h if k_x is None else k_x,), Ls=(decohering_coupling(gamma),))
+
+
+def run_qsd(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj: int,
+            rho_ref: np.ndarray) -> tuple[QsdOutcome, np.ndarray]:
+    """The outcome and ensemble density of n_traj trajectories, checked against rho_ref."""
+    rho = ensemble_density(psi0, gen, cfg, n_traj)
+    outcome = QsdOutcome(n_traj=n_traj, seed=cfg.seed, step=cfg.step, steps=cfg.steps,
+                         expectation=expectation(spin_observable(), rho),
+                         trace_distance_to_lindblad=trace_distance(rho, rho_ref))
+    return outcome, rho
 
 
 def run_counterexample(
@@ -179,7 +189,7 @@ def run_counterexample(
             "reduction is incomplete at the coincidence event",
             stacklevel=2,
         )
-    gen = _counterexample_generators(p.gamma, k_correction)
+    gen = dephasing_model(p.gamma, k_correction)
     rho0 = initial_state()
     a_op = spin_observable()
 
@@ -199,7 +209,10 @@ def run_counterexample(
 
     qsd_outcome = None
     if p.qsd is not None:
-        qsd_outcome = _run_qsd_branch(p, a0, gen, rho_r, a_op)
+        # at a0 = 0 no step is taken and the report gives step 1.0, whatever gamma
+        step = p.qsd.step or (0.01 / p.gamma if p.gamma > 0.0 and a0 > 0.0 else a0 or 1.0)
+        cfg = TrajectoryConfig.covering(a0, step, p.qsd.seed)
+        qsd_outcome, _ = run_qsd(initial_state_vector(), gen, cfg, p.qsd.n_traj, rho_r)
 
     return CounterexampleReport(
         params=p,
@@ -215,31 +228,16 @@ def run_counterexample(
     )
 
 
-def _run_qsd_branch(
-    p: CounterexampleParams,
-    a0: float,
-    gen: GeneratorSet,
-    rho_r: np.ndarray,
-    a_op: np.ndarray,
-) -> QsdOutcome:
-    settings = p.qsd
-    if a0 == 0.0:
-        step, steps = settings.step or 1.0, 0
-    else:
-        step = settings.step
-        if step is None:
-            step = 0.01 / p.gamma if p.gamma > 0.0 else a0
-        steps = max(1, math.ceil(a0 / step))
-        step = a0 / steps
-    cfg = TrajectoryConfig(step=step, steps=steps, seed=settings.seed)
-    rho_qsd = ensemble_density(initial_state_vector(), gen, cfg, settings.n_traj)
-    return QsdOutcome(
-        n_traj=settings.n_traj,
-        seed=settings.seed,
-        step=step,
-        steps=steps,
-        expectation=expectation(a_op, rho_qsd),
-        distance_to_lindblad=trace_distance(rho_qsd, rho_r),
+def _at_coincidence(deviation: float, path_order_difference: float, ell: float, beta: float,
+                    c: float, dissipative: bool) -> ConsistencyReport:
+    """A consistency report at the coincidence event, with both observers' hyperplanes."""
+    return ConsistencyReport(
+        deviation=deviation,
+        path_order_difference=path_order_difference,
+        event=coincidence_event(ell, beta, c),
+        plane_rest=Hyperplane(FourVector(1.0), coincidence_offset(ell, beta, c)),
+        plane_moving=ObserverFrame(beta).simultaneity_plane(0.0),
+        dissipative=dissipative,
     )
 
 
@@ -283,14 +281,7 @@ def check_unitary_consistency(
     path_n_then_a = u_offset @ psi_moving
     path_order_difference = float(np.linalg.norm(path_a_then_n - path_n_then_a))
 
-    return ConsistencyReport(
-        deviation=deviation,
-        path_order_difference=path_order_difference,
-        event=coincidence_event(ell, beta, c),
-        plane_rest=Hyperplane(FourVector(1.0), a0),
-        plane_moving=ObserverFrame(beta).simultaneity_plane(0.0),
-        dissipative=False,
-    )
+    return _at_coincidence(deviation, path_order_difference, ell, beta, c, dissipative=False)
 
 
 def dissipative_consistency(
@@ -298,14 +289,7 @@ def dissipative_consistency(
 ) -> ConsistencyReport:
     """The counter-example pipeline reported as a consistency deviation."""
     report = run_counterexample(p, k_correction)
-    return ConsistencyReport(
-        deviation=abs(report.discrepancy),
-        path_order_difference=0.0,
-        event=coincidence_event(p.ell, p.beta, p.c),
-        plane_rest=Hyperplane(FourVector(1.0), report.a0),
-        plane_moving=ObserverFrame(p.beta).simultaneity_plane(0.0),
-        dissipative=True,
-    )
+    return _at_coincidence(abs(report.discrepancy), 0.0, p.ell, p.beta, p.c, dissipative=True)
 
 
 @dataclass(frozen=True)

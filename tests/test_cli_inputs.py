@@ -2,11 +2,14 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
 from qfoliation.cli import main, parse_config
-from qfoliation.errors import ValidationError
+from qfoliation.dynamics import lindblad_propagate
+from qfoliation.errors import NumericalError, ValidationError
+from qfoliation.scenarios import dephasing_model, initial_state
 
 SIGMA_Z = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
 NOT_HERMITIAN = {
@@ -116,6 +119,69 @@ def test_exact_propagator_overflow_exits_2(tmp_path, capsys, gamma, span):
     assert "numerical invariant breach" in err and "overflows" in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning ahead of the refusal
+        with pytest.raises(NumericalError, match="overflows"):
+            lindblad_propagate(initial_state(), dephasing_model(gamma), span)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"command": "lindblad",
+         "params": {"gamma": 1.0, "span": 1e300, "method": "rk4", "step": 1e-300}},
+        {"command": "counterexample",
+         "params": {"beta": 0.5, "ell": 1e300, "gamma": 1.0, "method": "rk4", "step": 1e-300}},
+        {"command": "qsd-ensemble",
+         "params": {"gamma": 1.0, "span": 1e300, "step": 1e-300, "n_traj": 1}},
+    ],
+    ids=["lindblad-rk4", "counterexample-rk4", "qsd-ensemble"],
+)
+def test_non_finite_step_count_exits_1(tmp_path, capsys, doc):
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert "validation failure" in err and "has no finite step count" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+# 10**15 trajectories need 7 PiB for their stream indices alone, more than any
+# address space holds, so the allocation fails at once without touching memory
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"command": "qsd-ensemble", "params": {"gamma": 1.0, "span": 1.0, "n_traj": 10**15}},
+        {"command": "counterexample",
+         "params": {"beta": 0.01, "ell": 3000, "gamma": 1.0, "qsd": {"n_traj": 10**15}}},
+    ],
+    ids=["qsd-ensemble", "counterexample-qsd"],
+)
+def test_ensemble_too_large_to_allocate_exits_1(tmp_path, capsys, doc):
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert "too large to allocate" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("span", [1e8, 1e10, 1e12])
+def test_exact_propagation_at_large_norm_keeps_the_trace(tmp_path, capsys, span):
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": span}, "format": "json"}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 0, err
+    with open(out, encoding="utf-8") as fh:
+        results = json.load(fh)["results"]
+    assert results["rho_final"]["entries_row_major"] == [[[0.5, 0.0], [0.0, 0.0]],
+                                                         [[0.0, 0.0], [0.5, 0.0]]]
+    (point,) = results["points"]
+    assert point["abs_error"] == 0.0 and point["trace_distance"] == 0.0
+    doc = {"command": "counterexample", "params": {"beta": 0.1, "ell": span * 10, "gamma": 1.0},
+           "format": "json"}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 0, err
+    with open(out, encoding="utf-8") as fh:
+        results = json.load(fh)["results"]
+    assert (results["expectation_R"], results["discrepancy"]) == (0.0, 1.0)
 
 
 def test_output_path_with_nul_is_rejected():

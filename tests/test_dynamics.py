@@ -27,6 +27,7 @@ from qfoliation.errors import (
     NumericalError,
     StepTooLarge,
     SuperluminalBeta,
+    ValidationError,
     ZeroNorm,
 )
 from qfoliation.linalg import (
@@ -99,6 +100,24 @@ def test_trajectory_config_validation():
     with pytest.raises(ValueError):
         TrajectoryConfig(step=0.1, steps=-1)
     assert TrajectoryConfig(step=0.5, steps=4).span == pytest.approx(2.0)
+
+
+def test_trajectory_config_covering_keeps_the_fixed_step_plan():
+    for span in (0.0, 1e-3, 0.7, 1.0, 1.75, 2.0, 30.0, 1e6):
+        for step in (1e-3, 0.01, 0.04, 0.1, 0.3, 1.0, 7.0, 100.0):
+            # the plan each caller wrote out before: a zero span takes no step
+            steps = max(1, math.ceil(span / step)) if span else 0
+            old = (span / steps, steps) if span else (step, 0)
+            cfg = TrajectoryConfig.covering(span, step, seed=5, renormalize=False)
+            assert (cfg.step, cfg.steps) == old, (span, step)
+            assert (cfg.seed, cfg.renormalize) == (5, False)
+
+
+def test_fixed_step_plan_refuses_a_non_finite_step_count():
+    with pytest.raises(ValidationError, match="no finite step count"):
+        TrajectoryConfig.covering(1e300, 1e-300)
+    with pytest.raises(ValidationError, match="no finite step count"):
+        lindblad_propagate(PLUS_RHO, decoherence_model(1.0), 1e300, method="rk4", step=1e-300)
 
 
 # -- Lindblad propagation ---------------------------------------------------------
@@ -291,6 +310,37 @@ def test_expm_dephasing_matches_closed_form(gamma_span):
         got = lindblad_propagate(rho, decoherence_model(1.0), gamma_span, method="exact")
         ref = lindblad_exact_twolevel(rho, 1.0, gamma_span)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("gamma_span", [1e8, 1e10, 1e12])
+def test_expm_dephasing_keeps_the_trace_at_large_norm(gamma_span):
+    # dozens of squarings: each doubles the error of the zero eigenvalue's exp(0) = 1
+    # unless the diagonal is reset to its exact value
+    rho0 = random_density(np.random.default_rng(41), 2)
+    for rho in (PLUS_RHO, rho0):
+        got = lindblad_propagate(rho, decoherence_model(1.0), gamma_span, method="exact")
+        np.testing.assert_allclose(got, lindblad_exact_twolevel(rho, 1.0, gamma_span),
+                                   rtol=0, atol=1e-14)
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    a = liouvillian(decoherence_model(1.0)) * gamma_span
+    np.testing.assert_allclose(_expm(a), scipy_linalg.expm(a), rtol=0, atol=1e-14)
+
+
+def test_expm_upper_triangular_diagonal_is_exact():
+    # with s > 0 squarings, each square's diagonal is reset to exp(2^-j diag(a)),
+    # so the last one is exp(diag(a)); 1-norms 10, 40 and 300 take s = 1, 3 and 6
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(43)
+    for target in (10.0, 40.0, 300.0):
+        for _ in range(10):
+            n = int(rng.integers(2, 5))
+            a = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            a[np.diag_indices(n)] -= np.abs(a.diagonal().real) + 1.0  # decaying modes
+            a *= target / norm1(a)
+            got = _expm(a)
+            np.testing.assert_array_equal(got.diagonal(), np.exp(a.diagonal()))
+            ref = scipy_linalg.expm(a)
+            assert norm1(got - ref) <= 1e-12 * norm1(ref)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -163,7 +163,7 @@ def test_counterexample_qsd_branch():
     assert report.qsd.n_traj == 400
     bound = 5.0 / math.sqrt(400)
     assert abs(report.qsd.expectation - report.expectation_R) <= bound
-    assert report.qsd.distance_to_lindblad <= bound
+    assert report.qsd.trace_distance_to_lindblad <= bound
 
 
 # -- unitary consistency ---------------------------------------------------------------
