@@ -584,17 +584,18 @@ def ensemble_density(
     cfg: TrajectoryConfig,
     n_traj: int,
 ) -> np.ndarray:
-    """Mean projector over n_traj trajectory finals; a valid density matrix.
+    """Mean projector over n_traj trajectory finals; a valid density matrix."""
+    return mean_projector(ensemble_final_states(psi0, gen, cfg, n_traj))
 
-    Final states are normalized before forming projectors so the average
-    has unit trace even when cfg.renormalize is off.
-    """
-    finals = ensemble_final_states(psi0, gen, cfg, n_traj)
-    norms = np.sqrt(np.einsum("mi,mi->m", finals.conj(), finals).real)
+
+def mean_projector(states: np.ndarray) -> np.ndarray:
+    """Mean of |psi><psi| over the rows of states, shape (M, dim); each row is
+    normalized first, so the mean has unit trace for unrenormalized runs too."""
+    norms = np.sqrt(np.einsum("mi,mi->m", states.conj(), states).real)
     if np.any(norms < _ZERO_NORM_FLOOR):
         raise ZeroNorm(f"final-state norm collapsed to {float(np.min(norms)):.3e}")
-    finals = finals / norms[:, None]
-    rho = np.einsum("mi,mj->ij", finals, finals.conj()) / n_traj
+    states = states / norms[:, None]
+    rho = np.einsum("mi,mj->ij", states, states.conj()) / len(states)
     return validate_density(rho)
 
 
