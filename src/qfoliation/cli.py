@@ -25,6 +25,7 @@ import numpy as np
 
 from . import scenarios
 from .dynamics import (
+    LINDBLAD_METHODS,
     GeneratorSet,
     TrajectoryConfig,
     _lindblad_apply,
@@ -112,7 +113,7 @@ _SCHEMA = {
     "lindblad": {
         "gamma": Key("number", ge=0),
         "span": Key("number", ge=0),
-        "method": Key("choice", "exact", choices=("exact", "rk4")),
+        "method": Key("choice", "exact", choices=LINDBLAD_METHODS),
         "step": Key("number", _rk4_step, gt=0),
         "samples": Key("int", 1, ge=1),
         "rho0": Key("matrix", _OMIT, dim=2),

@@ -49,11 +49,13 @@ from .errors import (
     MissingBoostGenerator,
     NumericalError,
     StepTooLarge,
-    SuperluminalBeta,
     ValidationError,
     ZeroNorm,
 )
+from .foliation import lorentz_gamma
 from .linalg import (
+    _ZERO_NORM_FLOOR,
+    TOL,
     as_complex,
     expm_generator,
     require_hermitian,
@@ -62,7 +64,7 @@ from .linalg import (
     validate_state,
 )
 
-_ZERO_NORM_FLOOR = 1e-12
+LINDBLAD_METHODS = ("exact", "rk4")
 
 # step * ||L^dag L|| above this draws a warning: the Euler-Maruyama weak
 # error is no longer comfortably below typical ensemble statistics.
@@ -77,11 +79,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Hamiltonian H, boost generators Ks (up to 3), coupling operators Ls.
+    """Hamiltonian H, boost generator Ks (at most one), coupling operators Ls.
 
-    H and every K must be Hermitian; all operators share one dimension.
-    Arrays are stored as read-only copies so a set can be shared across
-    threads and ensembles safely.
+    Only the boost along +x is implemented, so Ks is () or (K_x,). H and
+    K_x must be Hermitian; all operators share one dimension. Arrays are
+    stored as read-only copies so a set can be shared across threads and
+    ensembles safely.
     """
 
     H: np.ndarray
@@ -91,8 +94,8 @@ class GeneratorSet:
     def __post_init__(self) -> None:
         h = require_hermitian(self.H, "H")
         object.__setattr__(self, "H", _readonly(h))
-        if len(self.Ks) > 3:
-            raise ValueError(f"at most 3 boost generators supported, got {len(self.Ks)}")
+        if len(self.Ks) > 1:
+            raise ValueError(f"only the +x boost generator is implemented, got {len(self.Ks)}")
         ks = []
         for i, k in enumerate(self.Ks):
             k = require_hermitian(k, f"K[{i}]")
@@ -278,6 +281,8 @@ def _lindblad_apply(
     """`lindblad_propagate` of a validated rho0 of dimension gen.dim, given
     sup = liouvillian(gen): a caller propagating one state to many offsets
     builds L and checks rho0 once."""
+    if method not in LINDBLAD_METHODS:
+        raise ValueError(f"unknown method {method!r}, expected 'exact' or 'rk4'")
     if span < 0.0:
         raise ValueError(f"span must be non-negative, got {span:.6g}")
     if span == 0.0:
@@ -291,8 +296,8 @@ def _lindblad_apply(
         with np.errstate(over="ignore", invalid="ignore"):  # _expm refuses a non-finite product
             exponent = sup * span
         propagator = _expm(exponent)
-        tol = 1e-9
-    elif method == "rk4":
+        tol = TOL
+    else:
         if step is None or step <= 0.0:
             raise ValueError("rk4 requires a positive step")
         bound = generator_norm_bound(gen)
@@ -307,11 +312,9 @@ def _lindblad_apply(
         one_step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)
         propagator = np.linalg.matrix_power(one_step, n)
         tol = 1e-6
-    else:
-        raise ValueError(f"unknown method {method!r}, expected 'exact' or 'rk4'")
 
     rho = (propagator @ rho0.reshape(-1)).reshape(rho0.shape)
-    return validate_density(rho, hermiticity_tol=tol, trace_tol=tol, positivity_tol=tol)
+    return validate_density(rho, tol)
 
 
 def lindblad_exact_twolevel(rho0: np.ndarray, gamma: float, span: float) -> np.ndarray:
@@ -333,11 +336,11 @@ def lindblad_exact_twolevel(rho0: np.ndarray, gamma: float, span: float) -> np.n
     return rho
 
 
-def decohering_coupling(gamma: float, dim: int = 2) -> np.ndarray:
-    """Coupling operator sqrt(gamma) |0><0| driving pure decoherence."""
+def decohering_coupling(gamma: float) -> np.ndarray:
+    """Two-level coupling operator sqrt(gamma) |0><0| driving pure decoherence."""
     if gamma < 0.0:
         raise ValueError(f"gamma must be non-negative, got {gamma:.6g}")
-    lk = np.zeros((dim, dim), dtype=np.complex128)
+    lk = np.zeros((2, 2), dtype=np.complex128)
     lk[0, 0] = math.sqrt(gamma)
     return lk
 
@@ -612,8 +615,7 @@ def boost_transport(state: np.ndarray, gen: GeneratorSet, beta: float) -> np.nda
     state = as_complex(state)
     if beta == 0.0:
         return state.copy()
-    if abs(beta) >= 1.0:
-        raise SuperluminalBeta(f"|beta| = {abs(beta):.6g} >= 1")
+    lorentz_gamma(beta)  # rejects |beta| >= 1
     if not gen.Ks:
         raise MissingBoostGenerator("no boost generator configured and beta != 0")
     k_x = gen.Ks[0]

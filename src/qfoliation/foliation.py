@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotTimelike, PastPointing, SuperluminalBeta
+from .errors import NotTimelike, PastPointing, SuperluminalBeta, ValidationError
 
 SPEED_OF_LIGHT = 1.0
 
@@ -92,8 +92,7 @@ class ObserverFrame:
     beta: float
 
     def __post_init__(self) -> None:
-        if abs(self.beta) >= 1.0:
-            raise SuperluminalBeta(f"|beta| = {abs(self.beta):.6g} >= 1")
+        lorentz_gamma(self.beta)  # rejects |beta| >= 1
 
     @property
     def normal(self) -> FourVector:
@@ -122,13 +121,16 @@ def coincidence_offset(ell: float, beta: float, c: float = SPEED_OF_LIGHT) -> fl
 
     This is the offset at which the rest observer's hyperplane passes
     through the event where the moving observer's a = 0 plane crosses the
-    worldline x = ell; in physical units it equals ell*v/c^2.
+    worldline x = ell; in physical units it equals ell*v/c^2. An a0 that
+    overflows the float range is a ValidationError.
     """
-    if abs(beta) >= 1.0:
-        raise SuperluminalBeta(f"|beta| = {abs(beta):.6g} >= 1")
+    lorentz_gamma(beta)  # rejects |beta| >= 1
     if ell <= 0.0:
         raise ValueError(f"localization distance must be positive, got {ell:.6g}")
-    return ell * beta / c
+    a0 = ell * beta / c
+    if not math.isfinite(a0):
+        raise ValidationError(f"coincidence offset a0 = {ell:.6g}*{beta:.6g}/{c:.6g} is not finite")
+    return a0
 
 
 def coincidence_event(ell: float, beta: float, c: float = SPEED_OF_LIGHT) -> FourVector:

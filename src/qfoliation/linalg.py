@@ -3,7 +3,8 @@
 States are plain numpy arrays: a state vector is a 1-D complex array of unit
 Euclidean norm, a density matrix is a Hermitian, unit-trace, positive
 semidefinite 2-D complex array. Validators return the checked array; all
-operations return new arrays and never mutate their inputs.
+operations return new arrays and never mutate their inputs. `TOL` is the one
+tolerance of every Hermiticity, trace, positivity and state-norm check.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ from .errors import (
     ZeroNorm,
 )
 
-# Validation tolerances; single source of truth, overridable per call.
-HERMITICITY_TOL = 1e-9
-TRACE_TOL = 1e-9
-POSITIVITY_TOL = 1e-9
+TOL = 1e-9
 
 _ZERO_NORM_FLOOR = 1e-12
 
@@ -60,22 +58,22 @@ def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def require_hermitian(m, name: str, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m, name: str) -> np.ndarray:
     """m as a square complex array; NonHermitianInput names it if it is not Hermitian."""
     m = require_square(as_complex(m))
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NonHermitianInput(f"{name} Hermiticity defect {defect:.3e} exceeds tolerance {tol:.1e}")
+    if defect > TOL:
+        raise NonHermitianInput(f"{name} Hermiticity defect {defect:.3e} exceeds tolerance {TOL:.1e}")
     return m
 
 
-def expm_generator(g: np.ndarray, s: float, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def expm_generator(g: np.ndarray, s: float) -> np.ndarray:
     """exp(-i*s*g) for Hermitian g, via eigendecomposition.
 
     Unitary to floating-point accuracy for the small dimensions handled
     here; raises NonHermitianInput if g fails the Hermiticity check.
     """
-    g = require_hermitian(g, "generator", tol)
+    g = require_hermitian(g, "generator")
     w, v = np.linalg.eigh(g)
     phases = np.exp(-1j * s * w)
     return (v * phases) @ v.conj().T
@@ -134,32 +132,25 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 
-def validate_density(
-    rho: np.ndarray,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    positivity_tol: float = POSITIVITY_TOL,
-) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return the matrix.
+def validate_density(rho: np.ndarray, tol: float = TOL) -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity, each to tol; return the matrix.
 
     Each failure names the violated invariant and its magnitude.
     """
     rho = require_square(as_complex(rho))
     defect = hermiticity_defect(rho)
-    if defect > hermiticity_tol:
-        raise NotHermitian(
-            f"Hermiticity defect {defect:.3e} exceeds tolerance {hermiticity_tol:.1e}"
-        )
+    if defect > tol:
+        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds tolerance {tol:.1e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > tol:
         raise BadTrace(f"trace {tr:.12g} deviates from 1 by {abs(tr - 1.0):.3e}")
     w_min = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if w_min < -positivity_tol:
-        raise NotPositive(f"smallest eigenvalue {w_min:.3e} below -{positivity_tol:.1e}")
+    if w_min < -tol:
+        raise NotPositive(f"smallest eigenvalue {w_min:.3e} below -{tol:.1e}")
     return rho
 
 
-def validate_state(psi: np.ndarray, norm_tol: float = 1e-9) -> np.ndarray:
+def validate_state(psi: np.ndarray) -> np.ndarray:
     """Check that psi is a finite unit vector; return it."""
     psi = as_complex(psi)
     if psi.ndim != 1:
@@ -167,6 +158,6 @@ def validate_state(psi: np.ndarray, norm_tol: float = 1e-9) -> np.ndarray:
     n = float(np.linalg.norm(psi))
     if n < _ZERO_NORM_FLOOR:
         raise ZeroNorm(f"state norm {n:.3e} below floor {_ZERO_NORM_FLOOR:.0e}")
-    if abs(n - 1.0) > norm_tol:
+    if abs(n - 1.0) > TOL:
         raise ValidationError(f"state norm {n:.12g} deviates from 1 by {abs(n - 1.0):.3e}")
     return psi

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
+    LINDBLAD_METHODS,
     GeneratorSet,
     TrajectoryConfig,
     boost_transport,
@@ -33,7 +34,7 @@ from .dynamics import (
     ensemble_density,
     lindblad_propagate,
 )
-from .errors import NonCommutingGenerators, NumericalError, SuperluminalBeta, ValidationError
+from .errors import NonCommutingGenerators, NumericalError, ValidationError
 from .foliation import (
     SPEED_OF_LIGHT,
     FourVector,
@@ -41,8 +42,10 @@ from .foliation import (
     ObserverFrame,
     coincidence_event,
     coincidence_offset,
+    lorentz_gamma,
 )
 from .linalg import (
+    TOL,
     as_complex,
     expectation,
     expm_generator,
@@ -102,8 +105,7 @@ class CounterexampleParams:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if abs(self.beta) >= 1.0:
-            raise SuperluminalBeta(f"|beta| = {abs(self.beta):.6g} >= 1")
+        lorentz_gamma(self.beta)  # rejects |beta| >= 1
         if self.beta < 0.0:
             raise ValidationError(
                 f"beta must be non-negative, got {self.beta:.6g}: decohering evolution "
@@ -114,7 +116,7 @@ class CounterexampleParams:
             raise ValidationError(f"ell must be positive, got {self.ell:.6g}")
         if self.gamma < 0.0:
             raise ValidationError(f"gamma must be non-negative, got {self.gamma:.6g}")
-        if self.method not in ("exact", "rk4"):
+        if self.method not in LINDBLAD_METHODS:
             raise ValidationError(f"method must be 'exact' or 'rk4', got {self.method!r}")
         if self.step is not None and self.step <= 0.0:
             raise ValidationError(f"step must be positive, got {self.step:.6g}")
@@ -204,7 +206,7 @@ def run_counterexample(
     exp_r = expectation(a_op, rho_r)
     exp_m = expectation(a_op, rho_m)
     for name, val in (("expectation_R", exp_r), ("expectation_M", exp_m)):
-        if not -1.0 - 1e-9 <= val <= 1.0 + 1e-9:
+        if not -1.0 - TOL <= val <= 1.0 + TOL:
             raise NumericalError(f"{name} = {val} outside [-1, 1]")
 
     qsd_outcome = None
@@ -284,11 +286,9 @@ def check_unitary_consistency(
     return _at_coincidence(deviation, path_order_difference, ell, beta, c, dissipative=False)
 
 
-def dissipative_consistency(
-    p: CounterexampleParams, k_correction: np.ndarray | None = None
-) -> ConsistencyReport:
+def dissipative_consistency(p: CounterexampleParams) -> ConsistencyReport:
     """The counter-example pipeline reported as a consistency deviation."""
-    report = run_counterexample(p, k_correction)
+    report = run_counterexample(p)
     return _at_coincidence(abs(report.discrepancy), 0.0, p.ell, p.beta, p.c, dissipative=True)
 
 

@@ -145,6 +145,42 @@ def test_non_finite_step_count_exits_1(tmp_path, capsys, doc):
     assert not os.path.exists(out)
 
 
+# a0 = ell*beta/c beyond the float range: at c = 1e-320 directly, and in the
+# sweep through the rescaled ell = a0*c/beta = 5e309
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"command": "counterexample",
+         "params": {"beta": 0.5, "ell": 2.0, "gamma": 1.0, "c": 1e-320}},
+        {"command": "counterexample",
+         "params": {"beta": 0.5, "ell": 2.0, "gamma": 0.0, "c": 1e-320}},
+        {"command": "consistency",
+         "params": {"beta": 0.5, "ell": 2.0, "gamma": 0.0, "c": 1e-320}},
+        {"command": "sweep",
+         "params": {"beta": 0.5, "ell": 1e300, "gamma": 1.0, "betas": [1e-10]}},
+    ],
+    ids=["counterexample", "counterexample-unitary", "unitary-consistency", "sweep"],
+)
+def test_non_finite_coincidence_offset_exits_1(tmp_path, capsys, doc):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert "validation failure" in err and "coincidence offset" in err and "not finite" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_finite_coincidence_offset_whose_exponent_overflows_exits_2(tmp_path, capsys):
+    doc = {"command": "counterexample",
+           "params": {"beta": 0.5, "ell": 2.0, "gamma": 1e300, "c": 1e-10}}  # a0 = 1e10
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 2
+    assert "numerical invariant breach" in err and "overflows" in err
+    assert not os.path.exists(out)
+
+
 # 10**15 trajectories need 7 PiB for their stream indices alone, more than any
 # address space holds, so the allocation fails at once without touching memory
 @pytest.mark.parametrize(

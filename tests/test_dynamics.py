@@ -86,6 +86,9 @@ def test_generator_set_rejects_mismatched_dims():
 def test_generator_set_rejects_too_many_boosts():
     with pytest.raises(ValueError):
         GeneratorSet(H=ZERO2, Ks=(ZERO2, ZERO2, ZERO2, ZERO2))
+    # only K_x is transported, so a y part would be dropped without a word
+    with pytest.raises(ValueError, match=r"only the \+x boost generator"):
+        GeneratorSet(H=ZERO2, Ks=(SX / 2, SY / 2))
 
 
 def test_generator_set_arrays_read_only():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qfoliation.errors import NotTimelike, PastPointing, SuperluminalBeta
+from qfoliation.errors import NotTimelike, PastPointing, SuperluminalBeta, ValidationError
 from qfoliation.foliation import (
     FourVector,
     Hyperplane,
@@ -119,6 +119,9 @@ def test_coincidence_offset_rejects_bad_inputs():
         coincidence_offset(10.0, 1.0)
     with pytest.raises(ValueError):
         coincidence_offset(-1.0, 0.5)
+    for ell, beta, c in ((2.0, 0.5, 1e-320), (math.inf, 1e-10, 1.0), (math.inf, 0.0, 1.0)):
+        with pytest.raises(ValidationError, match="coincidence offset .* is not finite"):
+            coincidence_offset(ell, beta, c)
 
 
 def test_coincidence_event_lies_on_both_planes():

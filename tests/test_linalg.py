@@ -241,7 +241,7 @@ def test_validate_tolerances_overridable():
     nearly = PLUS + np.array([[1e-8, 0], [0, -1e-8]])
     with pytest.raises(NotHermitian):
         validate_density(nearly + np.array([[0, 1e-8], [0, 0]]))
-    validate_density(nearly, trace_tol=1e-6)
+    validate_density(nearly, tol=1e-6)
 
 
 # -- validate_state ----------------------------------------------------------------
