@@ -495,7 +495,7 @@ def run(cfg: RunConfig) -> int:
     try:
         results = _RUNNERS[cfg.command](cfg)
         text = _csv_text(cfg, results) if cfg.format == "csv" else _json_text(cfg, results)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         log.error("validation failure: %s", exc)
         return 1
     except MemoryError as exc:

@@ -59,6 +59,7 @@ from .linalg import (
     as_complex,
     expm_generator,
     require_hermitian,
+    require_same_dim,
     require_square,
     validate_density,
     validate_state,
@@ -95,7 +96,7 @@ class GeneratorSet:
         h = require_hermitian(self.H, "H")
         object.__setattr__(self, "H", _readonly(h))
         if len(self.Ks) > 1:
-            raise ValueError(f"only the +x boost generator is implemented, got {len(self.Ks)}")
+            raise ValidationError(f"only the +x boost generator is implemented, got {len(self.Ks)}")
         ks = []
         for i, k in enumerate(self.Ks):
             k = require_hermitian(k, f"K[{i}]")
@@ -131,11 +132,11 @@ class TrajectoryConfig:
 
     def __post_init__(self) -> None:
         if self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step:.6g}")
+            raise ValidationError(f"step must be positive, got {self.step:.6g}")
         if self.steps < 0:
-            raise ValueError(f"steps must be non-negative, got {self.steps}")
+            raise ValidationError(f"steps must be non-negative, got {self.steps}")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def covering(cls, span: float, step: float, seed: int = 0, renormalize: bool = True):
@@ -265,8 +266,7 @@ def lindblad_propagate(
     to 1e-6. Both costs grow as d^6; no caller goes above dim 4.
     """
     rho0 = validate_density(rho0)
-    if rho0.shape[0] != gen.dim:
-        raise DimMismatch(f"state dim {rho0.shape[0]} != generator dim {gen.dim}")
+    require_same_dim(rho0, gen.H)
     return _lindblad_apply(rho0, gen, liouvillian(gen), span, method, step)
 
 
@@ -282,9 +282,9 @@ def _lindblad_apply(
     sup = liouvillian(gen): a caller propagating one state to many offsets
     builds L and checks rho0 once."""
     if method not in LINDBLAD_METHODS:
-        raise ValueError(f"unknown method {method!r}, expected 'exact' or 'rk4'")
+        raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'rk4'")
     if span < 0.0:
-        raise ValueError(f"span must be non-negative, got {span:.6g}")
+        raise ValidationError(f"span must be non-negative, got {span:.6g}")
     if span == 0.0:
         return rho0.copy()
     if not any(np.any(lk) for lk in gen.Ls):
@@ -299,7 +299,7 @@ def _lindblad_apply(
         tol = TOL
     else:
         if step is None or step <= 0.0:
-            raise ValueError("rk4 requires a positive step")
+            raise ValidationError("rk4 requires a positive step")
         bound = generator_norm_bound(gen)
         if step * bound > 1.0:
             raise StepTooLarge(
@@ -328,7 +328,7 @@ def lindblad_exact_twolevel(rho0: np.ndarray, gamma: float, span: float) -> np.n
     if rho0.shape != (2, 2):
         raise DimMismatch(f"closed form is for dim 2, got shape {rho0.shape}")
     if gamma < 0.0:
-        raise ValueError(f"gamma must be non-negative, got {gamma:.6g}")
+        raise ValidationError(f"gamma must be non-negative, got {gamma:.6g}")
     decay = math.exp(-0.5 * gamma * span)
     rho = rho0.copy()
     rho[0, 1] *= decay
@@ -339,7 +339,7 @@ def lindblad_exact_twolevel(rho0: np.ndarray, gamma: float, span: float) -> np.n
 def decohering_coupling(gamma: float) -> np.ndarray:
     """Two-level coupling operator sqrt(gamma) |0><0| driving pure decoherence."""
     if gamma < 0.0:
-        raise ValueError(f"gamma must be non-negative, got {gamma:.6g}")
+        raise ValidationError(f"gamma must be non-negative, got {gamma:.6g}")
     lk = np.zeros((2, 2), dtype=np.complex128)
     lk[0, 0] = math.sqrt(gamma)
     return lk
@@ -472,17 +472,6 @@ def _qsd_step_batch(
     return out
 
 
-def _noise_or_empty(dxi: np.ndarray | None, channels: int) -> np.ndarray:
-    if dxi is None:
-        if channels:
-            raise DimMismatch(f"{channels} coupling operators need noise increments")
-        return np.zeros((0,), dtype=np.complex128)
-    dxi = np.asarray(dxi, dtype=np.complex128)
-    if dxi.shape != (channels,):
-        raise DimMismatch(f"expected {channels} noise increments, got shape {dxi.shape}")
-    return dxi
-
-
 def qsd_step(
     psi: np.ndarray,
     gen: GeneratorSet,
@@ -497,10 +486,11 @@ def qsd_step(
     fluctuation operator and the drift annihilate them.
     """
     psi = as_complex(psi)
-    if psi.ndim != 1 or psi.shape[0] != gen.dim:
-        raise DimMismatch(f"state shape {psi.shape} incompatible with dim {gen.dim}")
+    dxi = np.asarray(() if dxi is None else dxi, dtype=np.complex128)
+    if psi.shape != (gen.dim,) or dxi.shape != (len(gen.Ls),):
+        raise DimMismatch(f"state shape {psi.shape} and noise shape {dxi.shape} do not fit "
+                          f"dim {gen.dim} with {len(gen.Ls)} coupling operators")
     ops = _qsd_ops(gen, step)
-    dxi = _noise_or_empty(dxi, len(ops[1]))
     cols = psi[:, None]
     out = _qsd_step_batch(
         cols, np.empty_like(cols), ops, dxi[:, None], step, renormalize, _StepBuffers(gen.dim, 1)
@@ -529,8 +519,7 @@ def _qsd_batches(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, str
     overwrites, so a caller copies what it keeps before advancing twice.
     """
     psi0 = validate_state(psi0)
-    if psi0.shape[0] != gen.dim:
-        raise DimMismatch(f"state shape {psi0.shape} incompatible with dim {gen.dim}")
+    require_same_dim(psi0, gen.H)
     _warn_if_step_coarse(gen, cfg.step)
     ops = _qsd_ops(gen, cfg.step)
     k = len(ops[1])
@@ -575,7 +564,7 @@ def ensemble_final_states(
     also makes the ensemble independent of any execution schedule.
     """
     if n_traj < 1:
-        raise ValueError(f"need at least one trajectory, got {n_traj}")
+        raise ValidationError(f"need at least one trajectory, got {n_traj}")
     for psis in _qsd_batches(psi0, gen, cfg, np.arange(n_traj)):
         pass
     return psis
@@ -619,8 +608,7 @@ def boost_transport(state: np.ndarray, gen: GeneratorSet, beta: float) -> np.nda
     if not gen.Ks:
         raise MissingBoostGenerator("no boost generator configured and beta != 0")
     k_x = gen.Ks[0]
-    if state.shape[-1] != k_x.shape[0]:
-        raise DimMismatch(f"state shape {state.shape} incompatible with dim {k_x.shape[0]}")
+    require_same_dim(state, k_x)
     if not np.any(k_x):
         return state.copy()
     u = expm_generator(k_x, math.atanh(beta))

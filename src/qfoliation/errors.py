@@ -11,7 +11,7 @@ class QFoliationError(Exception):
     """Base class for all package errors."""
 
 
-class ValidationError(QFoliationError):
+class ValidationError(QFoliationError, ValueError):
     """A value violates a declared precondition or configuration constraint."""
 
 

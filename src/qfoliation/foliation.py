@@ -30,7 +30,7 @@ class FourVector:
     def __post_init__(self) -> None:
         for name in ("t", "x", "y", "z"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite component {name}")
+                raise ValidationError(f"non-finite component {name}")
 
     def dot(self, other: "FourVector") -> float:
         """Minkowski inner product with signature (+,-,-,-)."""
@@ -126,7 +126,7 @@ def coincidence_offset(ell: float, beta: float, c: float = SPEED_OF_LIGHT) -> fl
     """
     lorentz_gamma(beta)  # rejects |beta| >= 1
     if ell <= 0.0:
-        raise ValueError(f"localization distance must be positive, got {ell:.6g}")
+        raise ValidationError(f"localization distance must be positive, got {ell:.6g}")
     a0 = ell * beta / c
     if not math.isfinite(a0):
         raise ValidationError(f"coincidence offset a0 = {ell:.6g}*{beta:.6g}/{c:.6g} is not finite")

@@ -31,7 +31,7 @@ def as_complex(values) -> np.ndarray:
     """Coerce to a fresh complex128 array, rejecting NaN/Inf entries."""
     arr = np.array(values, dtype=np.complex128)
     if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValueError("matrix/vector entries must be finite")
+        raise ValidationError("matrix/vector entries must be finite")
     return arr
 
 
@@ -156,8 +156,6 @@ def validate_state(psi: np.ndarray) -> np.ndarray:
     if psi.ndim != 1:
         raise DimMismatch(f"expected a 1-D state vector, got shape {psi.shape}")
     n = float(np.linalg.norm(psi))
-    if n < _ZERO_NORM_FLOOR:
-        raise ZeroNorm(f"state norm {n:.3e} below floor {_ZERO_NORM_FLOOR:.0e}")
     if abs(n - 1.0) > TOL:
         raise ValidationError(f"state norm {n:.12g} deviates from 1 by {abs(n - 1.0):.3e}")
     return psi

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
@@ -36,7 +38,7 @@ def _mix(x: np.ndarray) -> np.ndarray:
 def stream_keys(seed: int, streams) -> np.ndarray:
     """64-bit keys of the given stream indices under `seed`."""
     if seed < 0:
-        raise ValueError("seed must be non-negative")
+        raise ValidationError("seed must be non-negative")
     streams = np.asarray(streams, dtype=np.uint64)
     s = _mix(np.array([seed & _U64_MASK], dtype=np.uint64) + _GOLDEN)
     t = _mix(streams * _STREAM_SALT + _GOLDEN)
@@ -46,7 +48,7 @@ def stream_keys(seed: int, streams) -> np.ndarray:
 def stream_key(seed: int, stream: int) -> np.uint64:
     """Derive the 64-bit key of stream `stream` under `seed`."""
     if stream < 0:
-        raise ValueError("stream index must be non-negative")
+        raise ValidationError("stream index must be non-negative")
     return stream_keys(seed, [stream & _U64_MASK])[0]
 
 

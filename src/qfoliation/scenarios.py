@@ -51,6 +51,7 @@ from .linalg import (
     expm_generator,
     purity,
     require_hermitian,
+    require_same_dim,
     state_expectation,
     trace_distance,
     validate_state,
@@ -264,6 +265,7 @@ def check_unitary_consistency(
         raise ValidationError("unitary consistency check requires a vanishing dissipator")
     a_op = require_hermitian(a_op, "observable")
     psi0 = validate_state(psi0)
+    require_same_dim(psi0, gen.H)
     k_x = gen.Ks[0] if gen.Ks else np.zeros_like(gen.H)
     comm = gen.H @ k_x - k_x @ gen.H
     defect = float(np.max(np.abs(comm)))
