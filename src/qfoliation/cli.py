@@ -34,7 +34,7 @@ from .dynamics import (
     liouvillian,
 )
 from .errors import NumericalError, ParseError, ValidationError
-from .linalg import trace_distance, validate_density, validate_state
+from .linalg import require_density, trace_distance, validate_state
 
 log = logging.getLogger("qfoliation")
 
@@ -384,7 +384,7 @@ def _run_consistency(cfg: RunConfig) -> dict:
 def _run_lindblad(cfg: RunConfig) -> dict:
     params = cfg.params
     gamma, span, samples = params["gamma"], params["span"], params["samples"]
-    rho0 = validate_density(_matrix_param(params, "rho0", scenarios.initial_state()))
+    rho0 = require_density(_matrix_param(params, "rho0", scenarios.initial_state()), "rho0")
     gen = scenarios.dephasing_model(gamma)
     sup = liouvillian(gen)
     points = []

@@ -58,6 +58,7 @@ from .linalg import (
     TOL,
     as_complex,
     expm_generator,
+    require_density,
     require_hermitian,
     require_same_dim,
     require_square,
@@ -265,7 +266,7 @@ def lindblad_propagate(
     repeated squaring; it requires step * ||generator|| <= 1 and validates
     to 1e-6. Both costs grow as d^6; no caller goes above dim 4.
     """
-    rho0 = validate_density(rho0)
+    rho0 = require_density(rho0, "rho0")
     require_same_dim(rho0, gen.H)
     return _lindblad_apply(rho0, gen, liouvillian(gen), span, method, step)
 
@@ -404,6 +405,7 @@ class _StepBuffers:
         self.norms_pairs = np.empty((m, 2))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm is refused below
 def _qsd_step_batch(
     cols: np.ndarray,
     out: np.ndarray,
@@ -460,6 +462,9 @@ def _qsd_step_batch(
     worst = float(norms.min())
     if worst < _ZERO_NORM_FLOOR:
         raise ZeroNorm(f"trajectory norm collapsed to {worst:.3e} before renormalization")
+    peak = float(norms.max())  # NaN if any norm is NaN
+    if not math.isfinite(peak):
+        raise NumericalError(f"trajectory norm is {peak}")
     if renormalize:
         # divide as floats: faster than complex division, and numpy's
         # broadcast complex-by-real division rounds a one-trajectory batch

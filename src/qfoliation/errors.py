@@ -12,7 +12,11 @@ class QFoliationError(Exception):
 
 
 class ValidationError(QFoliationError, ValueError):
-    """A value violates a declared precondition or configuration constraint."""
+    """A value violates a declared precondition or configuration constraint.
+
+    It is also a ValueError, so one `except ValueError` catches the package's
+    input refusals and numpy's alike.
+    """
 
 
 class NumericalError(QFoliationError):

@@ -5,6 +5,10 @@ Euclidean norm, a density matrix is a Hermitian, unit-trace, positive
 semidefinite 2-D complex array. Validators return the checked array; all
 operations return new arrays and never mutate their inputs. `TOL` is the one
 tolerance of every Hermiticity, trace, positivity and state-norm check.
+
+`require_*` and `validate_state` check given values and raise ValidationError,
+an input error (CLI exit 1). `validate_density` and the zero-norm floor check
+computed values and raise NumericalError, an invariant breach (exit 2).
 """
 
 from __future__ import annotations
@@ -65,6 +69,14 @@ def require_hermitian(m, name: str) -> np.ndarray:
     if defect > TOL:
         raise NonHermitianInput(f"{name} Hermiticity defect {defect:.3e} exceeds tolerance {TOL:.1e}")
     return m
+
+
+def require_density(rho, name: str) -> np.ndarray:
+    """rho as a validated density matrix; ValidationError names it if it is not one."""
+    try:
+        return validate_density(rho)
+    except NumericalError as exc:
+        raise ValidationError(f"{name} is not a density matrix: {exc}") from exc
 
 
 def expm_generator(g: np.ndarray, s: float) -> np.ndarray:

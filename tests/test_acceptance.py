@@ -160,6 +160,18 @@ def test_criterion_3_unraveling_consistency():
     assert elapsed <= 60.0
 
 
+def test_unraveling_before_localization_sees_the_noise_amplitude():
+    # at span 30 every trajectory has localized, so criterion 3 sees only the
+    # localization probabilities; at span 1 the coherence is still decaying,
+    # and a wrong noise amplitude or drift moves the ensemble mean from it
+    gen = GeneratorSet(H=ZERO2, Ls=(decohering_coupling(1.0),))
+    ref = lindblad_exact_twolevel(initial_state(), 1.0, 1.0)
+    cfg = TrajectoryConfig(step=0.01, steps=100, seed=MASTER_SEED)
+    n_traj = 10_000
+    finals = ensemble_final_states(PLUS_STATE, gen, cfg, n_traj)
+    assert trace_distance(mean_projector(finals), ref) <= 5.0 / math.sqrt(n_traj)
+
+
 def test_criterion_4_observer_consistency():
     start = time.perf_counter()
 

@@ -296,7 +296,8 @@ def test_gamma_zero_rk4_takes_degenerate_fast_path(tmp_path):
 
 
 def test_exit_status_numerical_failure(tmp_path):
-    # rho0 passes schema validation but is not positive semidefinite
+    # rho0 passes schema validation but is not positive semidefinite: a
+    # malformed input (exit 1); a breach in what the run computes exits 2
     doc = {
         "command": "lindblad",
         "params": {
@@ -308,7 +309,7 @@ def test_exit_status_numerical_failure(tmp_path):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
-    assert main(["lindblad", "--config", str(cfg_path)]) == 2
+    assert main(["lindblad", "--config", str(cfg_path)]) == 1
 
 
 def test_consistency_command_unitary_and_dissipative(tmp_path):

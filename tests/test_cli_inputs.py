@@ -99,6 +99,50 @@ def test_dissipative_consistency_rejects_unitary_only_keys():
         parse_config(json.dumps(doc))
 
 
+# -- states and densities are inputs ------------------------------------------------------
+
+NOT_A_DENSITY = {
+    "trace-1.4": [[[0.7, 0], [0, 0]], [[0, 0], [0.7, 0]]],
+    "not-positive": [[[0.5, 0], [0.6, 0]], [[0.6, 0], [0.5, 0]]],
+    "not-hermitian": [[[0.5, 0], [0.5, 0.1]], [[0.5, 0], [0.5, 0]]],
+}
+EYE3 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize("rho0", NOT_A_DENSITY.values(), ids=NOT_A_DENSITY.keys())
+def test_rho0_that_is_not_a_density_exits_1(tmp_path, capsys, rho0):
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0, "rho0": rho0}}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert "validation failure" in err and "rho0 is not a density matrix" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, params",
+    [("qsd-ensemble", {"gamma": 1.0, "span": 1.0, "n_traj": 10}),
+     ("consistency", {"beta": 0.2, "ell": 40.0})],
+    ids=["qsd-ensemble", "unitary-consistency"],
+)
+def test_zero_psi0_exits_1(tmp_path, capsys, command, params):
+    doc = {"command": command, "params": {**params, "psi0": [[0, 0], [0, 0]]}}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert "validation failure" in err and "state norm 0 deviates from 1" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("params", [{"psi0": [[1, 0], [0, 0], [0, 0]]}, {"h": EYE3}],
+                         ids=["psi0-dim-3", "h-dim-3"])
+def test_unitary_consistency_dimension_mismatch_exits_1(tmp_path, capsys, params):
+    doc = {"command": "consistency", "params": {"beta": 0.2, "ell": 40.0, **params}}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert "validation failure" in err and "dimension mismatch" in err
+    assert "matmul" not in err
+    assert not os.path.exists(out)
+
+
 # -- inputs that used to end in a traceback ----------------------------------------------
 
 def test_int_beyond_float_range_is_rejected():
@@ -178,6 +222,19 @@ def test_finite_coincidence_offset_whose_exponent_overflows_exits_2(tmp_path, ca
     status, err, out = run_doc(tmp_path, doc, capsys)
     assert status == 2
     assert "numerical invariant breach" in err and "overflows" in err
+    assert not os.path.exists(out)
+
+
+def test_unrenormalized_ensemble_whose_norm_overflows_exits_2(tmp_path, capsys):
+    doc = {"command": "qsd-ensemble",
+           "params": {"gamma": 100.0, "span": 200.0, "step": 0.05, "n_traj": 10,
+                      "renormalize": False}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 2
+    assert "numerical invariant breach" in err and "trajectory norm is" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not os.path.exists(out)
 
 
