@@ -25,12 +25,9 @@ from .foliation import (
     ObserverFrame,
     coincidence_event,
     coincidence_offset,
-    contains_event,
     frame_normal,
-    make_hyperplane,
 )
 from .linalg import (
-    dagger,
     density_from_state,
     expectation,
     expm_generator,
@@ -71,10 +68,7 @@ __all__ = [
     "ObserverFrame",
     "coincidence_event",
     "coincidence_offset",
-    "contains_event",
     "frame_normal",
-    "make_hyperplane",
-    "dagger",
     "density_from_state",
     "expectation",
     "expm_generator",

@@ -28,13 +28,11 @@ from .dynamics import (
     LINDBLAD_METHODS,
     GeneratorSet,
     TrajectoryConfig,
-    _lindblad_apply,
     lindblad_exact_twolevel,
     lindblad_propagate,
-    liouvillian,
 )
 from .errors import NumericalError, ParseError, ValidationError
-from .linalg import require_density, trace_distance, validate_state
+from .linalg import density_from_state, trace_distance, validate_state
 
 log = logging.getLogger("qfoliation")
 
@@ -373,7 +371,7 @@ def _run_consistency(cfg: RunConfig) -> dict:
         h = _matrix_param(params, "h", np.zeros((2, 2), dtype=np.complex128))
         k = _matrix_param(params, "k", np.zeros_like(h))
         a_op = _matrix_param(params, "observable", scenarios.spin_observable())
-        gen = GeneratorSet(H=h, Ks=(k,), Ls=())
+        gen = GeneratorSet(H=h, K=k, Ls=())
         report = scenarios.check_unitary_consistency(
             gen, params["beta"], params["ell"], _state_param(params), a_op, c=params["c"]
         )
@@ -384,13 +382,12 @@ def _run_consistency(cfg: RunConfig) -> dict:
 def _run_lindblad(cfg: RunConfig) -> dict:
     params = cfg.params
     gamma, span, samples = params["gamma"], params["span"], params["samples"]
-    rho0 = require_density(_matrix_param(params, "rho0", scenarios.initial_state()), "rho0")
-    gen = scenarios.dephasing_model(gamma)
-    sup = liouvillian(gen)
+    rho0 = _matrix_param(params, "rho0", scenarios.initial_state())
+    offsets = [span * i / samples for i in range(1, samples + 1)]
+    rhos = lindblad_propagate(rho0, scenarios.dephasing_model(gamma), offsets,
+                              params["method"], params["step"])
     points = []
-    for i in range(1, samples + 1):
-        a = span * i / samples
-        rho_num = _lindblad_apply(rho0, gen, sup, a, params["method"], params["step"])
+    for a, rho_num in zip(offsets, rhos):
         rho_ref = lindblad_exact_twolevel(rho0, gamma, a)
         points.append({
             "a": a,
@@ -407,7 +404,7 @@ def _run_qsd_ensemble(cfg: RunConfig) -> dict:
     psi0 = _state_param(params)
     gen = scenarios.dephasing_model(params["gamma"])
     plan = TrajectoryConfig.covering(params["span"], params["step"], cfg.seed, params["renormalize"])
-    rho_ref = lindblad_propagate(np.outer(psi0, psi0.conj()) if "psi0" in params
+    rho_ref = lindblad_propagate(density_from_state(psi0) if "psi0" in params
                                  else scenarios.initial_state(), gen, params["span"])
     outcome, rho = scenarios.run_qsd(psi0, gen, plan, params["n_traj"], rho_ref)
     results = {key: getattr(outcome, key) for key in

@@ -3,12 +3,13 @@
 Three transports act on a state:
 
 * deterministic completely-positive evolution of the density matrix along
-  the hyperplane offset a (`lindblad_propagate`),
+  the hyperplane offset a (`lindblad_propagate`, to one offset or to an
+  array of offsets from one generator),
 * its stochastic pure-state unraveling along a (`qsd_step`,
   `qsd_trajectory`, `ensemble_density`), whose ensemble mean reproduces
   the density-matrix evolution,
-* unitary transport between hyperplane normals, i.e. boosts
-  (`boost_transport`).
+* unitary transport between hyperplane normals, i.e. boosts along +x by
+  the one generator `GeneratorSet.K` (`boost_transport`).
 
 The Lindblad generator has one encoding, the superoperator `liouvillian`.
 Both Lindblad methods are a matrix applied to vec(rho): expm(span*L) for
@@ -81,30 +82,26 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Hamiltonian H, boost generator Ks (at most one), coupling operators Ls.
+    """Hamiltonian H, boost generator K, coupling operators Ls.
 
-    Only the boost along +x is implemented, so Ks is () or (K_x,). H and
-    K_x must be Hermitian; all operators share one dimension. Arrays are
-    stored as read-only copies so a set can be shared across threads and
-    ensembles safely.
+    K is None or the one generator K_x of the boost along +x, the only
+    boost implemented. H and K must be Hermitian; all operators share one
+    dimension. Arrays are stored as read-only copies so a set can be shared
+    across threads and ensembles safely.
     """
 
     H: np.ndarray
-    Ks: tuple = ()
+    K: np.ndarray | None = None
     Ls: tuple = ()
 
     def __post_init__(self) -> None:
         h = require_hermitian(self.H, "H")
         object.__setattr__(self, "H", _readonly(h))
-        if len(self.Ks) > 1:
-            raise ValidationError(f"only the +x boost generator is implemented, got {len(self.Ks)}")
-        ks = []
-        for i, k in enumerate(self.Ks):
-            k = require_hermitian(k, f"K[{i}]")
+        if self.K is not None:
+            k = require_hermitian(self.K, "K")
             if k.shape != h.shape:
-                raise DimMismatch(f"K[{i}] shape {k.shape} != H shape {h.shape}")
-            ks.append(_readonly(k))
-        object.__setattr__(self, "Ks", tuple(ks))
+                raise DimMismatch(f"K shape {k.shape} != H shape {h.shape}")
+            object.__setattr__(self, "K", _readonly(k))
         ls = []
         for i, lk in enumerate(self.Ls):
             lk = require_square(as_complex(lk))
@@ -252,13 +249,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def lindblad_propagate(
     rho0: np.ndarray,
     gen: GeneratorSet,
-    span: float,
+    span,
     method: str = "exact",
     step: float | None = None,
 ) -> np.ndarray:
     """Propagate a density matrix by `span` in the hyperplane offset.
 
-    Both methods build the d^2 x d^2 superoperator L = liouvillian(gen).
+    span is one offset, giving one density matrix, or an array of offsets,
+    giving shape span.shape + (d, d); rho0 and method are checked and the
+    d^2 x d^2 superoperator L = liouvillian(gen) built once for all of them.
     `exact` applies expm(span*L) and validates to 1e-9. `rk4` takes the
     `_fixed_steps(span, step)` plan of n classical Runge-Kutta steps of h,
     which for this offset-independent generator is exactly
@@ -268,22 +267,19 @@ def lindblad_propagate(
     """
     rho0 = require_density(rho0, "rho0")
     require_same_dim(rho0, gen.H)
-    return _lindblad_apply(rho0, gen, liouvillian(gen), span, method, step)
-
-
-def _lindblad_apply(
-    rho0: np.ndarray,
-    gen: GeneratorSet,
-    sup: np.ndarray,
-    span: float,
-    method: str,
-    step: float | None,
-) -> np.ndarray:
-    """`lindblad_propagate` of a validated rho0 of dimension gen.dim, given
-    sup = liouvillian(gen): a caller propagating one state to many offsets
-    builds L and checks rho0 once."""
     if method not in LINDBLAD_METHODS:
         raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'rk4'")
+    sup = liouvillian(gen)
+    spans = np.asarray(span, dtype=np.float64)
+    rhos = [_lindblad_apply(rho0, gen, sup, a, method, step) for a in spans.reshape(-1).tolist()]
+    if spans.ndim == 0:
+        return rhos[0]
+    return np.array(rhos, dtype=np.complex128).reshape(spans.shape + rho0.shape)
+
+
+def _lindblad_apply(rho0: np.ndarray, gen: GeneratorSet, sup: np.ndarray, span: float,
+                    method: str, step: float | None) -> np.ndarray:
+    """`lindblad_propagate` of a checked rho0 and method to one offset, given sup = L."""
     if span < 0.0:
         raise ValidationError(f"span must be non-negative, got {span:.6g}")
     if span == 0.0:
@@ -610,9 +606,9 @@ def boost_transport(state: np.ndarray, gen: GeneratorSet, beta: float) -> np.nda
     if beta == 0.0:
         return state.copy()
     lorentz_gamma(beta)  # rejects |beta| >= 1
-    if not gen.Ks:
+    k_x = gen.K
+    if k_x is None:
         raise MissingBoostGenerator("no boost generator configured and beta != 0")
-    k_x = gen.Ks[0]
     require_same_dim(state, k_x)
     if not np.any(k_x):
         return state.copy()

@@ -55,19 +55,6 @@ class Hyperplane:
             raise PastPointing(f"normal must be future-pointing, got t = {self.normal.t:.6g}")
 
 
-def make_hyperplane(n_raw: FourVector, a: float) -> Hyperplane:
-    """Build a hyperplane from an unnormalized time-like normal and offset a.
-
-    The normal is rescaled so n.n = 1; the offset is stored unchanged.
-    """
-    nn = n_raw.dot(n_raw)
-    if nn <= 0.0:
-        raise NotTimelike(f"normal must be time-like: n.n = {nn:.6g} <= 0")
-    if n_raw.t <= 0.0:
-        raise PastPointing(f"normal must be future-pointing, got t = {n_raw.t:.6g}")
-    return Hyperplane(n_raw.scale(1.0 / math.sqrt(nn)), a)
-
-
 def lorentz_gamma(beta: float) -> float:
     """1/sqrt(1 - beta^2), rejecting |beta| >= 1."""
     if abs(beta) >= 1.0:
@@ -101,19 +88,6 @@ class ObserverFrame:
     def simultaneity_plane(self, a: float = 0.0) -> Hyperplane:
         """The observer's hyperplane of simultaneity at offset a."""
         return Hyperplane(self.normal, a)
-
-
-def event_tolerance(x: FourVector) -> float:
-    """Membership tolerance scaled to the coordinate magnitude of x."""
-    scale = max(1.0, abs(x.t), abs(x.x), abs(x.y), abs(x.z))
-    return 1e-9 * scale
-
-
-def contains_event(plane: Hyperplane, x: FourVector, tol: float | None = None) -> bool:
-    """True iff |n.x - a| <= tol; tol defaults to a coordinate-scaled value."""
-    if tol is None:
-        tol = event_tolerance(x)
-    return abs(plane.normal.dot(x) - plane.offset) <= tol
 
 
 def coincidence_offset(ell: float, beta: float, c: float = SPEED_OF_LIGHT) -> float:

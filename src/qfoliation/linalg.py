@@ -39,11 +39,6 @@ def as_complex(values) -> np.ndarray:
     return arr
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T.copy()
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """Max-abs deviation of m from its own conjugate transpose."""
     m = np.asarray(m)

@@ -162,7 +162,7 @@ class ConsistencyReport:
 def dephasing_model(gamma: float, k_x: np.ndarray | None = None) -> GeneratorSet:
     """H = 0, the one coupling sqrt(gamma)|0><0| and the boost generator k_x (zero if None)."""
     h = np.zeros((2, 2), dtype=np.complex128)
-    return GeneratorSet(H=h, Ks=(h if k_x is None else k_x,), Ls=(decohering_coupling(gamma),))
+    return GeneratorSet(H=h, K=h if k_x is None else k_x, Ls=(decohering_coupling(gamma),))
 
 
 def run_qsd(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj: int,
@@ -266,7 +266,7 @@ def check_unitary_consistency(
     a_op = require_hermitian(a_op, "observable")
     psi0 = validate_state(psi0)
     require_same_dim(psi0, gen.H)
-    k_x = gen.Ks[0] if gen.Ks else np.zeros_like(gen.H)
+    k_x = np.zeros_like(gen.H) if gen.K is None else gen.K
     comm = gen.H @ k_x - k_x @ gen.H
     defect = float(np.max(np.abs(comm)))
     scale = max(1.0, float(np.max(np.abs(gen.H))) * float(np.max(np.abs(k_x))))

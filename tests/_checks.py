@@ -1,0 +1,40 @@
+"""Checks that only the tests use: hyperplane construction, event membership
+and the conjugate transpose, kept out of the package's public surface."""
+
+import math
+
+import numpy as np
+
+from qfoliation.errors import NotTimelike, PastPointing
+from qfoliation.foliation import FourVector, Hyperplane
+
+
+def make_hyperplane(n_raw: FourVector, a: float) -> Hyperplane:
+    """Build a hyperplane from an unnormalized time-like normal and offset a.
+
+    The normal is rescaled so n.n = 1; the offset is stored unchanged.
+    """
+    nn = n_raw.dot(n_raw)
+    if nn <= 0.0:
+        raise NotTimelike(f"normal must be time-like: n.n = {nn:.6g} <= 0")
+    if n_raw.t <= 0.0:
+        raise PastPointing(f"normal must be future-pointing, got t = {n_raw.t:.6g}")
+    return Hyperplane(n_raw.scale(1.0 / math.sqrt(nn)), a)
+
+
+def event_tolerance(x: FourVector) -> float:
+    """Membership tolerance scaled to the coordinate magnitude of x."""
+    scale = max(1.0, abs(x.t), abs(x.x), abs(x.y), abs(x.z))
+    return 1e-9 * scale
+
+
+def contains_event(plane: Hyperplane, x: FourVector, tol: float | None = None) -> bool:
+    """True iff |n.x - a| <= tol; tol defaults to a coordinate-scaled value."""
+    if tol is None:
+        tol = event_tolerance(x)
+    return abs(plane.normal.dot(x) - plane.offset) <= tol
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return np.asarray(m).conj().T.copy()

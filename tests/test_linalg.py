@@ -13,7 +13,6 @@ from qfoliation.errors import (
     ZeroNorm,
 )
 from qfoliation.linalg import (
-    dagger,
     density_from_state,
     expectation,
     expm_generator,
@@ -25,6 +24,7 @@ from qfoliation.linalg import (
     validate_density,
     validate_state,
 )
+from _checks import dagger
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)

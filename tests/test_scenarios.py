@@ -11,7 +11,6 @@ from qfoliation.errors import (
     SuperluminalBeta,
     ValidationError,
 )
-from qfoliation.foliation import contains_event
 from qfoliation.linalg import (
     density_from_state,
     expectation,
@@ -29,6 +28,7 @@ from qfoliation.scenarios import (
     spin_observable,
     sweep_velocity,
 )
+from _checks import contains_event
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -170,7 +170,7 @@ def test_counterexample_qsd_branch():
 
 def test_unitary_consistency_boost_only():
     # H = 0, K arbitrary, observable commuting with K
-    gen = GeneratorSet(H=ZERO2, Ks=(SX / 2,))
+    gen = GeneratorSet(H=ZERO2, K=SX / 2)
     report = check_unitary_consistency(gen, beta=0.3, ell=50.0, psi0=initial_state_vector(), a_op=SX)
     assert report.deviation <= 1e-9
     assert report.path_order_difference <= 1e-9
@@ -178,7 +178,7 @@ def test_unitary_consistency_boost_only():
 
 
 def test_unitary_consistency_offset_only():
-    gen = GeneratorSet(H=SZ, Ks=(ZERO2,))
+    gen = GeneratorSet(H=SZ, K=ZERO2)
     psi0 = np.array([0.6, 0.8], dtype=complex)
     report = check_unitary_consistency(gen, beta=0.2, ell=40.0, psi0=psi0, a_op=SZ)
     assert report.deviation <= 1e-9
@@ -186,7 +186,7 @@ def test_unitary_consistency_offset_only():
 
 
 def test_unitary_consistency_planes_share_the_event():
-    gen = GeneratorSet(H=SZ, Ks=(ZERO2,))
+    gen = GeneratorSet(H=SZ, K=ZERO2)
     report = check_unitary_consistency(
         gen, beta=0.2, ell=40.0, psi0=initial_state_vector(), a_op=SZ
     )
@@ -196,7 +196,7 @@ def test_unitary_consistency_planes_share_the_event():
 
 def test_unitary_consistency_honours_c():
     beta, ell, c = 0.2, 40.0, 3.0
-    gen = GeneratorSet(H=SZ, Ks=(ZERO2,))
+    gen = GeneratorSet(H=SZ, K=ZERO2)
     report = check_unitary_consistency(gen, beta, ell, initial_state_vector(), SZ, c=c)
     assert report.event.t == pytest.approx(ell * beta / c, rel=1e-15)
     assert report.plane_rest.offset == report.event.t
@@ -206,13 +206,13 @@ def test_unitary_consistency_honours_c():
 
 
 def test_unitary_consistency_refuses_non_commuting():
-    gen = GeneratorSet(H=SZ, Ks=(SY / 2,))
+    gen = GeneratorSet(H=SZ, K=SY / 2)
     with pytest.raises(NonCommutingGenerators):
         check_unitary_consistency(gen, 0.1, 10.0, initial_state_vector(), SX)
 
 
 def test_unitary_consistency_refuses_non_hermitian_observable():
-    gen = GeneratorSet(H=SZ, Ks=(ZERO2,))
+    gen = GeneratorSet(H=SZ, K=ZERO2)
     with pytest.raises(NonHermitianInput, match="observable"):
         check_unitary_consistency(gen, 0.1, 10.0, initial_state_vector(), np.array([[0, 1], [0, 0]]))
 
