@@ -271,10 +271,10 @@ def lindblad_propagate(
         raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'rk4'")
     sup = liouvillian(gen)
     spans = np.asarray(span, dtype=np.float64)
-    rhos = [_lindblad_apply(rho0, gen, sup, a, method, step) for a in spans.reshape(-1).tolist()]
-    if spans.ndim == 0:
-        return rhos[0]
-    return np.array(rhos, dtype=np.complex128).reshape(spans.shape + rho0.shape)
+    out = np.empty(spans.shape + rho0.shape, dtype=np.complex128)
+    for i, a in np.ndenumerate(spans):
+        out[i] = _lindblad_apply(rho0, gen, sup, float(a), method, step)
+    return out
 
 
 def _lindblad_apply(rho0: np.ndarray, gen: GeneratorSet, sup: np.ndarray, span: float,
