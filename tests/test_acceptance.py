@@ -45,6 +45,7 @@ from qfoliation.scenarios import (
     CounterexampleParams,
     QsdSettings,
     check_unitary_consistency,
+    dephasing_model,
     dissipative_consistency,
     initial_state,
     initial_state_vector,
@@ -168,6 +169,23 @@ def test_unraveling_before_localization_sees_the_noise_amplitude():
     n_traj = 10_000
     finals = ensemble_final_states(PLUS_STATE, gen, cfg, n_traj)
     assert trace_distance(mean_projector(finals), ref) <= 5.0 / math.sqrt(n_traj)
+
+
+def test_localization_statistic_decays_at_the_unraveling_rate():
+    # a third oracle, on the trajectories rather than their mean: in the
+    # renormalized dephasing unraveling p = |psi_0|^2 obeys
+    # dp = sqrt(2 gamma) p (1 - p) dW, so by Ito's formula f = |psi_0||psi_1|
+    # drifts at -(gamma/4) f and E f(t) = f(0) exp(-gamma t/4) (Gisin &
+    # Percival, J. Phys. A 25 (1992) 5677); the master equation does not fix
+    # this rate, so a wrong noise amplitude moves it
+    gamma, n_traj = 1.0, 10_000
+    cfg = TrajectoryConfig(step=0.01, steps=200, seed=MASTER_SEED)
+    finals = ensemble_final_states(initial_state_vector(), dephasing_model(gamma), cfg, n_traj)
+    f = np.abs(finals[:, 0]) * np.abs(finals[:, 1])
+    expected = 0.5 * math.exp(-gamma * cfg.span / 4.0)
+    se = float(np.std(f, ddof=1)) / math.sqrt(n_traj)
+    z = (float(np.mean(f)) - expected) / se
+    assert abs(z) <= 5.0, f"mean f {np.mean(f):.6f} vs {expected:.6f}: {z:+.2f} SE (SE {se:.2e})"
 
 
 def test_criterion_4_observer_consistency():
