@@ -6,7 +6,7 @@ resolved configuration (defaults filled) so every output file is
 self-describing and reproducible. No environment variables are consulted.
 
 Exit status: 0 success, 1 configuration/validation failure, 2 numerical
-invariant breach.
+invariant breach, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ log = logging.getLogger("qfoliation")
 COMMANDS = ("counterexample", "sweep", "consistency", "lindblad", "qsd-ensemble")
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
+
+# work ceiling of one lindblad run: about half an hour at ~180 us per offset
+MAX_LINDBLAD_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -382,6 +385,9 @@ def _run_consistency(cfg: RunConfig) -> dict:
 def _run_lindblad(cfg: RunConfig) -> dict:
     params = cfg.params
     gamma, span, samples = params["gamma"], params["span"], params["samples"]
+    if samples > MAX_LINDBLAD_SAMPLES:
+        raise ValidationError(f"samples = {samples} offsets exceeds the work ceiling "
+                              f"of {MAX_LINDBLAD_SAMPLES:.0e}")
     rho0 = _matrix_param(params, "rho0", scenarios.initial_state())
     offsets = [span * i / samples for i in range(1, samples + 1)]
     rhos = lindblad_propagate(rho0, scenarios.dephasing_model(gamma), offsets,
@@ -543,7 +549,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"qfoliation: {exc}", file=sys.stderr)
         return 1
-    return run(cfg)
+    try:
+        return run(cfg)
+    except KeyboardInterrupt:  # the report write is atomic, so nothing partial is left
+        print("qfoliation: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

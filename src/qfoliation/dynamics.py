@@ -55,8 +55,8 @@ from .errors import (
 )
 from .foliation import lorentz_gamma
 from .linalg import (
-    _ZERO_NORM_FLOOR,
     TOL,
+    ZERO_NORM_FLOOR,
     as_complex,
     expm_generator,
     require_density,
@@ -72,6 +72,9 @@ LINDBLAD_METHODS = ("exact", "rk4")
 # step * ||L^dag L|| above this draws a warning: the Euler-Maruyama weak
 # error is no longer comfortably below typical ensemble statistics.
 QSD_STEP_SAFETY = 0.1
+
+# work ceiling of one QSD run: about 20 min at ~120 ns per trajectory-step
+MAX_TRAJECTORY_STEPS = 10**10
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -456,7 +459,7 @@ def _qsd_step_batch(
         norms += sq[i, 1::2]
     np.sqrt(norms, out=norms)
     worst = float(norms.min())
-    if worst < _ZERO_NORM_FLOOR:
+    if worst < ZERO_NORM_FLOOR:
         raise ZeroNorm(f"trajectory norm collapsed to {worst:.3e} before renormalization")
     peak = float(norms.max())  # NaN if any norm is NaN
     if not math.isfinite(peak):
@@ -518,9 +521,16 @@ def _qsd_batches(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, str
     are. The batch is stepped as columns, shape (dim, M), in two alternating
     buffers; each yield is a transposed view that the step after next
     overwrites, so a caller copies what it keeps before advancing twice.
+    More than MAX_TRAJECTORY_STEPS trajectory-steps is refused before the first.
     """
     psi0 = validate_state(psi0)
     require_same_dim(psi0, gen.H)
+    work = len(streams) * cfg.steps
+    if work > MAX_TRAJECTORY_STEPS:
+        raise ValidationError(
+            f"n_traj * steps = {len(streams)} * {cfg.steps} = {work:.3g} trajectory-steps "
+            f"exceeds the work ceiling of {MAX_TRAJECTORY_STEPS:.0e}"
+        )
     _warn_if_step_coarse(gen, cfg.step)
     ops = _qsd_ops(gen, cfg.step)
     k = len(ops[1])
@@ -585,7 +595,7 @@ def mean_projector(states: np.ndarray) -> np.ndarray:
     """Mean of |psi><psi| over the rows of states, shape (M, dim); each row is
     normalized first, so the mean has unit trace for unrenormalized runs too."""
     norms = np.sqrt(np.einsum("mi,mi->m", states.conj(), states).real)
-    if np.any(norms < _ZERO_NORM_FLOOR):
+    if np.any(norms < ZERO_NORM_FLOOR):
         raise ZeroNorm(f"final-state norm collapsed to {float(np.min(norms)):.3e}")
     states = states / norms[:, None]
     rho = np.einsum("mi,mj->ij", states, states.conj()) / len(states)

@@ -27,8 +27,7 @@ from .errors import (
 )
 
 TOL = 1e-9
-
-_ZERO_NORM_FLOOR = 1e-12
+ZERO_NORM_FLOOR = 1e-12
 
 
 def as_complex(values) -> np.ndarray:
@@ -90,8 +89,8 @@ def normalize_state(psi: np.ndarray) -> np.ndarray:
     """Return psi scaled to unit norm; ZeroNorm if the norm is degenerate."""
     psi = as_complex(psi)
     n = float(np.linalg.norm(psi))
-    if n < _ZERO_NORM_FLOOR:
-        raise ZeroNorm(f"state norm {n:.3e} below floor {_ZERO_NORM_FLOOR:.0e}")
+    if n < ZERO_NORM_FLOOR:
+        raise ZeroNorm(f"state norm {n:.3e} below floor {ZERO_NORM_FLOOR:.0e}")
     return psi / n
 
 

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from qfoliation import cli, rng
 from qfoliation.cli import main, parse_config
 from qfoliation.dynamics import lindblad_propagate
 from qfoliation.errors import NumericalError, ValidationError
@@ -130,6 +131,18 @@ def test_zero_psi0_exits_1(tmp_path, capsys, command, params):
     assert status == 1
     assert "validation failure" in err and "state norm 0 deviates from 1" in err
     assert not os.path.exists(out)
+
+
+def test_near_unit_psi0_is_accepted_with_a_unit_trace_reference(tmp_path, capsys):
+    # |psi0| is within TOL of 1, so psi0 is valid; |psi0><psi0| would have a
+    # trace 1.6e-9 off 1, and refusing it would name an rho0 never given
+    doc = {"command": "qsd-ensemble", "format": "json",
+           "params": {"gamma": 1.0, "span": 0.1, "n_traj": 10, "psi0": [[1.0000000008, 0], [0, 0]]}}
+    status, err, out = run_doc(tmp_path, {**doc, "output_path": str(tmp_path / "r.json")}, capsys)
+    assert status == 0, err
+    with open(out, encoding="utf-8") as fh:
+        rho = json.load(fh)["results"]["rho_lindblad"]["entries_row_major"]
+    assert abs(rho[0][0][0] + rho[1][1][0] - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("params", [{"psi0": [[1, 0], [0, 0], [0, 0]]}, {"h": EYE3}],
@@ -320,3 +333,50 @@ def test_seed_flag_replaces_an_invalid_document_seed(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     assert run_flags(tmp_path, {**LINDBLAD, "seed": "abc"}, "--seed", "3") == 0
     assert "seed: 3" in capsys.readouterr().out
+
+
+# -- every run ends ---------------------------------------------------------------------
+
+
+def _started(*args, **kwargs):
+    raise RuntimeError("the run started the work that its ceiling refuses")
+
+
+@pytest.mark.parametrize(
+    "doc, product",
+    [
+        ({"command": "qsd-ensemble",
+          "params": {"gamma": 1.0, "span": 1e6, "step": 1e-9, "n_traj": 1}},
+         "n_traj * steps = 1 * 1000000000000000 = 1e+15 trajectory-steps"),
+        ({"command": "counterexample",
+          "params": {"beta": 0.01, "ell": 3000, "gamma": 1.0, "qsd": {"n_traj": 10, "step": 1e-9}}},
+         "n_traj * steps = 10 * 30000000000 = 3e+11 trajectory-steps"),
+        ({"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0, "samples": 10**9}},
+         "samples = 1000000000 offsets"),
+    ],
+    ids=["qsd-ensemble", "counterexample-qsd", "lindblad-samples"],
+)
+def test_run_over_its_work_ceiling_exits_1_before_it_starts(tmp_path, capsys, monkeypatch,
+                                                            doc, product):
+    # the first QSD step draws noise and the first lindblad point takes the
+    # closed form: a run that gets that far was not refused
+    monkeypatch.setattr(rng, "wiener_block", _started)
+    monkeypatch.setattr(cli, "lindblad_exact_twolevel", _started)
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert "validation failure" in err and product in err and "exceeds the work ceiling" in err
+    assert not os.path.exists(out)
+
+
+# -- Ctrl-C -----------------------------------------------------------------------------
+
+
+def test_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._RUNNERS, "lindblad", interrupted)
+    status, err, out = run_doc(tmp_path, LINDBLAD, capsys)
+    assert status == 130
+    assert err == "qfoliation: interrupted\n"
+    assert not os.path.exists(out)

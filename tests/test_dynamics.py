@@ -6,6 +6,7 @@ import pytest
 
 from qfoliation.dynamics import (
     _PADE,
+    MAX_TRAJECTORY_STEPS,
     GeneratorSet,
     TrajectoryConfig,
     _expm,
@@ -472,6 +473,23 @@ def test_qsd_trajectory_warns_on_coarse_step():
     gen = decoherence_model(4.0)
     with pytest.warns(UserWarning, match="exceeds"):
         qsd_trajectory(PLUS_STATE, gen, TrajectoryConfig(step=0.1, steps=1, seed=0))
+
+
+def test_qsd_work_ceiling_refuses_one_trajectory_step_more(monkeypatch):
+    class Started(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr("qfoliation.rng.wiener_block", started)
+    gen = decoherence_model()
+    at_ceiling = TrajectoryConfig(step=1e-3, steps=MAX_TRAJECTORY_STEPS // 2)
+    with pytest.raises(Started):
+        ensemble_final_states(PLUS_STATE, gen, at_ceiling, 2)
+    over = TrajectoryConfig(step=1e-3, steps=MAX_TRAJECTORY_STEPS // 2 + 1)
+    with pytest.raises(ValidationError, match=r"n_traj \* steps = 2 \* 5000000001 = 1e\+10"):
+        ensemble_final_states(PLUS_STATE, gen, over, 2)
 
 
 def test_qsd_reduction_frequencies():
