@@ -252,7 +252,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def lindblad_propagate(
     rho0: np.ndarray,
     gen: GeneratorSet,
-    span,
+    span: float | np.ndarray,
     method: str = "exact",
     step: float | None = None,
 ) -> np.ndarray:
