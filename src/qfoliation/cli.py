@@ -40,8 +40,10 @@ COMMANDS = ("counterexample", "sweep", "consistency", "lindblad", "qsd-ensemble"
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
-# work ceiling of one lindblad run: about half an hour at ~180 us per offset
-MAX_LINDBLAD_SAMPLES = 10**7
+# work ceiling of one lindblad run, bounding memory as well as time: at
+# ~180 us and ~0.7 KiB (CSV) to ~1.7 KiB (JSON) of peak memory per offset,
+# about 3 min and 0.7-1.7 GB
+MAX_LINDBLAD_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)

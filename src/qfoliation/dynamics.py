@@ -23,6 +23,10 @@ The unraveling is the standard quantum-state-diffusion Ito form with one
 complex Wiener process per coupling operator: drift
 (<L^dag>L - L^dag L/2 - <L^dag><L>/2) psi and diffusion (L - <L>) psi per
 channel, integrated by Euler-Maruyama with optional per-step renormalization.
+The increments are the two-point ones of `rng` (the simplified weak Euler
+scheme), so a `qsd_trajectory` path is a weak-scheme path, not a strong
+approximation of a QSD path: only ensemble means and other expectations
+converge, at weak order 1, and those are all any report reads.
 One loop (`_qsd_batches`) advances every trajectory; `qsd_trajectory`
 records its path and `ensemble_final_states` keeps only the last batch.
 The batch is held as columns, shape (dim, M), so component i of every
@@ -73,7 +77,7 @@ LINDBLAD_METHODS = ("exact", "rk4")
 # error is no longer comfortably below typical ensemble statistics.
 QSD_STEP_SAFETY = 0.1
 
-# work ceiling of one QSD run: about 20 min at ~120 ns per trajectory-step
+# work ceiling of one QSD run: about 10 min at ~57 ns per trajectory-step
 MAX_TRAJECTORY_STEPS = 10**10
 
 

@@ -36,9 +36,6 @@ class FourVector:
         """Minkowski inner product with signature (+,-,-,-)."""
         return self.t * other.t - self.x * other.x - self.y * other.y - self.z * other.z
 
-    def scale(self, factor: float) -> "FourVector":
-        return FourVector(self.t * factor, self.x * factor, self.y * factor, self.z * factor)
-
 
 @dataclass(frozen=True)
 class Hyperplane:

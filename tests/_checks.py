@@ -1,5 +1,6 @@
-"""Checks that only the tests use: hyperplane construction, event membership
-and the conjugate transpose, kept out of the package's public surface."""
+"""Checks that only the tests use: hyperplane construction, event membership,
+the conjugate transpose and the per-trajectory noise reference, kept out of
+the package's public surface."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 
 from qfoliation.errors import NotTimelike, PastPointing
 from qfoliation.foliation import FourVector, Hyperplane
+from qfoliation.rng import stream_keys, wiener_block
 
 
 def make_hyperplane(n_raw: FourVector, a: float) -> Hyperplane:
@@ -19,7 +21,8 @@ def make_hyperplane(n_raw: FourVector, a: float) -> Hyperplane:
         raise NotTimelike(f"normal must be time-like: n.n = {nn:.6g} <= 0")
     if n_raw.t <= 0.0:
         raise PastPointing(f"normal must be future-pointing, got t = {n_raw.t:.6g}")
-    return Hyperplane(n_raw.scale(1.0 / math.sqrt(nn)), a)
+    f = 1.0 / math.sqrt(nn)
+    return Hyperplane(FourVector(n_raw.t * f, n_raw.x * f, n_raw.y * f, n_raw.z * f), a)
 
 
 def event_tolerance(x: FourVector) -> float:
@@ -38,3 +41,13 @@ def contains_event(plane: Hyperplane, x: FourVector, tol: float | None = None) -
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T.copy()
+
+
+def wiener_increments(seed: int, stream: int, steps: int, channels: int, step: float) -> np.ndarray:
+    """Noise of trajectory `stream` drawn on its own, shape (steps, channels).
+
+    The per-row reference: row s must equal row m of the step-s wiener_block
+    of any batch whose m-th stream is `stream`.
+    """
+    keys = stream_keys(seed, [stream])
+    return np.concatenate([wiener_block(keys, s, channels, step) for s in range(steps)])

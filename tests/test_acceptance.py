@@ -40,7 +40,6 @@ from qfoliation.linalg import (
     trace_distance,
     validate_density,
 )
-from qfoliation.rng import wiener_increments
 from qfoliation.scenarios import (
     CounterexampleParams,
     QsdSettings,
@@ -53,7 +52,7 @@ from qfoliation.scenarios import (
     spin_observable,
     sweep_velocity,
 )
-from _checks import contains_event, dagger, make_hyperplane
+from _checks import contains_event, dagger, make_hyperplane, wiener_increments
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])

@@ -353,8 +353,10 @@ def _started(*args, **kwargs):
          "n_traj * steps = 10 * 30000000000 = 3e+11 trajectory-steps"),
         ({"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0, "samples": 10**9}},
          "samples = 1000000000 offsets"),
+        ({"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0, "samples": 10**6 + 1}},
+         "samples = 1000001 offsets"),
     ],
-    ids=["qsd-ensemble", "counterexample-qsd", "lindblad-samples"],
+    ids=["qsd-ensemble", "counterexample-qsd", "lindblad-samples", "lindblad-samples-memory"],
 )
 def test_run_over_its_work_ceiling_exits_1_before_it_starts(tmp_path, capsys, monkeypatch,
                                                             doc, product):
