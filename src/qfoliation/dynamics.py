@@ -77,7 +77,7 @@ LINDBLAD_METHODS = ("exact", "rk4")
 # error is no longer comfortably below typical ensemble statistics.
 QSD_STEP_SAFETY = 0.1
 
-# work ceiling of one QSD run: about 10 min at ~57 ns per trajectory-step
+# work ceiling of one QSD run: about 8 min at ~50 ns per trajectory-step
 MAX_TRAJECTORY_STEPS = 10**10
 
 
