@@ -218,38 +218,73 @@ _PADE = tuple(
 )
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a square matrix, by Pade scaling and squaring (Higham 2005).
+_THETAS = np.array([theta for _, theta, _ in _PADE])
 
-    The degree is the least m whose theta_m bounds ||a||_1; above theta_13,
-    a is scaled by 2^-s into range and the approximant squared s times. The
-    [m/m] approximant is q(-a)^-1 q(a) with q(a) = V + U, V the even and U
-    the odd part of its numerator. For an upper triangular a with s > 0, the
-    diagonal is reset to the exact exp(2^-j diag(a)) before and after each squaring,
-    which would amplify its error 2^s-fold (Al-Mohy & Higham, SIMAX 31 (2009) 970,
-    Fragment 2.1).
+# offsets propagated per block of stacked calls: bounds the work arrays of
+# lindblad_propagate, the largest being the Pade powers of _expm, at most
+# 7 * _LINDBLAD_BLOCK * d^4 complex entries (0.46 MB at d = 2)
+_LINDBLAD_BLOCK = 256
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a square matrix or a stack of them, shape (..., n, n), by Pade
+    scaling and squaring (Higham 2005).
+
+    Each matrix takes the least degree m whose theta_m bounds its ||a||_1;
+    above theta_13, it is scaled by 2^-s into range and the approximant
+    squared s times. The matrices that share a plan (m, s) go through
+    together, by stacked matmul and one stacked solve, so each result is bit
+    for bit the one its matrix gives alone.
     """
-    n = a.shape[0]
-    norm = float(np.abs(a).sum(axis=0).max())
-    if not math.isfinite(norm):
-        raise NumericalError(f"exponent 1-norm is {norm}: expm(span*L) overflows")
-    m, theta, coef = next((p for p in _PADE if norm <= p[1]), _PADE[-1])
-    frac, s = math.frexp(norm / theta)  # the least s >= 0 with norm <= 2^s theta
-    s = max(0, s - (frac == 0.5))
-    a = a / 2.0**s
-    triangular = s > 0 and not any(np.count_nonzero(a[i, :i]) for i in range(1, n))  # upper
-    powers = np.empty((m // 2 + 1, n, n), dtype=np.complex128)  # 1, a^2, a^4, ..., a^(m-1)
-    powers[0] = np.eye(n)
-    np.matmul(a, a, out=powers[1])
-    for j in range(2, len(powers)):
-        np.matmul(powers[j - 1], powers[1], out=powers[j])
-    v, odd = (coef @ powers.reshape(len(powers), -1)).reshape(2, n, n)
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    norms = abs(stack).sum(axis=1).max(axis=1, initial=0.0)
+    if not math.isfinite(norms.max(initial=0.0)):
+        bad = norms[~np.isfinite(norms)][0]
+        raise NumericalError(f"exponent 1-norm is {bad}: expm(span*L) overflows")
+    degree = (norms[:, None] > _THETAS[:-1]).sum(axis=1)  # index of the least theta >= norm
+    frac, s = np.frexp(norms / _THETAS[degree])  # the least s >= 0 with norm <= 2^s theta
+    s = np.maximum(s - (frac == 0.5), 0)
+    stack = stack / np.ldexp(1.0, s)[:, None, None]
+    plans = degree + len(_PADE) * s
+    out = np.empty_like(stack)
+    for plan in sorted(set(plans.tolist())):
+        sel = (plans == plan).nonzero()[0]
+        out[sel] = _expm_plan(stack[sel], *divmod(plan, len(_PADE)))
+    return out.reshape(a.shape)
+
+
+def _expm_plan(a: np.ndarray, s: int, m_index: int) -> np.ndarray:
+    """exp(2^s a) for a stack a, shape (B, n, n), whose matrices share s
+    squarings and the [m/m] Pade approximant of _PADE[m_index].
+
+    The approximant is q(-a)^-1 q(a) with q(a) = V + U, V the even and U the
+    odd part of its numerator. For an upper triangular matrix with s > 0,
+    the diagonal is reset to the exact exp(2^j diag(a)) before and after
+    each squaring, which would amplify its error 2^s-fold (Al-Mohy & Higham,
+    SIMAX 31 (2009) 970, Fragment 2.1).
+    """
+    m, _, coef = _PADE[m_index]
+    b, n = a.shape[0], a.shape[-1]
+    k = m // 2 + 1
+    powers = np.empty((b, k, n, n), dtype=np.complex128)  # 1, a^2, a^4, ..., a^(m-1)
+    powers[:, 0] = np.eye(n)
+    np.matmul(a, a, out=powers[:, 1])
+    for j in range(2, k):
+        np.matmul(powers[:, j - 1], powers[:, 1], out=powers[:, j])
+    even_odd = coef @ powers.reshape(b, k, n * n)
+    v, odd = even_odd[:, 0].reshape(b, n, n), even_odd[:, 1].reshape(b, n, n)
     u = a @ odd
     r = np.linalg.solve(v - u, v + u)
+    tri = np.zeros(b, dtype=bool)
+    if s:
+        lower = np.arange(n)[:, None] > np.arange(n)
+        tri = ~a[:, lower].any(axis=1)  # upper triangular
+    diag_a = a.diagonal(axis1=1, axis2=2)[tri]
     for j in range(s + 1):
-        r = r @ r if j else r
-        if triangular:
-            r.flat[:: n + 1] = np.exp(a.diagonal() * 2.0**j)
+        r = r @ r if j else r  # a fresh C-ordered array, so the reshape below is a view
+        if diag_a.size:
+            r.reshape(b, n * n)[:, :: n + 1][tri] = np.exp(diag_a * 2.0**j)
     return r
 
 
@@ -263,45 +298,39 @@ def lindblad_propagate(
     """Propagate a density matrix by `span` in the hyperplane offset.
 
     span is one offset, giving one density matrix, or an array of offsets,
-    giving shape span.shape + (d, d); rho0 and method are checked and the
-    d^2 x d^2 superoperator L = liouvillian(gen) built once for all of them.
-    `exact` applies expm(span*L) and validates to 1e-9. `rk4` takes the
-    `_fixed_steps(span, step)` plan of n classical Runge-Kutta steps of h,
-    which for this offset-independent generator is exactly
-    P(hL)^n vec(rho0) with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, applied by
-    repeated squaring; it requires step * ||generator|| <= 1 and validates
-    to 1e-6. Both costs grow as d^6; no caller goes above dim 4.
+    giving shape span.shape + (d, d); one offset is a 0-d stack on the same
+    path. rho0, method and every offset's sign are checked first, and each
+    zero offset returns rho0 exactly. The other offsets go through in blocks
+    of _LINDBLAD_BLOCK, each by stacked numpy calls: the propagators of the
+    block, their product with vec(rho0) in one matmul, and one stacked
+    validate_density. `exact` exponentiates every span*L, L =
+    liouvillian(gen), in one `_expm` call and validates to 1e-9. `rk4` takes
+    the `_fixed_steps(span, step)` plan of n classical Runge-Kutta steps of
+    h, which for this offset-independent generator is exactly P(hL)^n with
+    P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, built per offset by repeated
+    squaring; it requires step * ||generator|| <= 1 and validates to 1e-6.
+    Without dissipation the evolution is u rho0 u^dag, u = exp(-i span H).
+    Both costs grow as d^6; no caller goes above dim 4.
     """
     rho0 = require_density(rho0, "rho0")
     require_same_dim(rho0, gen.H)
     if method not in LINDBLAD_METHODS:
         raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'rk4'")
-    sup = liouvillian(gen)
     spans = np.asarray(span, dtype=np.float64)
+    negative = spans[spans < 0.0]
+    if negative.size:
+        raise ValidationError(f"span must be non-negative, got {negative[0]:.6g}")
     out = np.empty(spans.shape + rho0.shape, dtype=np.complex128)
-    for i, a in np.ndenumerate(spans):
-        out[i] = _lindblad_apply(rho0, gen, sup, float(a), method, step)
-    return out
+    flat = out.reshape((-1,) + rho0.shape)
+    flat[...] = rho0  # each zero offset keeps it exactly
+    spans = spans.reshape(-1)
+    live = spans.nonzero()[0]
+    if not live.size:
+        return out
 
-
-def _lindblad_apply(rho0: np.ndarray, gen: GeneratorSet, sup: np.ndarray, span: float,
-                    method: str, step: float | None) -> np.ndarray:
-    """`lindblad_propagate` of a checked rho0 and method to one offset, given sup = L."""
-    if span < 0.0:
-        raise ValidationError(f"span must be non-negative, got {span:.6g}")
-    if span == 0.0:
-        return rho0.copy()
-    if not any(np.any(lk) for lk in gen.Ls):
-        # vanishing dissipator: evolution is exactly unitary
-        u = expm_generator(gen.H, span)
-        return u @ rho0 @ u.conj().T
-
-    if method == "exact":
-        with np.errstate(over="ignore", invalid="ignore"):  # _expm refuses a non-finite product
-            exponent = sup * span
-        propagator = _expm(exponent)
-        tol = TOL
-    else:
+    unitary = not any(np.any(lk) for lk in gen.Ls)  # vanishing dissipator
+    rk4 = method == "rk4" and not unitary
+    if rk4:
         if step is None or step <= 0.0:
             raise ValidationError("rk4 requires a positive step")
         bound = generator_norm_bound(gen)
@@ -309,34 +338,53 @@ def _lindblad_apply(rho0: np.ndarray, gen: GeneratorSet, sup: np.ndarray, span: 
             raise StepTooLarge(
                 f"step*||generator|| = {step * bound:.3e} > 1; reduce step below {1.0 / bound:.3e}"
             )
-        h, n = _fixed_steps(span, step)
-        x = sup * h
-        eye = np.eye(x.shape[0], dtype=np.complex128)
-        # P(x) in Horner form
-        one_step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)
-        propagator = np.linalg.matrix_power(one_step, n)
-        tol = 1e-6
+    sup = None if unitary else liouvillian(gen)
+    for start in range(0, live.size, _LINDBLAD_BLOCK):
+        block = live[start:start + _LINDBLAD_BLOCK]
+        a = spans[block]
+        if unitary:
+            u = expm_generator(gen.H, a)
+            rhos = u @ rho0 @ u.conj().swapaxes(1, 2)
+        else:
+            if rk4:
+                propagators = np.array([_rk4_propagator(sup, x, step) for x in a.tolist()])
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):  # _expm refuses a non-finite product
+                    propagators = _expm(sup * a[:, None, None])
+            rhos = (propagators @ rho0.reshape(-1)).reshape(a.shape + rho0.shape)
+        flat[block] = validate_density(rhos, 1e-6 if rk4 else TOL)
+    return out
 
-    rho = (propagator @ rho0.reshape(-1)).reshape(rho0.shape)
-    return validate_density(rho, tol)
+
+def _rk4_propagator(sup: np.ndarray, span: float, step: float) -> np.ndarray:
+    """P(hL)^n for the `_fixed_steps(span, step)` plan (h, n), given sup = L."""
+    h, n = _fixed_steps(span, step)
+    x = sup * h
+    eye = np.eye(x.shape[0], dtype=np.complex128)
+    # P(x) in Horner form
+    one_step = eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)
+    return np.linalg.matrix_power(one_step, n)
 
 
-def lindblad_exact_twolevel(rho0: np.ndarray, gamma: float, span: float) -> np.ndarray:
+def lindblad_exact_twolevel(rho0: np.ndarray, gamma: float, span) -> np.ndarray:
     """Closed form for a two-level system with H = 0, L = sqrt(gamma)|0><0|.
 
     Populations are constant and each coherence decays by
     exp(-gamma*span/2); serves as the independent oracle for
-    lindblad_propagate on the decoherence scenario.
+    lindblad_propagate on the decoherence scenario. span is one offset or
+    an array of them, giving shape span.shape + (2, 2).
     """
     rho0 = require_square(as_complex(rho0))
     if rho0.shape != (2, 2):
         raise DimMismatch(f"closed form is for dim 2, got shape {rho0.shape}")
     if gamma < 0.0:
         raise ValidationError(f"gamma must be non-negative, got {gamma:.6g}")
-    decay = math.exp(-0.5 * gamma * span)
-    rho = rho0.copy()
-    rho[0, 1] *= decay
-    rho[1, 0] *= decay
+    spans = np.asarray(span, dtype=np.float64)
+    # math.exp per offset: numpy's vectorized exp may differ from it in the last bit
+    decay = np.array([math.exp(-0.5 * gamma * a) for a in spans.reshape(-1).tolist()])
+    rho = np.broadcast_to(rho0, spans.shape + (2, 2)).copy()
+    rho[..., 0, 1] *= decay.reshape(spans.shape)
+    rho[..., 1, 0] *= decay.reshape(spans.shape)
     return rho
 
 

@@ -2,9 +2,12 @@
 
 States are plain numpy arrays: a state vector is a 1-D complex array of unit
 Euclidean norm, a density matrix is a Hermitian, unit-trace, positive
-semidefinite 2-D complex array. Validators return the checked array; all
-operations return new arrays and never mutate their inputs. `TOL` is the one
-tolerance of every Hermiticity, trace, positivity and state-norm check.
+semidefinite 2-D complex array. `validate_density` and `trace_distance` also
+take stacks of matrices, shape (..., d, d), and `expm_generator` an array of
+parameters, each in one stacked numpy call per step. Validators return the
+checked array; all operations return new arrays and never mutate their
+inputs. `TOL` is the one tolerance of every Hermiticity, trace, positivity
+and state-norm check.
 
 `require_*` and `validate_state` check given values and raise ValidationError,
 an input error (CLI exit 1). `validate_density` and the zero-norm floor check
@@ -51,6 +54,12 @@ def require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _require_square_stack(m: np.ndarray) -> np.ndarray:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise DimMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return m
+
+
 def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[-1] != b.shape[-1]:
         raise DimMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
@@ -66,23 +75,26 @@ def require_hermitian(m, name: str) -> np.ndarray:
 
 
 def require_density(rho, name: str) -> np.ndarray:
-    """rho as a validated density matrix; ValidationError names it if it is not one."""
+    """rho as one validated density matrix; ValidationError names it if it is not one."""
+    rho = require_square(np.asarray(rho))
     try:
         return validate_density(rho)
     except NumericalError as exc:
         raise ValidationError(f"{name} is not a density matrix: {exc}") from exc
 
 
-def expm_generator(g: np.ndarray, s: float) -> np.ndarray:
+def expm_generator(g: np.ndarray, s) -> np.ndarray:
     """exp(-i*s*g) for Hermitian g, via eigendecomposition.
 
-    Unitary to floating-point accuracy for the small dimensions handled
-    here; raises NonHermitianInput if g fails the Hermiticity check.
+    s is one parameter or an array of them, giving shape s.shape + g.shape
+    from the one decomposition of g. Unitary to floating-point accuracy for
+    the small dimensions handled here; raises NonHermitianInput if g fails
+    the Hermiticity check.
     """
     g = require_hermitian(g, "generator")
     w, v = np.linalg.eigh(g)
-    phases = np.exp(-1j * s * w)
-    return (v * phases) @ v.conj().T
+    phases = np.exp(-1j * np.multiply.outer(s, w))
+    return (v * phases[..., None, :]) @ v.conj().T
 
 
 def normalize_state(psi: np.ndarray) -> np.ndarray:
@@ -123,13 +135,18 @@ def _real_part(val: complex) -> float:
     return val.real
 
 
-def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Half the sum of absolute eigenvalues of (rho1 - rho2)."""
-    rho1 = require_square(np.asarray(rho1))
-    rho2 = require_square(np.asarray(rho2))
+def trace_distance(rho1: np.ndarray, rho2: np.ndarray):
+    """Half the sum of absolute eigenvalues of (rho1 - rho2).
+
+    A float for two matrices; for stacks, shape (..., d, d), which broadcast
+    against each other, the array of distances from one stacked eigvalsh.
+    """
+    rho1 = _require_square_stack(np.asarray(rho1))
+    rho2 = _require_square_stack(np.asarray(rho2))
     require_same_dim(rho1, rho2)
     w = np.linalg.eigvalsh(rho1 - rho2)
-    return 0.5 * float(np.sum(np.abs(w)))
+    dist = 0.5 * np.abs(w).sum(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def purity(rho: np.ndarray) -> float:
@@ -141,18 +158,29 @@ def purity(rho: np.ndarray) -> float:
 def validate_density(rho: np.ndarray, tol: float = TOL) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity, each to tol; return the matrix.
 
-    Each failure names the violated invariant and its magnitude.
+    rho is one matrix or a stack of them, shape (..., d, d), checked by one
+    stacked call per invariant. Each failure names the violated invariant
+    and its magnitude; in a stack, the first failing matrix raises what it
+    raises alone, where Hermiticity is checked before the trace and both
+    before positivity.
     """
-    rho = require_square(as_complex(rho))
-    defect = hermiticity_defect(rho)
-    if defect > tol:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds tolerance {tol:.1e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
+    rho = _require_square_stack(as_complex(rho))
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+    adj = stack.conj().swapaxes(1, 2)
+    defect = abs(stack - adj).max(axis=(1, 2), initial=0.0)
+    trace = stack.trace(axis1=1, axis2=2)
+    failed = ((defect > tol) | (abs(trace - 1.0) > tol)).nonzero()[0]
+    n_ok = failed[0] if failed.size else len(stack)  # the matrices before the first failure
+    if n_ok:
+        w_min = np.linalg.eigvalsh(0.5 * (stack[:n_ok] + adj[:n_ok])).min(axis=1)
+        negative = (w_min < -tol).nonzero()[0]
+        if negative.size:
+            raise NotPositive(f"smallest eigenvalue {w_min[negative[0]]:.3e} below -{tol:.1e}")
+    if failed.size:
+        if defect[n_ok] > tol:
+            raise NotHermitian(f"Hermiticity defect {defect[n_ok]:.3e} exceeds tolerance {tol:.1e}")
+        tr = complex(trace[n_ok])
         raise BadTrace(f"trace {tr:.12g} deviates from 1 by {abs(tr - 1.0):.3e}")
-    w_min = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if w_min < -tol:
-        raise NotPositive(f"smallest eigenvalue {w_min:.3e} below -{tol:.1e}")
     return rho
 
 

@@ -51,7 +51,12 @@ def stream_keys(seed: int, streams) -> np.ndarray:
     """64-bit keys of the given stream indices under `seed`."""
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    streams = np.asarray(streams, dtype=np.uint64)
+    streams = np.asarray(streams)
+    if streams.size and streams.dtype.kind not in "iu":
+        raise ValidationError(f"stream indices must be integers, got dtype {streams.dtype}")
+    if streams.size and streams.min() < 0:
+        raise ValidationError(f"stream indices must be non-negative, got {streams.min()}")
+    streams = streams.astype(np.uint64)
     s = _mix(np.array([seed & _U64_MASK], dtype=np.uint64) + _GOLDEN)
     t = _mix(streams * _STREAM_SALT + _GOLDEN)
     return _mix(s ^ t)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qfoliation
+from qfoliation import dynamics
 from qfoliation.cli import (
     RunConfig,
     format_fixed,
@@ -376,3 +377,25 @@ def test_cli_never_imports_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"import": [], "lindblad": [0, []], "counterexample": [0, []]}
+
+
+def test_lindblad_samples_take_stacked_calls_not_one_per_offset(tmp_path, monkeypatch):
+    # counts, not timings: a run that falls back to per-offset work calls
+    # _expm and eigvalsh once per sample instead of once per block
+    calls = {"expm": 0, "eigvalsh": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(dynamics, "_expm", counting("expm", dynamics._expm))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    samples = 2000
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 30.0, "samples": samples},
+           "output_path": str(tmp_path / "lindblad.csv")}
+    assert run(parse_config(json.dumps(doc))) == 0
+    blocks = math.ceil(samples / dynamics._LINDBLAD_BLOCK)
+    assert 1 <= calls["expm"] <= blocks + 2
+    assert 1 <= calls["eigvalsh"] <= blocks + 3

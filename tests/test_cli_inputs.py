@@ -4,6 +4,7 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 from qfoliation import cli, rng
@@ -117,6 +118,21 @@ def test_rho0_that_is_not_a_density_exits_1(tmp_path, capsys, rho0):
     assert status == 1
     assert "validation failure" in err and "rho0 is not a density matrix" in err
     assert not os.path.exists(out)
+
+
+def test_rho0_stack_exits_1(tmp_path, capsys):
+    plus = [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0, "rho0": [plus, plus]}}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert "'rho0' must be a square matrix of [re, im] pairs, got shape (2, 2, 2, 2)" in err
+    assert not os.path.exists(out)
+
+
+def test_rho0_stack_is_refused_past_the_config_check():
+    # lindblad_propagate takes stacks of offsets, never a stack of initial states
+    with pytest.raises(ValidationError, match=r"square matrix, got shape \(2, 2, 2\)"):
+        lindblad_propagate(np.array([initial_state()] * 2), dephasing_model(1.0), 1.0)
 
 
 @pytest.mark.parametrize(

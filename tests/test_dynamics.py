@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qfoliation import dynamics
 from qfoliation.dynamics import (
     _PADE,
     MAX_TRAJECTORY_STEPS,
@@ -166,6 +167,42 @@ def test_lindblad_many_offsets_match_one_at_a_time(method, step):
         np.testing.assert_array_equal(rho, lindblad_propagate(PLUS_RHO, gen, a, method, step))
     grid = lindblad_propagate(PLUS_RHO, gen, np.reshape(offsets, (2, 2)), method, step)
     np.testing.assert_array_equal(grid, rhos.reshape(2, 2, 2, 2))
+
+
+def bits(m):
+    """The raw bits of a complex array: equal bits mean equal values and equal zero signs."""
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+@pytest.mark.parametrize("block", [dynamics._LINDBLAD_BLOCK, 3], ids=["one-block", "blocks-of-3"])
+@pytest.mark.parametrize(
+    "gamma, method, step",
+    [(1.0, "exact", None), (1.0, "rk4", 1e-2), (0.0, "exact", None), (0.0, "rk4", None)],
+    ids=["exact", "rk4", "gamma-0", "gamma-0-rk4"],
+)
+def test_lindblad_stack_is_one_at_a_time_bitwise(monkeypatch, block, gamma, method, step):
+    monkeypatch.setattr(dynamics, "_LINDBLAD_BLOCK", block)
+    gen = GeneratorSet(H=0.7 * SZ + 0.2 * SX, Ls=(decohering_coupling(gamma),))
+    rho0 = random_density(np.random.default_rng(67), 2)
+    # zero offsets first and in the middle; 1-norms of span*L over every Pade plan
+    offsets = np.array([0.0, 0.004, 0.3, 1.75, 0.0, 4.0, 9.0, 30.0])
+    rhos = lindblad_propagate(rho0, gen, offsets, method, step)
+    for a, rho in zip(offsets, rhos):
+        assert np.array_equal(bits(rho), bits(lindblad_propagate(rho0, gen, float(a), method, step)))
+    assert np.array_equal(bits(rhos[0]), bits(rho0)) and np.array_equal(bits(rhos[4]), bits(rho0))
+    grid = lindblad_propagate(rho0, gen, offsets.reshape(2, 4), method, step)
+    assert np.array_equal(bits(grid), bits(rhos.reshape(2, 4, 2, 2)))
+
+
+def test_lindblad_refuses_the_first_negative_offset_before_any_work(monkeypatch):
+    monkeypatch.setattr(dynamics, "liouvillian", _no_work)
+    monkeypatch.setattr(dynamics, "_expm", _no_work)
+    with pytest.raises(ValidationError, match="non-negative, got -2$"):
+        lindblad_propagate(PLUS_RHO, decoherence_model(), [1.0, 0.0, -2.0, 3.0, -5.0])
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before every offset was checked")
 
 
 def test_lindblad_many_offsets_checked_once_and_each():
@@ -369,6 +406,36 @@ def test_expm_upper_triangular_diagonal_is_exact():
             assert norm1(got - ref) <= 1e-12 * norm1(ref)
 
 
+def test_expm_of_a_stack_is_each_matrix_bitwise():
+    rng = np.random.default_rng(71)
+    mats = []
+    for target in (0.01, 0.2, 0.9, 2.0, 5.0, 40.0, 300.0):
+        for _ in range(3):
+            sup = liouvillian(random_model(rng, 2, n_ls=int(rng.integers(0, 3))))
+            mats.append(sup * (target / norm1(sup)))
+        a = np.triu(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        a[np.diag_indices(4)] -= np.abs(a.diagonal().real) + 1.0
+        mats.append(a * (target / norm1(a)))
+    mats.append(np.zeros((4, 4), dtype=complex))
+    order = rng.permutation(len(mats))  # plans interleaved, not in runs
+    stack = np.array(mats)[order]
+    choices = {pade_choice(a) for a in stack if norm1(a)}
+    assert {m for m, _ in choices} == {3, 5, 7, 9, 13}
+    assert {s for _, s in choices} >= {0, 3, 6}
+    got = _expm(stack)
+    for a, e in zip(stack, got):
+        assert np.array_equal(bits(e), bits(_expm(a)))
+    grid = _expm(stack[:28].reshape(4, 7, 4, 4))
+    assert np.array_equal(bits(grid), bits(got[:28].reshape(4, 7, 4, 4)))
+
+
+def test_expm_stack_reports_the_first_non_finite_exponent():
+    stack = np.zeros((3, 4, 4), dtype=complex)
+    stack[1, 2, 2], stack[2, 0, 0] = -np.inf, np.nan
+    with pytest.raises(NumericalError, match="1-norm is inf"):
+        _expm(stack)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_expm_refuses_non_finite_exponent(bad):
     a = np.zeros((4, 4), dtype=complex)
@@ -449,6 +516,12 @@ def test_qsd_trajectory_deterministic():
     np.testing.assert_array_equal(a, b)
     c = qsd_trajectory(PLUS_STATE, gen, TrajectoryConfig(step=0.01, steps=150, seed=78))
     assert not np.array_equal(a, c)
+
+
+def test_qsd_trajectory_refuses_a_negative_stream():
+    cfg = TrajectoryConfig(step=0.01, steps=3)
+    with pytest.raises(ValidationError, match="non-negative, got -1"):
+        qsd_trajectory(PLUS_STATE, decoherence_model(), cfg, stream=-1)
 
 
 def test_qsd_trajectory_norms_when_renormalizing():

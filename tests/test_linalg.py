@@ -19,6 +19,7 @@ from qfoliation.linalg import (
     hermiticity_defect,
     normalize_state,
     purity,
+    require_density,
     state_expectation,
     trace_distance,
     validate_density,
@@ -242,6 +243,76 @@ def test_validate_tolerances_overridable():
     with pytest.raises(NotHermitian):
         validate_density(nearly + np.array([[0, 1e-8], [0, 0]]))
     validate_density(nearly, tol=1e-6)
+
+
+BAD_DENSITIES = {
+    "not-hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
+    "bad-trace": np.diag([0.7, 0.7]),
+    "not-positive": np.array([[0.5, 0.6], [0.6, 0.5]]),
+    # fails Hermiticity and positivity: alone it raises NotHermitian
+    "not-hermitian-nor-positive": np.array([[2.0, 3.0], [0.0, -1.0]]),
+}
+
+
+def error_of(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("first, later", [
+    ("not-positive", "not-hermitian"),
+    ("not-hermitian", "not-positive"),
+    ("bad-trace", "not-positive"),
+    ("not-positive", "bad-trace"),
+    ("not-hermitian-nor-positive", "bad-trace"),
+    ("bad-trace", "not-hermitian"),
+])
+def test_validate_stack_raises_what_its_first_bad_matrix_raises(first, later):
+    rng = np.random.default_rng(47)
+    stack = np.array([random_density(rng, 2), random_density(rng, 2), BAD_DENSITIES[first],
+                      random_density(rng, 2), BAD_DENSITIES[later]])
+    alone = error_of(lambda: validate_density(BAD_DENSITIES[first]))
+    assert error_of(lambda: validate_density(stack)) == alone
+    assert error_of(lambda: validate_density(stack.reshape(5, 1, 2, 2))) == alone
+
+
+def test_validate_stack_returns_every_matrix():
+    rng = np.random.default_rng(53)
+    stack = np.array([[random_density(rng, 3) for _ in range(4)] for _ in range(2)])
+    got = validate_density(stack)
+    assert got.shape == (2, 4, 3, 3)
+    np.testing.assert_array_equal(got, stack)
+    assert validate_density(np.empty((0, 2, 2))).shape == (0, 2, 2)
+    with pytest.raises(DimMismatch, match="stack"):
+        validate_density(np.ones((3, 2, 3)))
+
+
+def test_require_density_refuses_a_stack():
+    stack = np.array([PLUS, np.diag([1.0, 0.0])])
+    with pytest.raises(ValidationError, match=r"square matrix, got shape \(2, 2, 2\)"):
+        require_density(stack, "rho0")
+
+
+def test_trace_distance_of_stacks_is_each_pair():
+    rng = np.random.default_rng(59)
+    r1 = np.array([random_density(rng, 3) for _ in range(6)])
+    r2 = np.array([random_density(rng, 3) for _ in range(6)])
+    got = trace_distance(r1, r2)
+    assert got.shape == (6,)
+    assert got.tolist() == [trace_distance(a, b) for a, b in zip(r1, r2)]
+    assert trace_distance(r1, r2[0]).tolist() == [trace_distance(a, r2[0]) for a in r1]
+
+
+def test_expm_generator_of_many_parameters_is_each_one():
+    rng = np.random.default_rng(61)
+    g = random_hermitian(rng, 3)
+    s = rng.uniform(-10, 10, size=(2, 3))
+    got = expm_generator(g, s)
+    assert got.shape == (2, 3, 3, 3)
+    for i in np.ndindex(s.shape):
+        ref = expm_generator(g, float(s[i]))
+        np.testing.assert_array_equal(got[i].view(np.uint64), ref.view(np.uint64))
 
 
 # -- validate_state ----------------------------------------------------------------

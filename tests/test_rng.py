@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from qfoliation.errors import ValidationError
 from qfoliation.rng import stream_keys, wiener_block
 from _checks import wiener_increments
 
@@ -63,6 +64,13 @@ def test_wiener_increment_moments():
 def test_key_derivation_rejects_negative():
     with pytest.raises(ValueError):
         stream_keys(-1, [0])
+
+
+@pytest.mark.parametrize("streams", [[-1], [0, 3, -2], [1.5], [2**64], [True]],
+                         ids=["negative", "negative-later", "float", "beyond-uint64", "bool"])
+def test_stream_indices_must_be_non_negative_integers(streams):
+    with pytest.raises(ValidationError, match="stream indices must be"):
+        stream_keys(0, streams)
 
 
 def test_shapes():
