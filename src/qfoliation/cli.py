@@ -41,8 +41,8 @@ COMMANDS = ("counterexample", "sweep", "consistency", "lindblad", "qsd-ensemble"
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
 # work ceiling of one lindblad run, bounding memory as well as time: at
-# ~180 us and ~0.7 KiB (CSV) to ~1.7 KiB (JSON) of peak memory per offset,
-# about 3 min and 0.7-1.7 GB
+# ~21 us and ~0.8 KiB of peak memory per offset for CSV, ~33 us and
+# ~1.7 KiB for JSON (measured at 10^5), about 20-35 s and 0.8-1.7 GB
 MAX_LINDBLAD_SAMPLES = 10**6
 
 

@@ -4,7 +4,7 @@ Three transports act on a state:
 
 * deterministic completely-positive evolution of the density matrix along
   the hyperplane offset a (`lindblad_propagate`, to one offset or to an
-  array of offsets from one generator),
+  array of offsets from one generator, as one stacked computation),
 * its stochastic pure-state unraveling along a (`qsd_step`,
   `qsd_trajectory`, `ensemble_density`), whose ensemble mean reproduces
   the density-matrix evolution,
@@ -18,6 +18,14 @@ classical RK4 steps of h because L does not depend on a. The exponential is
 `_expm`, a Pade scaling-and-squaring method in numpy (Higham 2005). Fixed-step
 methods take n = max(1, ceiling of span/step) equal steps of h = span/n: rk4
 through `_fixed_steps`, the QSD ensembles through `TrajectoryConfig.covering`.
+One offset is a 0-d stack of offsets on the same path: the offsets of a
+`lindblad_propagate` call run in blocks of `_LINDBLAD_BLOCK`, which bound
+its memory. A block takes its propagators (for `exact`, one `_expm` call
+over its stack of span*L, where the matrices that share a Pade plan go
+through stacked matmul and one stacked solve; for `rk4`, P(hL)^n per
+offset), one matmul of the propagators with vec(rho0) and one stacked
+`validate_density`. Every stacked numpy call runs the same per-matrix
+arithmetic, so each density is bit for bit the one its offset gives alone.
 
 The unraveling is the standard quantum-state-diffusion Ito form with one
 complex Wiener process per coupling operator: drift
@@ -381,10 +389,11 @@ def lindblad_exact_twolevel(rho0: np.ndarray, gamma: float, span) -> np.ndarray:
         raise ValidationError(f"gamma must be non-negative, got {gamma:.6g}")
     spans = np.asarray(span, dtype=np.float64)
     # math.exp per offset: numpy's vectorized exp may differ from it in the last bit
-    decay = np.array([math.exp(-0.5 * gamma * a) for a in spans.reshape(-1).tolist()])
+    decay = np.array([math.exp(-0.5 * gamma * a) for a in spans.ravel().tolist()])
+    decay = decay.reshape(spans.shape)
     rho = np.broadcast_to(rho0, spans.shape + (2, 2)).copy()
-    rho[..., 0, 1] *= decay.reshape(spans.shape)
-    rho[..., 1, 0] *= decay.reshape(spans.shape)
+    rho[..., 0, 1] *= decay
+    rho[..., 1, 0] *= decay
     return rho
 
 

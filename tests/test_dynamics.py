@@ -184,14 +184,15 @@ def test_lindblad_stack_is_one_at_a_time_bitwise(monkeypatch, block, gamma, meth
     monkeypatch.setattr(dynamics, "_LINDBLAD_BLOCK", block)
     gen = GeneratorSet(H=0.7 * SZ + 0.2 * SX, Ls=(decohering_coupling(gamma),))
     rho0 = random_density(np.random.default_rng(67), 2)
-    # zero offsets first and in the middle; 1-norms of span*L over every Pade plan
-    offsets = np.array([0.0, 0.004, 0.3, 1.75, 0.0, 4.0, 9.0, 30.0])
+    # zero offsets first and in the middle; at gamma = 1 the 1-norms of span*L
+    # take Pade degrees 3, 5, 7, 9 and 13, the last with s = 0, 1, 2 and 4
+    offsets = np.array([0.0, 0.004, 0.1, 0.3, 0.8, 0.0, 1.75, 4.0, 9.0, 30.0])
     rhos = lindblad_propagate(rho0, gen, offsets, method, step)
     for a, rho in zip(offsets, rhos):
         assert np.array_equal(bits(rho), bits(lindblad_propagate(rho0, gen, float(a), method, step)))
-    assert np.array_equal(bits(rhos[0]), bits(rho0)) and np.array_equal(bits(rhos[4]), bits(rho0))
-    grid = lindblad_propagate(rho0, gen, offsets.reshape(2, 4), method, step)
-    assert np.array_equal(bits(grid), bits(rhos.reshape(2, 4, 2, 2)))
+    assert np.array_equal(bits(rhos[0]), bits(rho0)) and np.array_equal(bits(rhos[5]), bits(rho0))
+    grid = lindblad_propagate(rho0, gen, offsets.reshape(2, 5), method, step)
+    assert np.array_equal(bits(grid), bits(rhos.reshape(2, 5, 2, 2)))
 
 
 def test_lindblad_refuses_the_first_negative_offset_before_any_work(monkeypatch):
