@@ -40,9 +40,9 @@ COMMANDS = ("counterexample", "sweep", "consistency", "lindblad", "qsd-ensemble"
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
-# work ceiling of one lindblad run, bounding memory as well as time: at
-# ~21 us and ~0.8 KiB of peak memory per offset for CSV, ~33 us and
-# ~1.7 KiB for JSON (measured at 10^5), about 20-35 s and 0.8-1.7 GB
+# work ceiling of one lindblad run, in memory (up to ~1.7 KiB per offset,
+# 1.7 GB) and time (21-33 us per offset at span 30, but 0.7 ms at span
+# 1e300 as Pade squarings grow with log2(gamma*span): 12 min at 10^6)
 MAX_LINDBLAD_SAMPLES = 10**6
 
 
@@ -390,6 +390,8 @@ def _run_lindblad(cfg: RunConfig) -> dict:
     if samples > MAX_LINDBLAD_SAMPLES:
         raise ValidationError(f"samples = {samples} offsets exceeds the work ceiling "
                               f"of {MAX_LINDBLAD_SAMPLES:.0e}")
+    if not math.isfinite(span * samples):  # each offset is formed as (span * i) / samples
+        raise ValidationError(f"span * samples = {span:.6g} * {samples} is not finite")
     rho0 = _matrix_param(params, "rho0", scenarios.initial_state())
     offsets = span * np.arange(1, samples + 1) / samples
     rhos = lindblad_propagate(rho0, scenarios.dephasing_model(gamma), offsets,

@@ -11,14 +11,15 @@ Three transports act on a state:
 * unitary transport between hyperplane normals, i.e. boosts along +x by
   the one generator `GeneratorSet.K` (`boost_transport`).
 
-The Lindblad generator has one encoding, the superoperator `liouvillian`.
-Both Lindblad methods are a matrix applied to vec(rho): expm(span*L) for
-`exact`, and for `rk4` the Runge-Kutta polynomial P(hL)^n, which equals n
-classical RK4 steps of h because L does not depend on a. The exponential is
-`_expm`, a Pade scaling-and-squaring method in numpy (Higham 2005). Fixed-step
-methods take n = max(1, ceiling of span/step) equal steps of h = span/n: rk4
-through `_fixed_steps`, the QSD ensembles through `TrajectoryConfig.covering`.
-One offset is a 0-d stack of offsets on the same path: the offsets of a
+The Lindblad generator has one encoding, the superoperator `liouvillian`,
+and one path serves every generator, unitary or decohering. Both Lindblad
+methods are a matrix applied to vec(rho): expm(span*L) for `exact`, and for
+`rk4` the Runge-Kutta polynomial P(hL)^n, equal to n classical RK4 steps of
+h as L does not depend on a. The exponential is `_expm`, a Pade
+scaling-and-squaring method in numpy (Higham 2005). Fixed-step methods take
+n = max(1, ceiling of span/step) equal steps of h = span/n: rk4 through
+`_fixed_steps`, the QSD ensembles through `TrajectoryConfig.covering`. One
+offset is a 0-d stack of offsets on the same path: the offsets of a
 `lindblad_propagate` call run in blocks of `_LINDBLAD_BLOCK`, which bound
 its memory. A block takes its propagators (for `exact`, one `_expm` call
 over its stack of span*L, where the matrices that share a Pade plan go
@@ -307,18 +308,18 @@ def lindblad_propagate(
 
     span is one offset, giving one density matrix, or an array of offsets,
     giving shape span.shape + (d, d); one offset is a 0-d stack on the same
-    path. rho0, method and every offset's sign are checked first, and each
-    zero offset returns rho0 exactly. The other offsets go through in blocks
-    of _LINDBLAD_BLOCK, each by stacked numpy calls: the propagators of the
-    block, their product with vec(rho0) in one matmul, and one stacked
-    validate_density. `exact` exponentiates every span*L, L =
-    liouvillian(gen), in one `_expm` call and validates to 1e-9. `rk4` takes
-    the `_fixed_steps(span, step)` plan of n classical Runge-Kutta steps of
-    h, which for this offset-independent generator is exactly P(hL)^n with
-    P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, built per offset by repeated
-    squaring; it requires step * ||generator|| <= 1 and validates to 1e-6.
-    Without dissipation the evolution is u rho0 u^dag, u = exp(-i span H).
-    Both costs grow as d^6; no caller goes above dim 4.
+    path, and one path serves every generator. rho0, method, every offset's
+    sign and the rk4 step are checked first; each zero offset returns rho0
+    exactly. The other offsets go through in blocks of _LINDBLAD_BLOCK, each
+    by stacked numpy calls: the propagators of the block, their product with
+    vec(rho0) in one matmul, and one stacked validate_density. `exact`
+    exponentiates every span*L, L = liouvillian(gen), in one `_expm` call
+    and validates to 1e-9. `rk4` takes the `_fixed_steps(span, step)` plan
+    of n classical Runge-Kutta steps of h, which for this offset-independent
+    generator is exactly P(hL)^n with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24,
+    built per offset by repeated squaring; it requires step * ||generator||
+    <= 1 and validates to 1e-6. Without dissipation rk4 runs `exact` and
+    needs no step. Both costs grow as d^6; no caller goes above dim 4.
     """
     rho0 = require_density(rho0, "rho0")
     require_same_dim(rho0, gen.H)
@@ -328,16 +329,7 @@ def lindblad_propagate(
     negative = spans[spans < 0.0]
     if negative.size:
         raise ValidationError(f"span must be non-negative, got {negative[0]:.6g}")
-    out = np.empty(spans.shape + rho0.shape, dtype=np.complex128)
-    flat = out.reshape((-1,) + rho0.shape)
-    flat[...] = rho0  # each zero offset keeps it exactly
-    spans = spans.reshape(-1)
-    live = spans.nonzero()[0]
-    if not live.size:
-        return out
-
-    unitary = not any(np.any(lk) for lk in gen.Ls)  # vanishing dissipator
-    rk4 = method == "rk4" and not unitary
+    rk4 = method == "rk4" and any(np.any(lk) for lk in gen.Ls)  # no dissipator: exact
     if rk4:
         if step is None or step <= 0.0:
             raise ValidationError("rk4 requires a positive step")
@@ -346,20 +338,20 @@ def lindblad_propagate(
             raise StepTooLarge(
                 f"step*||generator|| = {step * bound:.3e} > 1; reduce step below {1.0 / bound:.3e}"
             )
-    sup = None if unitary else liouvillian(gen)
+    out = np.empty(spans.shape + rho0.shape, dtype=np.complex128)
+    out[...] = rho0  # each zero offset keeps it exactly
+    flat, spans = out.reshape((-1,) + rho0.shape), spans.reshape(-1)
+    live = spans.nonzero()[0]
+    sup = liouvillian(gen)
     for start in range(0, live.size, _LINDBLAD_BLOCK):
         block = live[start:start + _LINDBLAD_BLOCK]
         a = spans[block]
-        if unitary:
-            u = expm_generator(gen.H, a)
-            rhos = u @ rho0 @ u.conj().swapaxes(1, 2)
+        if rk4:
+            propagators = np.array([_rk4_propagator(sup, x, step) for x in a.tolist()])
         else:
-            if rk4:
-                propagators = np.array([_rk4_propagator(sup, x, step) for x in a.tolist()])
-            else:
-                with np.errstate(over="ignore", invalid="ignore"):  # _expm refuses a non-finite product
-                    propagators = _expm(sup * a[:, None, None])
-            rhos = (propagators @ rho0.reshape(-1)).reshape(a.shape + rho0.shape)
+            with np.errstate(over="ignore", invalid="ignore"):  # _expm refuses a non-finite product
+                propagators = _expm(sup * a[:, None, None])
+        rhos = (propagators @ rho0.reshape(-1)).reshape(a.shape + rho0.shape)
         flat[block] = validate_density(rhos, 1e-6 if rk4 else TOL)
     return out
 
@@ -462,7 +454,6 @@ class _StepBuffers:
         )
         self.sq = np.empty((d, 2 * m))
         self.norms = np.empty(m)
-        self.norms_pairs = np.empty((m, 2))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite norm is refused below
@@ -529,11 +520,9 @@ def _qsd_step_batch(
         # divide as floats: faster than complex division, and numpy's
         # broadcast complex-by-real division rounds a one-trajectory batch
         # differently from a long one
-        pairs = buf.norms_pairs
-        pairs[:, 0] = norms
-        pairs[:, 1] = norms
         flat = out.view(np.float64)
-        flat /= pairs.reshape(-1)
+        flat[:, 0::2] /= norms
+        flat[:, 1::2] /= norms
     return out
 
 
@@ -574,15 +563,16 @@ def _warn_if_step_coarse(gen: GeneratorSet, step: float) -> None:
 
 
 def _qsd_batches(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, streams):
-    """Run one trajectory per noise stream from psi0; yields the batch, shape
-    (len(streams), dim), at step 0 and after each of the cfg.steps steps.
+    """Run one trajectory per noise stream from psi0; returns an iterator over
+    the batch, shape (len(streams), dim), at step 0 and after each step.
 
     Row m runs on noise stream (cfg.seed, streams[m]) and, since the step
     arithmetic is per trajectory, is bit-identical whatever the other rows
     are. The batch is stepped as columns, shape (dim, M), in two alternating
-    buffers; each yield is a transposed view that the step after next
+    buffers; each item is a transposed view that the step after next
     overwrites, so a caller copies what it keeps before advancing twice.
-    More than MAX_TRAJECTORY_STEPS trajectory-steps is refused before the first.
+    The call itself refuses more than MAX_TRAJECTORY_STEPS trajectory-steps,
+    before anything is allocated; streams may be a range.
     """
     psi0 = validate_state(psi0)
     require_same_dim(psi0, gen.H)
@@ -593,6 +583,11 @@ def _qsd_batches(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, str
             f"exceeds the work ceiling of {MAX_TRAJECTORY_STEPS:.0e}"
         )
     _warn_if_step_coarse(gen, cfg.step)
+    return _qsd_run(psi0, gen, cfg, streams)
+
+
+def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, streams):
+    """The generator behind `_qsd_batches`, for inputs it has checked."""
     ops = _qsd_ops(gen, cfg.step)
     k = len(ops[1])
     keys = rng.stream_keys(cfg.seed, streams)
@@ -617,8 +612,9 @@ def qsd_trajectory(
     Deterministic given (cfg.seed, stream): the noise at every step is a
     pure function of those, so identical seeds give bit-identical paths.
     """
+    batches = _qsd_batches(psi0, gen, cfg, [stream])
     path = np.empty((cfg.steps + 1, gen.dim), dtype=np.complex128)
-    for s, psis in enumerate(_qsd_batches(psi0, gen, cfg, [stream])):
+    for s, psis in enumerate(batches):
         path[s] = psis[0]
     return path
 
@@ -637,7 +633,7 @@ def ensemble_final_states(
     """
     if n_traj < 1:
         raise ValidationError(f"need at least one trajectory, got {n_traj}")
-    for psis in _qsd_batches(psi0, gen, cfg, np.arange(n_traj)):
+    for psis in _qsd_batches(psi0, gen, cfg, range(n_traj)):
         pass
     return psis
 

@@ -2,12 +2,12 @@
 
 States are plain numpy arrays: a state vector is a 1-D complex array of unit
 Euclidean norm, a density matrix is a Hermitian, unit-trace, positive
-semidefinite 2-D complex array. `validate_density` and `trace_distance` also
-take stacks of matrices, shape (..., d, d), and `expm_generator` an array of
-parameters, each in one stacked numpy call per step. Validators return the
-checked array; all operations return new arrays and never mutate their
-inputs. `TOL` is the one tolerance of every Hermiticity, trace, positivity
-and state-norm check.
+semidefinite 2-D complex array. `hermiticity_defect`, `validate_density` and
+`trace_distance` also take stacks of matrices, shape (..., d, d), and
+`expm_generator` an array of parameters, each in one stacked numpy call per
+step. Validators return the checked array; all operations return new arrays
+and never mutate their inputs. `TOL` is the one tolerance of every
+Hermiticity, trace, positivity and state-norm check.
 
 `require_*` and `validate_state` check given values and raise ValidationError,
 an input error (CLI exit 1). `validate_density` and the zero-norm floor check
@@ -41,10 +41,12 @@ def as_complex(values) -> np.ndarray:
     return arr
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-abs deviation of m from its own conjugate transpose."""
+def hermiticity_defect(m: np.ndarray):
+    """Max-abs deviation of m from its own conjugate transpose: a float for one
+    matrix, and for a stack, shape (..., d, d), the array of their defects."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    defect = abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def require_square(m: np.ndarray) -> np.ndarray:
@@ -158,30 +160,29 @@ def purity(rho: np.ndarray) -> float:
 def validate_density(rho: np.ndarray, tol: float = TOL) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity, each to tol; return the matrix.
 
-    rho is one matrix or a stack of them, shape (..., d, d), checked by one
-    stacked call per invariant. Each failure names the violated invariant
-    and its magnitude; in a stack, the first failing matrix raises what it
-    raises alone, where Hermiticity is checked before the trace and both
-    before positivity.
+    rho is one matrix or a stack of them, shape (..., d, d). One pass checks
+    every matrix for all three invariants, by one stacked call each; the
+    first failing matrix raises what it raises alone, naming the violated
+    invariant and its magnitude, where Hermiticity is checked before the
+    trace and both before positivity.
     """
     rho = _require_square_stack(as_complex(rho))
     stack = rho.reshape((-1,) + rho.shape[-2:])
-    adj = stack.conj().swapaxes(1, 2)
-    defect = abs(stack - adj).max(axis=(1, 2), initial=0.0)
+    defect = hermiticity_defect(stack)
     trace = stack.trace(axis1=1, axis2=2)
-    failed = ((defect > tol) | (abs(trace - 1.0) > tol)).nonzero()[0]
-    n_ok = failed[0] if failed.size else len(stack)  # the matrices before the first failure
-    if n_ok:
-        w_min = np.linalg.eigvalsh(0.5 * (stack[:n_ok] + adj[:n_ok])).min(axis=1)
-        negative = (w_min < -tol).nonzero()[0]
-        if negative.size:
-            raise NotPositive(f"smallest eigenvalue {w_min[negative[0]]:.3e} below -{tol:.1e}")
-    if failed.size:
-        if defect[n_ok] > tol:
-            raise NotHermitian(f"Hermiticity defect {defect[n_ok]:.3e} exceeds tolerance {tol:.1e}")
-        tr = complex(trace[n_ok])
+    # halved before the sum, so entries near the float limit do not overflow
+    w_min = np.linalg.eigvalsh(0.5 * stack + 0.5 * stack.conj().swapaxes(1, 2)).min(axis=1)
+    not_hermitian, bad_trace, negative = defect > tol, abs(trace - 1.0) > tol, w_min < -tol
+    failed = (not_hermitian | bad_trace | negative).nonzero()[0]
+    if not failed.size:
+        return rho
+    i = failed[0]
+    if not_hermitian[i]:
+        raise NotHermitian(f"Hermiticity defect {defect[i]:.3e} exceeds tolerance {tol:.1e}")
+    if bad_trace[i]:
+        tr = complex(trace[i])
         raise BadTrace(f"trace {tr:.12g} deviates from 1 by {abs(tr - 1.0):.3e}")
-    return rho
+    raise NotPositive(f"smallest eigenvalue {w_min[i]:.3e} below -{tol:.1e}")
 
 
 def validate_state(psi: np.ndarray) -> np.ndarray:

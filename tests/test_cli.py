@@ -379,6 +379,26 @@ def test_cli_never_imports_scipy(tmp_path):
     assert seen == {"import": [], "lindblad": [0, []], "counterexample": [0, []]}
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["teleport", "--config", "c.json"], "argument command: invalid choice: 'teleport'"),
+        (["lindblad"], "the following arguments are required: --config"),
+    ],
+    ids=["unknown-command", "missing-config"],
+)
+def test_module_entry_point_refuses_bad_arguments_with_usage(tmp_path, args, message):
+    src = str(Path(qfoliation.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "qfoliation.cli", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: qfoliation ")
+    assert f"qfoliation: error: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert os.listdir(tmp_path) == []
+
+
 def test_lindblad_samples_take_stacked_calls_not_one_per_offset(tmp_path, monkeypatch):
     # counts, not timings: a run that falls back to per-offset work calls
     # _expm and eigvalsh once per sample instead of once per block

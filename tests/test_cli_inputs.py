@@ -267,18 +267,24 @@ def test_unrenormalized_ensemble_whose_norm_overflows_exits_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-# 10**15 trajectories need 7 PiB for their stream indices alone, more than any
-# address space holds, so the allocation fails at once without touching memory
+def _unallocatable(*args, **kwargs):
+    # 1 EiB is more than any address space holds, so the allocation fails at
+    # once without touching memory
+    return np.empty(2**60, dtype=np.uint8)
+
+
 @pytest.mark.parametrize(
     "doc",
     [
-        {"command": "qsd-ensemble", "params": {"gamma": 1.0, "span": 1.0, "n_traj": 10**15}},
+        {"command": "qsd-ensemble", "params": {"gamma": 1.0, "span": 1.0, "n_traj": 10}},
         {"command": "counterexample",
-         "params": {"beta": 0.01, "ell": 3000, "gamma": 1.0, "qsd": {"n_traj": 10**15}}},
+         "params": {"beta": 0.01, "ell": 3000, "gamma": 1.0, "qsd": {"n_traj": 10}}},
     ],
     ids=["qsd-ensemble", "counterexample-qsd"],
 )
-def test_ensemble_too_large_to_allocate_exits_1(tmp_path, capsys, doc):
+def test_ensemble_too_large_to_allocate_exits_1(tmp_path, capsys, monkeypatch, doc):
+    # the ensemble's first allocation of a size set by n_traj fails
+    monkeypatch.setattr(rng, "stream_keys", _unallocatable)
     status, err, out = run_doc(tmp_path, doc, capsys)
     assert status == 1
     assert "too large to allocate" in err
@@ -367,23 +373,86 @@ def _started(*args, **kwargs):
         ({"command": "counterexample",
           "params": {"beta": 0.01, "ell": 3000, "gamma": 1.0, "qsd": {"n_traj": 10, "step": 1e-9}}},
          "n_traj * steps = 10 * 30000000000 = 3e+11 trajectory-steps"),
+        # 10**15 trajectories, whose stream indices alone would take 7 PiB
+        ({"command": "qsd-ensemble", "params": {"gamma": 1.0, "span": 1.0, "n_traj": 10**15}},
+         "n_traj * steps = 1000000000000000 * 100 = 1e+17 trajectory-steps"),
+        ({"command": "counterexample",
+          "params": {"beta": 0.01, "ell": 3000, "gamma": 1.0, "qsd": {"n_traj": 10**15}}},
+         "n_traj * steps = 1000000000000000 * 3000 = 3e+18 trajectory-steps"),
         ({"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0, "samples": 10**9}},
          "samples = 1000000000 offsets"),
         ({"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0, "samples": 10**6 + 1}},
          "samples = 1000001 offsets"),
     ],
-    ids=["qsd-ensemble", "counterexample-qsd", "lindblad-samples", "lindblad-samples-memory"],
+    ids=["qsd-ensemble", "counterexample-qsd", "qsd-ensemble-1e15-traj",
+         "counterexample-qsd-1e15-traj", "lindblad-samples", "lindblad-samples-memory"],
 )
 def test_run_over_its_work_ceiling_exits_1_before_it_starts(tmp_path, capsys, monkeypatch,
                                                             doc, product):
-    # the first QSD step draws noise and the first lindblad point takes the
-    # closed form: a run that gets that far was not refused
+    # a QSD run makes its stream keys (its first allocation of its size) and
+    # draws noise, a lindblad run takes the closed form: a run that gets
+    # that far was not refused
+    monkeypatch.setattr(rng, "stream_keys", _started)
     monkeypatch.setattr(rng, "wiener_block", _started)
     monkeypatch.setattr(cli, "lindblad_exact_twolevel", _started)
     status, err, out = run_doc(tmp_path, doc, capsys)
     assert status == 1
     assert "validation failure" in err and product in err and "exceeds the work ceiling" in err
     assert not os.path.exists(out)
+
+
+def test_lindblad_whose_last_offset_overflows_exits_1_before_any_offset(tmp_path, capsys,
+                                                                        monkeypatch):
+    monkeypatch.setattr(cli, "lindblad_propagate", _started)
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1e308, "samples": 2}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert "validation failure: span * samples = 1e+308 * 2 is not finite" in err
+    assert not os.path.exists(out)
+
+
+# -- refusals of the schema and the parameter dataclasses -------------------------------
+
+QSD = {"gamma": 1.0, "span": 1.0, "n_traj": 2}
+COUNTEREXAMPLE = {"beta": 0.01, "ell": 3000, "gamma": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, params, message",
+    [
+        ("qsd-ensemble", {**QSD, "renormalize": 1}, "config key 'renormalize' must be a boolean"),
+        ("sweep", {**COUNTEREXAMPLE, "betas": []}, "config key 'betas' must be a non-empty list"),
+        ("sweep", {**COUNTEREXAMPLE, "betas": 0.1}, "config key 'betas' must be a non-empty list"),
+        ("qsd-ensemble", {**QSD, "span": 0}, "config key 'span' must be > 0"),
+        ("qsd-ensemble", {**QSD, "step": 0}, "config key 'step' must be > 0"),
+        ("lindblad", {"gamma": 1.0, "span": 1.0, "step": 0}, "config key 'step' must be > 0"),
+        ("counterexample", {**COUNTEREXAMPLE, "qsd": {"n_traj": 2, "seed": -1}},
+         "qsd seed must be non-negative"),
+        ("counterexample", {**COUNTEREXAMPLE, "qsd": {"n_traj": 2, "step": 0}},
+         "qsd step must be positive"),
+        ("counterexample", {**COUNTEREXAMPLE, "step": 0}, "step must be positive"),
+        ("counterexample", {**COUNTEREXAMPLE, "c": 0}, "c must be positive"),
+    ],
+    ids=["renormalize-not-bool", "betas-empty", "betas-not-list", "qsd-ensemble-span-0",
+         "qsd-ensemble-step-0", "lindblad-step-0", "counterexample-qsd-seed",
+         "counterexample-qsd-step", "counterexample-step", "counterexample-c"],
+)
+def test_refused_config_exits_1_with_its_message(tmp_path, capsys, command, params, message):
+    status, err, out = run_doc(tmp_path, {"command": command, "params": params}, capsys)
+    assert status == 1
+    assert err.startswith(f"qfoliation: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_config_that_is_not_an_object_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text("[1, 2]", encoding="utf-8")
+    assert main(["lindblad", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "qfoliation: config document must be a JSON object, got list\n"
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 # -- Ctrl-C -----------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,6 +41,7 @@ from qfoliation.linalg import (
     validate_density,
 )
 from qfoliation.rng import stream_keys, wiener_block
+from qfoliation.scenarios import dephasing_model, initial_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -195,6 +197,18 @@ def test_lindblad_stack_is_one_at_a_time_bitwise(monkeypatch, block, gamma, meth
     assert np.array_equal(bits(grid), bits(rhos.reshape(2, 5, 2, 2)))
 
 
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+def test_zero_generator_returns_rho0_bitwise(method):
+    # the CLI's gamma = 0 runs: H = 0 and a zero coupling, on the one
+    # Lindblad path; rk4 without dissipation runs exact and takes no step
+    gen = dephasing_model(0.0)
+    for rho0 in (initial_state(), random_density(np.random.default_rng(71), 2)):
+        assert np.array_equal(bits(lindblad_propagate(rho0, gen, 7.3, method)), bits(rho0))
+        rhos = lindblad_propagate(rho0, gen, [0.004, 1.0, 30.0, 1e12], method)
+        for rho in rhos:
+            assert np.array_equal(bits(rho), bits(rho0))
+
+
 def test_lindblad_refuses_the_first_negative_offset_before_any_work(monkeypatch):
     monkeypatch.setattr(dynamics, "liouvillian", _no_work)
     monkeypatch.setattr(dynamics, "_expm", _no_work)
@@ -246,6 +260,13 @@ def test_lindblad_rk4_step_too_large():
 def test_lindblad_rk4_requires_step():
     with pytest.raises(ValueError):
         lindblad_propagate(PLUS_RHO, decoherence_model(), 1.0, method="rk4")
+
+
+@pytest.mark.parametrize("step", [None, 0.2], ids=["no-step", "step-too-large"])
+def test_lindblad_rk4_checks_its_step_even_at_zero_offsets(step):
+    # the step is checked against the generator, whatever the offsets
+    with pytest.raises(ValidationError, match="requires a positive step|reduce step"):
+        lindblad_propagate(PLUS_RHO, decoherence_model(10.0), [0.0, 0.0], method="rk4", step=step)
 
 
 def test_lindblad_rejects_unknown_method():
@@ -564,6 +585,26 @@ def test_qsd_work_ceiling_refuses_one_trajectory_step_more(monkeypatch):
     over = TrajectoryConfig(step=1e-3, steps=MAX_TRAJECTORY_STEPS // 2 + 1)
     with pytest.raises(ValidationError, match=r"n_traj \* steps = 2 \* 5000000001 = 1e\+10"):
         ensemble_final_states(PLUS_STATE, gen, over, 2)
+
+
+def test_refused_ensemble_allocates_nothing_of_its_size():
+    # 10^7 trajectories of 10^4 steps: one stream index each is already 76 MiB
+    cfg = TrajectoryConfig(step=1e-3, steps=10**4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"n_traj \* steps = 10000000 \* 10000 = 1e\+11"):
+            ensemble_final_states(PLUS_STATE, decoherence_model(), cfg, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_refused_trajectory_raises_the_ceiling_before_allocating_its_path():
+    # the path of 2 * 10^10 steps would take 596 GiB
+    cfg = TrajectoryConfig(step=1e-3, steps=2 * 10**10)
+    with pytest.raises(ValidationError, match=r"n_traj \* steps = 1 \* 20000000000 = 2e\+10"):
+        qsd_trajectory(PLUS_STATE, decoherence_model(), cfg)
 
 
 def test_qsd_reduction_frequencies():
