@@ -40,9 +40,9 @@ COMMANDS = ("counterexample", "sweep", "consistency", "lindblad", "qsd-ensemble"
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
-# work ceiling of one lindblad run, in memory (up to ~1.7 KiB per offset,
-# 1.7 GB) and time (21-33 us per offset at span 30, but 0.7 ms at span
-# 1e300 as Pade squarings grow with log2(gamma*span): 12 min at 10^6)
+# work ceiling of one lindblad run, in time: 21-26 us per offset at span 30,
+# but 0.73 ms at span 1e300 as Pade squarings grow with log2(gamma*span), so
+# 12 min at 10^6 (the report is streamed: ~0.26 KiB of memory per offset)
 MAX_LINDBLAD_SAMPLES = 10**6
 
 
@@ -360,8 +360,8 @@ def _run_counterexample(cfg: RunConfig) -> dict:
 def _run_sweep(cfg: RunConfig) -> dict:
     p = _counterexample_params(cfg.params)
     k_corr = _matrix_param(cfg.params, "k_correction", None)
-    return {"points": [asdict(pt) for pt in
-                       scenarios.sweep_velocity(p, cfg.params["betas"], k_corr)]}
+    points = [asdict(pt) for pt in scenarios.sweep_velocity(p, cfg.params["betas"], k_corr)]
+    return {"points": {key: np.array([pt[key] for pt in points]) for key in points[0]}}
 
 
 def _plane(plane) -> dict:
@@ -406,9 +406,7 @@ def _run_lindblad(cfg: RunConfig) -> dict:
         "abs_error": np.abs(rhos - refs).max(axis=(-2, -1)),
         "trace_distance": trace_distance(rhos, refs),
     }
-    rows = zip(*(col.tolist() for col in columns.values()))
-    return {"points": [dict(zip(columns, row)) for row in rows],
-            "rho_final": _report_matrix(rhos[-1])}
+    return {"points": columns, "rho_final": _report_matrix(rhos[-1])}
 
 
 def _run_qsd_ensemble(cfg: RunConfig) -> dict:
@@ -436,9 +434,9 @@ _RUNNERS = {
 _QSD_COLUMNS = {"qsd_n_traj": "n_traj", "qsd_expectation": "expectation",
                 "qsd_trace_distance": "trace_distance_to_lindblad"}
 
-# CSV columns per command, one row per results point (or one row when the
-# results hold no points). A column reads the key of its name from the
-# point, the results, the params or, for seed, the master seed; the qsd
+# CSV columns per command: one row per entry of the results' points, which
+# hold every column, or else one row that reads the key of each column's
+# name from the results, the params or, for seed, the master seed; the qsd
 # columns are left out when no qsd block ran.
 _CSV_COLUMNS = {
     "counterexample": ("beta", "ell", "gamma", "a0", "expectation_R", "expectation_M",
@@ -454,41 +452,49 @@ _CSV_COLUMNS = {
 # -- output -------------------------------------------------------------------
 
 
-def _csv_text(cfg: RunConfig, results: dict) -> str:
+def _csv_chunks(cfg: RunConfig, results: dict):
     base = {**cfg.params, "seed": cfg.seed, **results}
     if "qsd" in results:
         base.update({name: results["qsd"][key] for name, key in _QSD_COLUMNS.items()})
     columns = [col for col in _CSV_COLUMNS[cfg.command]
                if "qsd" in results or col not in _QSD_COLUMNS]
-    lines = [
-        "# qfoliation report",
-        f"# command: {cfg.command}",
-        f"# seed: {cfg.seed}",
-        f"# config: {json.dumps({'command': cfg.command, 'params': cfg.params, 'seed': cfg.seed}, sort_keys=True)}",
-        ",".join(columns),
-    ]
-    for point in results.get("points", [{}]):
-        row = {**base, **point}
-        lines.append(",".join(_cell(row[col]) for col in columns))
-    return "\n".join(lines) + "\n"
+    config = json.dumps(dict(command=cfg.command, params=cfg.params, seed=cfg.seed), sort_keys=True)
+    yield f"# qfoliation report\n# command: {cfg.command}\n# seed: {cfg.seed}\n# config: {config}\n"
+    yield ",".join(columns) + "\n"
+    points = results.get("points")
+    rows = zip(*(points[c].tolist() for c in columns)) if points else [[base[c] for c in columns]]
+    for row in rows:
+        yield ",".join(map(_cell, row)) + "\n"
 
 
-def _json_text(cfg: RunConfig, results: dict) -> str:
+def _json_chunks(cfg: RunConfig, results: dict):
+    points = results.get("points", {})
     doc = {
         "command": cfg.command,
         "config": {"params": cfg.params, "seed": cfg.seed,
                    "format": cfg.format, "output_path": cfg.output_path},
-        "results": results,
+        "results": {**results, "points": []} if points else results,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # a point maps names to numbers, so separators alone lay it out as json.dumps(indent=2) would
+    point = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n        ", ": "))
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        head, mark, tail = text.partition('"points": [')
+        yield head + mark
+        for i, row in enumerate(zip(*(col.tolist() for col in points.values()))):
+            body = point.encode(dict(zip(points, row)))[1:-1]
+            yield f"{',' if i else ''}\n      {{\n        {body}\n      }}"
+        yield ("\n    " if points else "") + tail + "\n"
+    except ValueError as exc:  # allow_nan=False refuses NaN and inf, as CSV refuses them
+        raise NumericalError(f"non-finite value in report: {exc}") from exc
 
 
-def _write_report(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, so a failed write leaves no partial report."""
+def _write_report(path: str, chunks) -> None:
+    """Write via a temp file in the target directory, so a failed run leaves no partial report."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(OSError):
@@ -502,8 +508,8 @@ def run(cfg: RunConfig) -> int:
     )
     print(f"seed: {cfg.seed}")
     try:
-        results = _RUNNERS[cfg.command](cfg)
-        text = _csv_text(cfg, results) if cfg.format == "csv" else _json_text(cfg, results)
+        chunks = _csv_chunks if cfg.format == "csv" else _json_chunks
+        _write_report(cfg.output_path, chunks(cfg, _RUNNERS[cfg.command](cfg)))
     except ValueError as exc:
         log.error("validation failure: %s", exc)
         return 1
@@ -513,8 +519,6 @@ def run(cfg: RunConfig) -> int:
     except NumericalError as exc:
         log.error("numerical invariant breach: %s", exc)
         return 2
-    try:
-        _write_report(cfg.output_path, text)
     except OSError as exc:
         log.error("cannot write report %s: %s", cfg.output_path, exc.strerror or exc)
         return 1

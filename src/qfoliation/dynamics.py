@@ -201,7 +201,7 @@ def liouvillian(gen: GeneratorSet) -> np.ndarray:
     for lk in gen.Ls:
         ldl = lk.conj().T @ lk
         sup += _kron(lk, lk.conj())
-        sup -= 0.5 * (_kron(ldl, eye) + _kron(eye, ldl.T))
+        sup -= 0.5 * _kron(ldl, eye) + 0.5 * _kron(eye, ldl.T)  # halved first: no overflow
     return sup
 
 

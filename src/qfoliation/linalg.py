@@ -44,8 +44,8 @@ def as_complex(values) -> np.ndarray:
 def hermiticity_defect(m: np.ndarray):
     """Max-abs deviation of m from its own conjugate transpose: a float for one
     matrix, and for a stack, shape (..., d, d), the array of their defects."""
-    m = np.asarray(m)
-    defect = abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(over="ignore"):  # a defect past the float range reads inf
+        defect = abs(m - np.conj(m).swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     return float(defect) if defect.ndim == 0 else defect
 
 
@@ -169,10 +169,11 @@ def validate_density(rho: np.ndarray, tol: float = TOL) -> np.ndarray:
     rho = _require_square_stack(as_complex(rho))
     stack = rho.reshape((-1,) + rho.shape[-2:])
     defect = hermiticity_defect(stack)
-    trace = stack.trace(axis1=1, axis2=2)
     # halved before the sum, so entries near the float limit do not overflow
     w_min = np.linalg.eigvalsh(0.5 * stack + 0.5 * stack.conj().swapaxes(1, 2)).min(axis=1)
-    not_hermitian, bad_trace, negative = defect > tol, abs(trace - 1.0) > tol, w_min < -tol
+    with np.errstate(over="ignore"):  # a trace past the float range reads inf
+        trace = stack.trace(axis1=1, axis2=2)
+        not_hermitian, bad_trace, negative = defect > tol, abs(trace - 1.0) > tol, w_min < -tol
     failed = (not_hermitian | bad_trace | negative).nonzero()[0]
     if not failed.size:
         return rho

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +398,22 @@ def test_module_entry_point_refuses_bad_arguments_with_usage(tmp_path, args, mes
     assert f"qfoliation: error: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lindblad_report_is_written_in_memory_bounded_by_its_arrays(tmp_path, fmt):
+    # the report (1.7 MiB CSV, 3.9 MiB JSON) is written as it is formatted;
+    # building it whole, with one dict per offset, peaked at 12 and 29 MiB
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 30.0, "samples": 20_000},
+           "log_level": "quiet"}
+    tracemalloc.start()
+    try:
+        status, _ = run_cli(tmp_path, doc, fmt=fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_lindblad_samples_take_stacked_calls_not_one_per_offset(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from qfoliation import cli, rng
 from qfoliation.cli import main, parse_config
 from qfoliation.dynamics import lindblad_propagate
+from qfoliation.linalg import trace_distance
 from qfoliation.errors import NumericalError, ValidationError
 from qfoliation.scenarios import dephasing_model, initial_state
 
@@ -38,7 +39,7 @@ def test_output_in_missing_directory_exits_1(tmp_path, capsys):
     status, err, _ = run_doc(tmp_path, doc, capsys)
     assert status == 1
     assert str(out) in err and "No such file or directory" in err
-    assert not (tmp_path / "missing").exists()
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_output_path_is_a_directory_exits_1_and_leaves_no_temp_file(tmp_path, capsys):
@@ -117,6 +118,26 @@ def test_rho0_that_is_not_a_density_exits_1(tmp_path, capsys, rho0):
     status, err, out = run_doc(tmp_path, doc, capsys)
     assert status == 1
     assert "validation failure" in err and "rho0 is not a density matrix" in err
+    assert not os.path.exists(out)
+
+
+# entries near the float limit, whose trace or Hermiticity defect overflows
+NEAR_LIMIT_RHO0 = {
+    "diagonal-1e308": ([[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]],
+                       "trace inf+0j deviates from 1 by inf"),
+    "off-diagonal-1.7e308": ([[[0.5, 0], [1.7e308, 1.7e308]], [[-1.7e308, -1.7e308], [0.5, 0]]],
+                             "Hermiticity defect inf exceeds tolerance 1.0e-09"),
+}
+
+
+@pytest.mark.parametrize("rho0, message", NEAR_LIMIT_RHO0.values(), ids=NEAR_LIMIT_RHO0.keys())
+def test_rho0_near_the_float_limit_exits_1_without_a_warning(tmp_path, capsys, rho0, message):
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0, "rho0": rho0}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning ahead of the refusal
+        status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert err == f"ERROR validation failure: rho0 is not a density matrix: {message}\n"
     assert not os.path.exists(out)
 
 
@@ -312,6 +333,23 @@ def test_exact_propagation_at_large_norm_keeps_the_trace(tmp_path, capsys, span)
     assert (results["expectation_R"], results["discrepancy"]) == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("command, params", [
+    ("lindblad", {"gamma": 1e308, "span": 0.5}),
+    ("counterexample", {"beta": 0.5, "ell": 1.0, "gamma": 1e308}),
+], ids=["lindblad", "counterexample"])
+def test_gamma_near_the_float_limit_decoheres_without_a_warning(tmp_path, capsys, command, params):
+    # the Liouvillian's dissipator terms each fit the float range; their sum does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, err, out = run_doc(tmp_path, {"command": command, "params": params,
+                                              "format": "json"}, capsys)
+    assert status == 0, err
+    with open(out, encoding="utf-8") as fh:
+        results = json.load(fh)["results"]
+    rho = results["rho_final"] if command == "lindblad" else results["rho_R"]
+    assert rho["entries_row_major"] == [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+
+
 def test_output_path_with_nul_is_rejected():
     doc = {"command": "lindblad", "params": {"gamma": 1, "span": 1}, "output_path": "a\0b"}
     with pytest.raises(ValidationError, match="output_path"):
@@ -453,6 +491,35 @@ def test_config_that_is_not_an_object_exits_1(tmp_path, capsys):
     assert main(["lindblad", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == "qfoliation: config document must be a JSON object, got list\n"
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+# -- a failure while the report is written ----------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_value_late_in_the_report_exits_2_and_leaves_nothing(tmp_path, capsys,
+                                                                         monkeypatch, fmt):
+    def late_nan(rhos, refs):
+        dist = trace_distance(rhos, refs)
+        dist[-3] = np.nan
+        return dist
+
+    written, os_unlink = [], os.unlink
+
+    def unlink(path):  # the size of the temp file when the failed write removes it
+        written.append(os.path.getsize(path))
+        os_unlink(path)
+
+    monkeypatch.setattr(cli, "trace_distance", late_nan)
+    monkeypatch.setattr(os, "unlink", unlink)
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 3.0, "samples": 400},
+           "format": fmt}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 2
+    assert "numerical invariant breach: non-finite value in report" in err
+    assert os.listdir(tmp_path) == ["config.json"]
+    # the rows before the bad one were already in the temp file
+    assert len(written) == 1 and written[0] > 10_000
 
 
 # -- Ctrl-C -----------------------------------------------------------------------------

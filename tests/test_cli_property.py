@@ -2,7 +2,8 @@
 
 `cli.main` runs in-process on generated documents for every command, with
 known and unknown keys, wrong types (bool, string, list, null, NaN/inf,
-an int too large for a float) and output paths that cannot be written.
+an int too large for a float), finite values at the float limit and
+output paths that cannot be written.
 Each run must return 0, or 1 with a message, or 2 naming the breached
 invariant; a failed run must leave no report and no temporary file behind.
 
@@ -45,6 +46,15 @@ GOOD = {
     "rho0": [[[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]], [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]],
     "psi0": [[[1, 0], [0, 0]], [[0.6, 0], [0, 0.8]]],
 }
+
+# An extreme but valid pair for the commands that take both keys: gamma*span
+# stays 1, so a run takes a few Pade squarings or default steps.
+EXTREME = {"gamma": 1e300, "span": 1e-300}
+
+# Finite values at the float limit, drawn as often as all of BAD together:
+# numbers that no key or only some keys accept (gamma takes 1e308), and a
+# Hermitian matrix that is not positive.
+NEAR_LIMIT = [1e308, -1.7e308, 5e-324, [[[0.5, 0], [1.7e308, 0]], [[1.7e308, 0], [0.5, 0]]]]
 
 # Values no key accepts, or that only the wrong key accepts: out-of-range
 # and non-finite numbers, an int too large for a float, wrong types,
@@ -93,10 +103,12 @@ def runs(draw):
     for key in KEYS[command]:
         if key in REQUIRED[command] or draw(st.booleans()):
             params[key] = draw(st.sampled_from(GOOD[key]))
+    if "span" in params and draw(st.booleans()):
+        params.update(EXTREME)
     for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
         key = draw(st.sampled_from(KEYS[command] + ["velocity"]))
         if draw(st.booleans()):
-            params[key] = draw(st.sampled_from(BAD))
+            params[key] = draw(st.sampled_from(BAD) | st.sampled_from(NEAR_LIMIT))
         else:
             params.pop(key, None)
     doc = {"command": command, "params": params}
