@@ -22,7 +22,6 @@ from .dynamics import (
 from .foliation import (
     FourVector,
     Hyperplane,
-    ObserverFrame,
     coincidence_event,
     coincidence_offset,
     frame_normal,
@@ -65,7 +64,6 @@ __all__ = [
     "qsd_trajectory",
     "FourVector",
     "Hyperplane",
-    "ObserverFrame",
     "coincidence_event",
     "coincidence_offset",
     "frame_normal",

@@ -84,8 +84,15 @@ class Key:
 
 
 def _rk4_step(r: dict) -> float | None:
-    """1e-3/gamma; none at gamma = 0, where the evolution is unitary and takes no step."""
-    return 1e-3 / r["gamma"] if r["gamma"] > 0.0 else None
+    """1e-3/gamma, at most the largest float; none at gamma = 0 (unitary, so no step)."""
+    return min(1e-3 / r["gamma"], sys.float_info.max) if r["gamma"] > 0.0 else None
+
+
+def _ensemble_step(r: dict) -> float:
+    """0.01/gamma, at most the largest float; at gamma = 0, span/100, or span if that is 0."""
+    if r["gamma"] > 0.0:
+        return min(0.01 / r["gamma"], sys.float_info.max)
+    return r["span"] / 100.0 or r["span"]
 
 
 # the fields of CounterexampleParams other than qsd
@@ -125,8 +132,7 @@ _SCHEMA = {
         "gamma": Key("number", ge=0),
         "span": Key("number", gt=0),
         "n_traj": Key("int", ge=1),
-        "step": Key("number", lambda r: 0.01 / r["gamma"] if r["gamma"] > 0.0 else r["span"] / 100.0,
-                    gt=0),
+        "step": Key("number", _ensemble_step, gt=0),
         "renormalize": Key("bool", True),
         "psi0": Key("vector", _OMIT),
     },
@@ -277,6 +283,8 @@ def parse_config(text: str, command: str | None = None, *, seed: int | None = No
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer over the digit limit, or deep nesting
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"config document must be a JSON object, got {type(doc).__name__}")
 
@@ -358,10 +366,13 @@ def _run_counterexample(cfg: RunConfig) -> dict:
 
 
 def _run_sweep(cfg: RunConfig) -> dict:
-    p = _counterexample_params(cfg.params)
-    k_corr = _matrix_param(cfg.params, "k_correction", None)
-    points = [asdict(pt) for pt in scenarios.sweep_velocity(p, cfg.params["betas"], k_corr)]
-    return {"points": {key: np.array([pt[key] for pt in points]) for key in points[0]}}
+    p, betas = _counterexample_params(cfg.params), cfg.params["betas"]
+    reports = scenarios.sweep_velocity(p, betas, _matrix_param(cfg.params, "k_correction", None))
+    # each beta as given: a -0.0 runs as +0.0 but keeps its sign in the report
+    points = {"beta": betas, "ell": [r.params.ell for r in reports]}
+    points.update({key: [getattr(r, key) for r in reports]
+                   for key in ("a0", "expectation_R", "expectation_M", "discrepancy")})
+    return {"points": {key: np.array(col) for key, col in points.items()}}
 
 
 def _plane(plane) -> dict:
@@ -434,16 +445,14 @@ _RUNNERS = {
 _QSD_COLUMNS = {"qsd_n_traj": "n_traj", "qsd_expectation": "expectation",
                 "qsd_trace_distance": "trace_distance_to_lindblad"}
 
-# CSV columns per command: one row per entry of the results' points, which
-# hold every column, or else one row that reads the key of each column's
-# name from the results, the params or, for seed, the master seed; the qsd
-# columns are left out when no qsd block ran.
+# CSV columns of the commands without points: one row that reads the key of
+# each column's name from the results, the params or, for seed, the master
+# seed; the qsd columns are left out when no qsd block ran. A command with
+# points writes one row per point, and its columns are the points' own.
 _CSV_COLUMNS = {
     "counterexample": ("beta", "ell", "gamma", "a0", "expectation_R", "expectation_M",
                        "discrepancy", "offdiag_final", *_QSD_COLUMNS),
-    "sweep": ("beta", "ell", "a0", "expectation_R", "expectation_M", "discrepancy"),
     "consistency": ("beta", "ell", "gamma", "deviation", "path_order_difference", "dissipative"),
-    "lindblad": ("a", "offdiag_numeric", "offdiag_exact", "abs_error", "trace_distance"),
     "qsd-ensemble": ("gamma", "span", "n_traj", "step", "steps", "seed", "expectation",
                      "trace_distance_to_lindblad"),
 }
@@ -456,13 +465,13 @@ def _csv_chunks(cfg: RunConfig, results: dict):
     base = {**cfg.params, "seed": cfg.seed, **results}
     if "qsd" in results:
         base.update({name: results["qsd"][key] for name, key in _QSD_COLUMNS.items()})
-    columns = [col for col in _CSV_COLUMNS[cfg.command]
-               if "qsd" in results or col not in _QSD_COLUMNS]
+    points = results.get("points")
+    columns = list(points) if points else [col for col in _CSV_COLUMNS[cfg.command]
+                                           if "qsd" in results or col not in _QSD_COLUMNS]
+    rows = zip(*(points[c].tolist() for c in columns)) if points else [[base[c] for c in columns]]
     config = json.dumps(dict(command=cfg.command, params=cfg.params, seed=cfg.seed), sort_keys=True)
     yield f"# qfoliation report\n# command: {cfg.command}\n# seed: {cfg.seed}\n# config: {config}\n"
     yield ",".join(columns) + "\n"
-    points = results.get("points")
-    rows = zip(*(points[c].tolist() for c in columns)) if points else [[base[c] for c in columns]]
     for row in rows:
         yield ",".join(map(_cell, row)) + "\n"
 
@@ -549,17 +558,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        cfg = parse_config(text, command=args.command, seed=args.seed, format=args.format,
-                           output_path=args.out)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"qfoliation: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"qfoliation: {exc}", file=sys.stderr)
-        return 1
-    try:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+            cfg = parse_config(text, command=args.command, seed=args.seed, format=args.format,
+                               output_path=args.out)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"qfoliation: cannot read config: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError:
+            print("qfoliation: config too large to read", file=sys.stderr)
+            return 1
+        except ValidationError as exc:
+            print(f"qfoliation: {exc}", file=sys.stderr)
+            return 1
         return run(cfg)
     except KeyboardInterrupt:  # the report write is atomic, so nothing partial is left
         print("qfoliation: interrupted", file=sys.stderr)

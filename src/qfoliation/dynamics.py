@@ -12,11 +12,13 @@ Three transports act on a state:
   the one generator `GeneratorSet.K` (`boost_transport`).
 
 The Lindblad generator has one encoding, the superoperator `liouvillian`,
-and one path serves every generator, unitary or decohering. Both Lindblad
-methods are a matrix applied to vec(rho): expm(span*L) for `exact`, and for
-`rk4` the Runge-Kutta polynomial P(hL)^n, equal to n classical RK4 steps of
-h as L does not depend on a. The exponential is `_expm`, a Pade
-scaling-and-squaring method in numpy (Higham 2005). Fixed-step methods take
+and one path serves every generator, unitary or decohering; a zero boost
+generator is exponentiated too, and the QSD step loops over no coupling
+operators as over one. Both Lindblad methods are a matrix applied to
+vec(rho): expm(span*L) for `exact`, and for `rk4` the Runge-Kutta
+polynomial P(hL)^n, equal to n classical RK4 steps of h as L does not
+depend on a. The exponential is `_expm`, a Pade scaling-and-squaring
+method in numpy (Higham 2005). Fixed-step methods take
 n = max(1, ceiling of span/step) equal steps of h = span/n: rk4 through
 `_fixed_steps`, the QSD ensembles through `TrajectoryConfig.covering`. One
 offset is a 0-d stack of offsets on the same path: the offsets of a
@@ -165,6 +167,8 @@ class TrajectoryConfig:
 
 def _fixed_steps(span: float, step: float) -> tuple[float, int]:
     """(h, n): the least n >= 1 not below span/step, and h = span/n."""
+    if not step > 0.0:
+        raise ValidationError(f"step must be positive, got {step:.6g}")
     if not math.isfinite(span / step):
         raise ValidationError(f"span/step = {span:.6g}/{step:.6g} has no finite step count")
     n = max(1, math.ceil(span / step))
@@ -339,7 +343,9 @@ def lindblad_propagate(
                 f"step*||generator|| = {step * bound:.3e} > 1; reduce step below {1.0 / bound:.3e}"
             )
     out = np.empty(spans.shape + rho0.shape, dtype=np.complex128)
-    out[...] = rho0  # each zero offset keeps it exactly
+    # a zero offset keeps rho0 exactly: the product expm(0) @ vec(rho0) would
+    # turn each -0.0 entry of rho0 into +0.0, which a JSON report writes
+    out[...] = rho0
     flat, spans = out.reshape((-1,) + rho0.shape), spans.reshape(-1)
     live = spans.nonzero()[0]
     sup = liouvillian(gen)
@@ -484,26 +490,25 @@ def _qsd_step_batch(
     d = cols.shape[0]
     tmp = buf.tmp
     _apply(g_rows, cols, out, tmp)
-    if channels:
-        lcol, lexp, lexp_c, coef, shift = buf.lcol, buf.lexp, buf.lexp_c, buf.coef, buf.shift
-        shift[...] = 0.0
-        for (rows, live), dx in zip(channels, dxi):
-            _apply(rows, cols, lcol, tmp)
-            lexp[...] = 0.0
-            for i in live:
-                lexp += np.multiply(np.conjugate(cols[i], out=buf.conj), lcol[i], out=tmp)
-            np.conjugate(lexp, out=lexp_c)
-            np.multiply(lexp_c, step, out=coef)
-            coef += dx
-            for i in live:
-                acc = out[i]
-                acc += np.multiply(lcol[i], coef, out=tmp)
-            np.multiply(lexp_c, 0.5 * step, out=coef)
-            coef += dx
-            shift += np.multiply(coef, lexp, out=tmp)
-        for i in range(d):
+    lcol, lexp, lexp_c, coef, shift = buf.lcol, buf.lexp, buf.lexp_c, buf.coef, buf.shift
+    shift[...] = 0.0
+    for (rows, live), dx in zip(channels, dxi):
+        _apply(rows, cols, lcol, tmp)
+        lexp[...] = 0.0
+        for i in live:
+            lexp += np.multiply(np.conjugate(cols[i], out=buf.conj), lcol[i], out=tmp)
+        np.conjugate(lexp, out=lexp_c)
+        np.multiply(lexp_c, step, out=coef)
+        coef += dx
+        for i in live:
             acc = out[i]
-            acc -= np.multiply(cols[i], shift, out=tmp)
+            acc += np.multiply(lcol[i], coef, out=tmp)
+        np.multiply(lexp_c, 0.5 * step, out=coef)
+        coef += dx
+        shift += np.multiply(coef, lexp, out=tmp)
+    for i in range(d):
+        acc = out[i]
+        acc -= np.multiply(cols[i], shift, out=tmp)
     sq = np.square(out.view(np.float64), out=buf.sq)  # re^2, im^2 interleaved
     norms = np.add(sq[0, 0::2], sq[0, 1::2], out=buf.norms)
     for i in range(1, d):
@@ -562,28 +567,32 @@ def _warn_if_step_coarse(gen: GeneratorSet, step: float) -> None:
         )
 
 
-def _qsd_batches(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, streams):
-    """Run one trajectory per noise stream from psi0; returns an iterator over
-    the batch, shape (len(streams), dim), at step 0 and after each step.
+def _qsd_batches(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj: int,
+                 first: int = 0):
+    """Run n_traj trajectories from psi0, on noise streams first, first + 1, ...;
+    returns an iterator over the batch, shape (n_traj, dim), at step 0 and
+    after each step.
 
-    Row m runs on noise stream (cfg.seed, streams[m]) and, since the step
+    Row m runs on noise stream (cfg.seed, first + m) and, since the step
     arithmetic is per trajectory, is bit-identical whatever the other rows
     are. The batch is stepped as columns, shape (dim, M), in two alternating
     buffers; each item is a transposed view that the step after next
     overwrites, so a caller copies what it keeps before advancing twice.
     The call itself refuses more than MAX_TRAJECTORY_STEPS trajectory-steps,
-    before anything is allocated; streams may be a range.
+    counting at least one step per trajectory, before anything is allocated.
     """
     psi0 = validate_state(psi0)
     require_same_dim(psi0, gen.H)
-    work = len(streams) * cfg.steps
+    steps = max(cfg.steps, 1)  # a run of zero steps still holds its n_traj states
+    work = n_traj * steps  # a Python int: exact at any n_traj
     if work > MAX_TRAJECTORY_STEPS:
+        total = f"{work:.3g}" if work < 1e300 else "over 1e+300"
         raise ValidationError(
-            f"n_traj * steps = {len(streams)} * {cfg.steps} = {work:.3g} trajectory-steps "
+            f"n_traj * steps = {n_traj} * {steps} = {total} trajectory-steps "
             f"exceeds the work ceiling of {MAX_TRAJECTORY_STEPS:.0e}"
         )
     _warn_if_step_coarse(gen, cfg.step)
-    return _qsd_run(psi0, gen, cfg, streams)
+    return _qsd_run(psi0, gen, cfg, range(first, first + n_traj))
 
 
 def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, streams):
@@ -596,7 +605,7 @@ def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, streams
     outs = np.empty((2,) + cols.shape, dtype=np.complex128)
     buf = _StepBuffers(*cols.shape)
     for s in range(cfg.steps):
-        dxi = rng.wiener_block(keys, s, k, cfg.step).T if k else ()
+        dxi = rng.wiener_block(keys, s, k, cfg.step).T
         cols = _qsd_step_batch(cols, outs[s % 2], ops, dxi, cfg.step, cfg.renormalize, buf)
         yield cols.T
 
@@ -612,7 +621,7 @@ def qsd_trajectory(
     Deterministic given (cfg.seed, stream): the noise at every step is a
     pure function of those, so identical seeds give bit-identical paths.
     """
-    batches = _qsd_batches(psi0, gen, cfg, [stream])
+    batches = _qsd_batches(psi0, gen, cfg, 1, stream)
     path = np.empty((cfg.steps + 1, gen.dim), dtype=np.complex128)
     for s, psis in enumerate(batches):
         path[s] = psis[0]
@@ -633,7 +642,7 @@ def ensemble_final_states(
     """
     if n_traj < 1:
         raise ValidationError(f"need at least one trajectory, got {n_traj}")
-    for psis in _qsd_batches(psi0, gen, cfg, range(n_traj)):
+    for psis in _qsd_batches(psi0, gen, cfg, n_traj):
         pass
     return psis
 
@@ -666,8 +675,9 @@ def boost_transport(state: np.ndarray, gen: GeneratorSet, beta: float) -> np.nda
     """Unitary transport between hyperplane normals for a boost along +x.
 
     Applies U = exp(-i * atanh(beta) * K_x) to a state vector (U psi) or a
-    density matrix (U rho U^dag). A zero K_x makes the transport the exact
-    identity, i.e. the zeroth-order form of the change of observer.
+    density matrix (U rho U^dag). A zero K_x gives U = 1 exactly, so the
+    transport leaves every value unchanged (only a zero entry's sign may not
+    survive): the zeroth-order form of the change of observer.
     """
     state = as_complex(state)
     if beta == 0.0:
@@ -677,8 +687,6 @@ def boost_transport(state: np.ndarray, gen: GeneratorSet, beta: float) -> np.nda
     if k_x is None:
         raise MissingBoostGenerator("no boost generator configured and beta != 0")
     require_same_dim(state, k_x)
-    if not np.any(k_x):
-        return state.copy()
     u = expm_generator(k_x, math.atanh(beta))
     if state.ndim == 1:
         return u @ state

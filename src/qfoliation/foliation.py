@@ -69,24 +69,6 @@ def frame_normal(beta: float) -> FourVector:
     return FourVector(g, g * beta, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class ObserverFrame:
-    """Inertial observer moving with velocity beta = v/c along +x."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        lorentz_gamma(self.beta)  # rejects |beta| >= 1
-
-    @property
-    def normal(self) -> FourVector:
-        return frame_normal(self.beta)
-
-    def simultaneity_plane(self, a: float = 0.0) -> Hyperplane:
-        """The observer's hyperplane of simultaneity at offset a."""
-        return Hyperplane(self.normal, a)
-
-
 def coincidence_offset(ell: float, beta: float, c: float = SPEED_OF_LIGHT) -> float:
     """Rest-frame offset a0 = ell*beta/c of the coincidence event.
 

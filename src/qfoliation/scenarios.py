@@ -39,9 +39,9 @@ from .foliation import (
     SPEED_OF_LIGHT,
     FourVector,
     Hyperplane,
-    ObserverFrame,
     coincidence_event,
     coincidence_offset,
+    frame_normal,
     lorentz_gamma,
 )
 from .linalg import (
@@ -239,7 +239,7 @@ def _at_coincidence(deviation: float, path_order_difference: float, ell: float, 
         path_order_difference=path_order_difference,
         event=coincidence_event(ell, beta, c),
         plane_rest=Hyperplane(FourVector(1.0), coincidence_offset(ell, beta, c)),
-        plane_moving=ObserverFrame(beta).simultaneity_plane(0.0),
+        plane_moving=Hyperplane(frame_normal(beta), 0.0),
         dissipative=dissipative,
     )
 
@@ -294,51 +294,31 @@ def dissipative_consistency(p: CounterexampleParams) -> ConsistencyReport:
     return _at_coincidence(abs(report.discrepancy), 0.0, p.ell, p.beta, p.c, dissipative=True)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    beta: float
-    ell: float
-    a0: float
-    expectation_R: float
-    expectation_M: float
-    discrepancy: float
-
-
 def sweep_velocity(
     p: CounterexampleParams,
     betas: list[float],
     k_correction: np.ndarray | None = None,
-) -> list[SweepPoint]:
-    """Counter-example discrepancy versus velocity at constant a0.
+) -> list[CounterexampleReport]:
+    """Counter-example reports versus velocity at constant a0, one per beta.
 
     Each beta gets ell rescaled to a0/beta so the coincidence offset stays
     fixed: the R branch, and with it expectation_R, is the same for every
     beta. A nonzero k_correction moves expectation_M, and so the
     discrepancy, only at second order in beta, because rho0 commutes with
     the measured observable (for K = SY/2 the shift is cos(atanh beta) - 1).
-    beta = 0 degenerates to a0 = 0 where both observers coincide. Each
-    beta passes the CounterexampleParams checks.
+    beta = 0 (of either sign) runs as +0.0 at the given ell, where a0 = 0
+    and both observers coincide. Each beta passes the CounterexampleParams
+    checks.
     """
     if not betas:
         raise ValidationError("betas must be non-empty")
     a0 = coincidence_offset(p.ell, p.beta, p.c)
     if k_correction is not None:
         k_correction = as_complex(k_correction)
-    rows = []
-    for beta in betas:
-        if beta == 0.0:
-            point = replace(p, beta=0.0)
-        else:
-            point = replace(p, beta=beta, ell=a0 * p.c / beta)
-        report = run_counterexample(point, k_correction)
-        rows.append(
-            SweepPoint(
-                beta=beta,
-                ell=point.ell,
-                a0=report.a0,
-                expectation_R=report.expectation_R,
-                expectation_M=report.expectation_M,
-                discrepancy=report.discrepancy,
-            )
+    return [
+        run_counterexample(
+            replace(p, beta=0.0) if beta == 0.0 else replace(p, beta=beta, ell=a0 * p.c / beta),
+            k_correction,
         )
-    return rows
+        for beta in betas
+    ]

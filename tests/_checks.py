@@ -1,7 +1,8 @@
 """Checks that only the tests use: hyperplane construction, event membership,
-the conjugate transpose and the per-trajectory noise reference, kept out of
-the package's public surface."""
+the conjugate transpose, the per-trajectory noise reference and the strict
+reading of a report's config, kept out of the package's public surface."""
 
+import json
 import math
 
 import numpy as np
@@ -51,3 +52,15 @@ def wiener_increments(seed: int, stream: int, steps: int, channels: int, step: f
     """
     keys = stream_keys(seed, [stream])
     return np.concatenate([wiener_block(keys, s, channels, step) for s in range(steps)])
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def embedded_config(report: str, fmt: str) -> dict:
+    """The config a report embeds, read as strict JSON: Infinity and NaN are refused."""
+    if fmt == "json":
+        return json.loads(report, parse_constant=_refuse_constant)["config"]
+    line = next(line for line in report.splitlines() if line.startswith("# config: "))
+    return json.loads(line[len("# config: "):], parse_constant=_refuse_constant)

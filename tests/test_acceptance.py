@@ -28,7 +28,6 @@ from qfoliation.dynamics import (
 from qfoliation.foliation import (
     FourVector,
     Hyperplane,
-    ObserverFrame,
     coincidence_event,
     coincidence_offset,
     frame_normal,
@@ -317,7 +316,7 @@ def test_criterion_6_invariant_suite():
         tol = 1e-9 * max(1.0, ell)
         a0 = coincidence_offset(ell, beta)
         assert contains_event(Hyperplane(FourVector(1.0), a0), event, tol=tol)
-        assert contains_event(ObserverFrame(beta).simultaneity_plane(0.0), event, tol=tol)
+        assert contains_event(Hyperplane(frame_normal(beta), 0.0), event, tol=tol)
 
     # trace preservation, Hermiticity, positivity of the deterministic channel
     for _ in range(n_cases):

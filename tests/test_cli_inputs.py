@@ -1,6 +1,7 @@
 """Malformed inputs exit 1 with a message that names the problem."""
 
 import json
+import math
 import os
 import warnings
 
@@ -13,6 +14,7 @@ from qfoliation.dynamics import lindblad_propagate
 from qfoliation.linalg import trace_distance
 from qfoliation.errors import NumericalError, ValidationError
 from qfoliation.scenarios import dephasing_model, initial_state
+from _checks import embedded_config
 
 SIGMA_Z = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
 NOT_HERMITIAN = {
@@ -363,6 +365,97 @@ def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def run_text(tmp_path, capsys, text):
+    """Exit status and stderr of one CLI run on the config text."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    status = main(["lindblad", "--config", str(cfg_path)])
+    return status, capsys.readouterr().err
+
+
+def test_config_nested_too_deep_exits_1(tmp_path, capsys):
+    status, err = run_text(tmp_path, capsys, "[" * 10**5 + "]" * 10**5)
+    assert status == 1
+    assert err.startswith("qfoliation: invalid JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_config_integer_over_the_digit_limit_exits_1(tmp_path, capsys):
+    text = '{"command": "lindblad", "params": {"gamma": ' + "9" * 5000 + ', "span": 1}}'
+    status, err = run_text(tmp_path, capsys, text)
+    assert status == 1
+    assert err.startswith("qfoliation: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("name", ["open", "parse_config"], ids=["read", "parse"])
+def test_config_too_large_to_read_exits_1(tmp_path, capsys, monkeypatch, name):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, name, out_of_memory, raising=False)
+    status, err = run_text(tmp_path, capsys, json.dumps(LINDBLAD))
+    assert status == 1
+    assert err == "qfoliation: config too large to read\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("name", ["open", "parse_config"], ids=["read", "parse"])
+def test_interrupt_while_reading_config_exits_130(tmp_path, capsys, monkeypatch, name):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, name, interrupted, raising=False)
+    try:
+        status, err = run_text(tmp_path, capsys, json.dumps(LINDBLAD))
+    except KeyboardInterrupt:
+        pytest.fail("Ctrl-C escaped main")
+    assert status == 130
+    assert err == "qfoliation: interrupted\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+# gamma 5e-324 takes 1e-3/gamma and 0.01/gamma past the float range, and
+# span 5e-324 takes span/100 to zero
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command, params",
+    [
+        ("counterexample", {"beta": 0.25, "ell": 2.0, "gamma": 5e-324}),
+        ("counterexample", {"beta": 0.25, "ell": 2.0, "gamma": 5e-324, "method": "rk4"}),
+        ("consistency", {"beta": 0.25, "ell": 2.0, "gamma": 5e-324}),
+        ("lindblad", {"gamma": 5e-324, "span": 1.0}),
+        ("lindblad", {"gamma": 5e-324, "span": 1.0, "method": "rk4"}),
+        ("qsd-ensemble", {"gamma": 5e-324, "span": 1.0, "n_traj": 2}),
+        ("qsd-ensemble", {"gamma": 0, "span": 5e-324, "n_traj": 2}),
+    ],
+    ids=["counterexample", "counterexample-rk4", "consistency", "lindblad", "lindblad-rk4",
+         "qsd-ensemble", "qsd-ensemble-tiny-span"],
+)
+def test_derived_default_step_is_finite_and_positive(tmp_path, capsys, command, params, fmt):
+    doc = {"command": command, "params": params, "format": fmt}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 0, err
+    with open(out, encoding="utf-8") as fh:
+        assert 0.0 < embedded_config(fh.read(), fmt)["params"]["step"] < math.inf
+
+
+def test_zero_span_lindblad_keeps_the_sign_of_each_zero_in_rho0(tmp_path, capsys):
+    # a zero offset returns rho0 itself; a propagator product would turn -0.0 into 0.0
+    rho0 = [[[0.5, 0], [-0.0, -0.125]], [[-0.0, 0.125], [0.5, 0]]]
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 0, "rho0": rho0},
+           "format": "json"}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 0, err
+    with open(out, encoding="utf-8") as fh:
+        report = json.load(fh)
+    resolved = json.dumps(report["config"]["params"]["rho0"])
+    assert "-0.0" in resolved
+    assert json.dumps(report["results"]["rho_final"]["entries_row_major"]) == resolved
+
+
 # -- flags resolve through the schema --------------------------------------------------
 
 LINDBLAD = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0}}
@@ -421,9 +514,24 @@ def _started(*args, **kwargs):
          "samples = 1000000000 offsets"),
         ({"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0, "samples": 10**6 + 1}},
          "samples = 1000001 offsets"),
+        # more trajectories than a C length holds: compared as Python ints
+        ({"command": "qsd-ensemble", "params": {"gamma": 1.0, "span": 1.0, "n_traj": 10**400}},
+         f"n_traj * steps = {10**400} * 100 = over 1e+300 trajectory-steps"),
+        ({"command": "counterexample",
+          "params": {"beta": 0.01, "ell": 3000, "gamma": 1.0, "qsd": {"n_traj": 10**400}}},
+         f"n_traj * steps = {10**400} * 3000 = over 1e+300 trajectory-steps"),
+        # at a0 = 0 no step is taken, but each trajectory still counts as one
+        ({"command": "counterexample",
+          "params": {"beta": 0.0, "ell": 3000, "gamma": 1.0, "qsd": {"n_traj": 10**400}}},
+         f"n_traj * steps = {10**400} * 1 = over 1e+300 trajectory-steps"),
+        ({"command": "counterexample",
+          "params": {"beta": 0.0, "ell": 3000, "gamma": 1.0, "qsd": {"n_traj": 2 * 10**10}}},
+         "n_traj * steps = 20000000000 * 1 = 2e+10 trajectory-steps"),
     ],
     ids=["qsd-ensemble", "counterexample-qsd", "qsd-ensemble-1e15-traj",
-         "counterexample-qsd-1e15-traj", "lindblad-samples", "lindblad-samples-memory"],
+         "counterexample-qsd-1e15-traj", "lindblad-samples", "lindblad-samples-memory",
+         "qsd-ensemble-1e400-traj", "counterexample-qsd-1e400-traj",
+         "counterexample-qsd-1e400-traj-at-a0-0", "counterexample-qsd-2e10-traj-at-a0-0"],
 )
 def test_run_over_its_work_ceiling_exits_1_before_it_starts(tmp_path, capsys, monkeypatch,
                                                             doc, product):

@@ -8,7 +8,8 @@ Each run must return 0, or 1 with a message, or 2 naming the breached
 invariant; a failed run must leave no report and no temporary file behind.
 
 Values come from the bounded pools below, so every example does bounded
-work.
+work. A deterministic pass also puts every BAD and NEAR_LIMIT value on every
+key of a valid document of each command, in both formats.
 """
 
 import contextlib
@@ -18,10 +19,12 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qfoliation.cli import COMMANDS, main
+from _checks import embedded_config
 
 # Valid values per key. With these, a0 = ell*beta/c <= 2 and gamma <= 2,
 # so the rk4 default step 1e-3/gamma gives at most 4000 steps per branch,
@@ -135,11 +138,9 @@ def runs(draw):
     return command, doc, out, argv
 
 
-@settings(max_examples=400, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(runs())
-def test_every_document_exits_cleanly(case):
-    command, doc, out, extra_argv = case
+def run_cleanly(command, doc, out, extra_argv=()):
+    """Run one document through `cli.main` and check its exit; returns the
+    exit status, the stderr text and, for status 0, the report text."""
     with tempfile.TemporaryDirectory() as tmp:
         doc = dict(doc)
         doc["output_path"] = os.path.join(tmp, out) if out in ("report", "missing/report") \
@@ -152,6 +153,10 @@ def test_every_document_exits_cleanly(case):
             status = main([command, "--config", cfg_path, *extra_argv])
         message = stderr.getvalue()
         left = set(os.listdir(tmp)) - {"config.json"}
+        report = None
+        if left == {"report"}:
+            with open(doc["output_path"], encoding="utf-8") as fh:
+                report = fh.read()
 
     assert status in (0, 1, 2)
     if status == 0:
@@ -163,3 +168,49 @@ def test_every_document_exits_cleanly(case):
     if status == 2:
         assert "numerical invariant breach: " in message
         assert message.split("numerical invariant breach: ", 1)[1].strip()
+    return status, message, report
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_every_document_exits_cleanly(case):
+    run_cleanly(*case)
+
+
+# A valid document per command, with a0 = 0.5 and gamma = 0, so that the
+# derived defaults (the steps, the qsd seed) are left to fill.
+VALID = {
+    "counterexample": {"beta": 0.25, "ell": 2.0, "gamma": 0},
+    "sweep": {"beta": 0.25, "ell": 2.0, "gamma": 0, "betas": [0.5, 0.25, 0]},
+    "consistency": {"beta": 0.25, "ell": 2.0},
+    "lindblad": {"gamma": 0, "span": 1},
+    "qsd-ensemble": {"gamma": 0, "span": 1, "n_traj": 2},
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_pool_value_on_every_key_exits_cleanly(command, fmt):
+    """Each BAD and NEAR_LIMIT value, on each key of a valid document and on
+    an unknown one, in turn: the property test draws from these pools and
+    may never draw some entries. Besides a clean exit, a run must embed its
+    config as strict JSON and must not fail on a non-finite report value:
+    no pool value makes a finite input overflow to one."""
+    failures = []
+    cases = [(None, None)] + [(key, value) for key in KEYS[command] + ["velocity"]
+                              for value in BAD + NEAR_LIMIT]
+    for key, value in cases:
+        params = dict(VALID[command]) if key is None else {**VALID[command], key: value}
+        doc = {"command": command, "params": params, "format": fmt}
+        try:
+            status, message, report = run_cleanly(command, doc, "report")
+            if status == 0:
+                embedded_config(report, fmt)
+            elif "non-finite value in report" in message:
+                failures.append((key, value, message.strip()))
+            if status != 0 and key is None:
+                failures.append((key, value, f"the valid document exits {status}"))
+        except Exception as exc:  # one list of every failing case, not the first alone
+            failures.append((key, value, f"{type(exc).__name__}: {exc}"[:200]))
+    assert failures == []

@@ -128,6 +128,12 @@ def test_fixed_step_plan_refuses_a_non_finite_step_count():
         lindblad_propagate(PLUS_RHO, decoherence_model(1.0), 1e300, method="rk4", step=1e-300)
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan])
+def test_fixed_step_plan_refuses_a_non_positive_step(step):
+    with pytest.raises(ValidationError, match="step must be positive"):
+        TrajectoryConfig.covering(1.0, step)
+
+
 # -- Lindblad propagation ---------------------------------------------------------
 
 def test_lindblad_matches_closed_form_strong_decoherence():

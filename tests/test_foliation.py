@@ -7,7 +7,6 @@ from qfoliation.errors import NotTimelike, PastPointing, SuperluminalBeta, Valid
 from qfoliation.foliation import (
     FourVector,
     Hyperplane,
-    ObserverFrame,
     coincidence_event,
     coincidence_offset,
     frame_normal,
@@ -84,12 +83,11 @@ def test_frame_normal_mirror():
 
 
 def test_observer_frame_plane():
-    frame = ObserverFrame(0.3)
-    plane = frame.simultaneity_plane(2.0)
+    plane = Hyperplane(frame_normal(0.3), 2.0)
     assert plane.offset == 2.0
     assert plane.normal.dot(plane.normal) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(SuperluminalBeta):
-        ObserverFrame(1.5)
+        Hyperplane(frame_normal(1.5), 0.0)
 
 
 def test_contains_event_rest_plane():
@@ -101,7 +99,7 @@ def test_contains_event_rest_plane():
 
 def test_contains_event_moving_plane():
     ell, beta = 500.0, 0.2
-    plane = ObserverFrame(beta).simultaneity_plane(0.0)
+    plane = Hyperplane(frame_normal(beta), 0.0)
     assert contains_event(plane, FourVector(ell * beta, ell))
 
 
@@ -131,7 +129,7 @@ def test_coincidence_event_lies_on_both_planes():
         event = coincidence_event(ell, beta)
         tol = 1e-9 * max(1.0, ell)
         assert contains_event(Hyperplane(FourVector(1.0), a0), event, tol=tol)
-        assert contains_event(ObserverFrame(beta).simultaneity_plane(0.0), event, tol=tol)
+        assert contains_event(Hyperplane(frame_normal(beta), 0.0), event, tol=tol)
 
 
 def test_event_tolerance_scales():

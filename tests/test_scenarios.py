@@ -98,11 +98,11 @@ def test_counterexample_headline_numbers():
 def test_counterexample_observers_disagree_about_one_event():
     report = run_counterexample(HEADLINE)
     # the same event lies on both measurement hyperplanes
-    from qfoliation.foliation import FourVector, Hyperplane, ObserverFrame
+    from qfoliation.foliation import FourVector, Hyperplane, frame_normal
 
     event = FourVector(report.a0, HEADLINE.ell)
     assert contains_event(Hyperplane(FourVector(1.0), report.a0), event)
-    assert contains_event(ObserverFrame(HEADLINE.beta).simultaneity_plane(0.0), event)
+    assert contains_event(Hyperplane(frame_normal(HEADLINE.beta), 0.0), event)
 
 
 def test_counterexample_gamma_zero_is_consistent():
@@ -237,7 +237,7 @@ def test_sweep_zero_correction_rows_constant():
     for row in rows:
         assert row.a0 == pytest.approx(30.0)
         assert row.discrepancy == pytest.approx(1.0, abs=1e-6)
-        assert row.ell * row.beta == pytest.approx(30.0)
+        assert row.params.ell * row.params.beta == pytest.approx(30.0)
 
 
 def test_sweep_single_beta_zero():
@@ -258,7 +258,7 @@ def test_sweep_with_boost_correction_closed_form():
     # quadratic in beta (the linear term vanishes identically)
     rows = sweep_velocity(HEADLINE, [0.02, 0.01, 0.005], k_correction=SY / 2)
     for row in rows:
-        expected = math.cos(math.atanh(row.beta)) - math.exp(-15.0)
+        expected = math.cos(math.atanh(row.params.beta)) - math.exp(-15.0)
         assert row.discrepancy == pytest.approx(expected, abs=1e-12)
     # ratios on the boost correction alone: the R branch, and with it the
     # exp(-15) residual in |discrepancy - 1|, is the same without K
