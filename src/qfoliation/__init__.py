@@ -16,7 +16,6 @@ from .dynamics import (
     lindblad_exact_twolevel,
     lindblad_propagate,
     liouvillian,
-    qsd_step,
     qsd_trajectory,
 )
 from .foliation import (
@@ -60,7 +59,6 @@ __all__ = [
     "lindblad_exact_twolevel",
     "lindblad_propagate",
     "liouvillian",
-    "qsd_step",
     "qsd_trajectory",
     "FourVector",
     "Hyperplane",

@@ -218,7 +218,9 @@ def _complex_array(obj, key: str, ndim: int) -> np.ndarray:
         )
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"config key {key!r} contains non-finite entries")
-    return arr[..., 0] + 1j * arr[..., 1]
+    out = np.empty(arr.shape[:-1], dtype=np.complex128)
+    out.real, out.imag = arr[..., 0], arr[..., 1]  # re + 1j*im would turn -0.0 + 1j*im into +0.0
+    return out
 
 
 def matrix_from_config(obj, key: str, dim: int | None = None) -> np.ndarray:

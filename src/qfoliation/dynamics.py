@@ -5,9 +5,9 @@ Three transports act on a state:
 * deterministic completely-positive evolution of the density matrix along
   the hyperplane offset a (`lindblad_propagate`, to one offset or to an
   array of offsets from one generator, as one stacked computation),
-* its stochastic pure-state unraveling along a (`qsd_step`,
-  `qsd_trajectory`, `ensemble_density`), whose ensemble mean reproduces
-  the density-matrix evolution,
+* its stochastic pure-state unraveling along a (`qsd_trajectory`,
+  `ensemble_density`), whose ensemble mean reproduces the density-matrix
+  evolution,
 * unitary transport between hyperplane normals, i.e. boosts along +x by
   the one generator `GeneratorSet.K` (`boost_transport`).
 
@@ -44,11 +44,12 @@ The batch is held as columns, shape (dim, M), so component i of every
 trajectory is one contiguous row. The drift terms linear in psi are folded
 into one matrix G = 1 + step*(-iH - sum_k L_k^dag L_k / 2), built once per
 run; a step applies G and each L_k entry by entry to whole rows and adds
-the <L_k> terms, all with preallocated buffers. Every operation is an
-elementwise numpy ufunc over rows of length M, and none is an in-place
-complex product (whose rounding depends on the length), so a trajectory's
-arithmetic, and its result to the last bit, does not depend on the batch it
-runs in.
+the <L_k> terms, all with preallocated buffers. The noise of several steps
+is drawn in one `rng.wiener_block` call, whose fixed cost would otherwise
+dominate a small batch's step. Every operation is an elementwise numpy
+ufunc over rows of length M, and none is an in-place complex product (whose
+rounding depends on the length), so a trajectory's arithmetic, and its
+result to the last bit, does not depend on the batch it runs in.
 """
 
 from __future__ import annotations
@@ -88,8 +89,17 @@ LINDBLAD_METHODS = ("exact", "rk4")
 # error is no longer comfortably below typical ensemble statistics.
 QSD_STEP_SAFETY = 0.1
 
-# work ceiling of one QSD run: about 8 min at ~50 ns per trajectory-step
+# work ceiling of one QSD run: 6-10 min at the 33-62 ns per trajectory-step
+# measured from 2*10^3 to 4*10^4 trajectories on a 2-vCPU host
 MAX_TRAJECTORY_STEPS = 10**10
+
+# increments per rng.wiener_block call of a QSD run (its block and words take
+# 384 KiB): a call's fixed cost dominates a small batch's step, but a larger
+# block falls out of cache. Per step on a 2-vCPU host, the noise of 10^3
+# trajectories costs 15 us one step at a time, 5 us in 16-step blocks and
+# 15 us in 64-step blocks; that of 10^4 costs 53 us one step at a time and
+# 56 us in 4-step blocks.
+_NOISE_BLOCK_ENTRIES = 2**14
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -408,44 +418,45 @@ def decohering_coupling(gamma: float) -> np.ndarray:
 
 
 def _sparse_rows(op: np.ndarray) -> tuple:
-    """Nonzero entries of a square matrix by row: row i is ((j, op[i, j]), ...)."""
+    """Nonzero entries of a square matrix by row: ((i, ((j, op[i, j]), ...)), ...)."""
     return tuple(
-        tuple((j, op[i, j]) for j in range(op.shape[1]) if op[i, j] != 0)
+        (i, tuple((j, op[i, j]) for j in range(op.shape[1]) if op[i, j] != 0))
         for i in range(op.shape[0])
     )
 
 
 def _qsd_ops(gen: GeneratorSet, step: float):
-    """The operators of one step: (G, ((L_1, live_1), ..., (L_K, live_K))).
+    """The operators of one step as sparse rows, and the step and its half:
+    (G, (L_1, ..., L_K), step, step/2).
 
-    G and each L_k are sparse rows; live_k lists the rows of L_k that have
-    a nonzero entry, the only components that enter <L_k> and L_k psi.
-    G = 1 + step*(-iH - sum_k L_k^dag L_k / 2) holds every drift term that
-    is linear in psi; only the <L_k> terms are left to each step.
+    G keeps every row. Each L_k keeps only its live rows, those with a
+    nonzero entry, the only components that enter <L_k> and L_k psi; a zero
+    L_k keeps none. G = 1 + step*(-iH - sum_k L_k^dag L_k / 2) holds every
+    drift term that is linear in psi; only the <L_k> terms are left to each
+    step. step and step/2 are complex128 scalars, the values numpy would
+    otherwise convert a Python float to on every call.
     """
     d = gen.dim
     ldl_sum = np.zeros((d, d), dtype=np.complex128)
     for lk in gen.Ls:
         ldl_sum += lk.conj().T @ lk
     g = np.eye(d, dtype=np.complex128) + step * (-1j * gen.H - 0.5 * ldl_sum)
-    channels = []
-    for lk in gen.Ls:
-        rows = _sparse_rows(lk)
-        channels.append((rows, tuple(i for i, row in enumerate(rows) if row)))
-    return _sparse_rows(g), tuple(channels)
+    channels = tuple(tuple(row for row in _sparse_rows(lk) if row[1]) for lk in gen.Ls)
+    return _sparse_rows(g), channels, np.complex128(step), np.complex128(0.5 * step)
 
 
 def _apply(rows: tuple, cols: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = op @ cols for columns cols, shape (d, M), given op's sparse rows."""
-    for i, row in enumerate(rows):
+    """out[i] = (op @ cols)[i] for columns cols, shape (d, M), and each sparse
+    row (i, entries) of op; a row without entries gives zeros."""
+    for i, row in rows:
         acc = out[i]
         if not row:
             acc[...] = 0.0
             continue
         (j, c), *rest = row
-        np.multiply(cols[j], c, out=acc)
+        np.multiply(cols[j], c, acc)
         for j, c in rest:
-            acc += np.multiply(cols[j], c, out=tmp)
+            acc += np.multiply(cols[j], c, tmp)
 
 
 class _StepBuffers:
@@ -460,6 +471,7 @@ class _StepBuffers:
         )
         self.sq = np.empty((d, 2 * m))
         self.norms = np.empty(m)
+        self.scale = np.empty(2 * m)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite norm is refused below
@@ -468,7 +480,6 @@ def _qsd_step_batch(
     out: np.ndarray,
     ops: tuple,
     dxi,
-    step: float,
     renormalize: bool,
     buf: _StepBuffers,
 ) -> np.ndarray:
@@ -478,43 +489,53 @@ def _qsd_step_batch(
     increments of channel k, writes into `out` (not `cols`) and returns it:
         G psi + sum_k (step conj<L_k> + dxi_k) L_k psi
               - sum_k <L_k> (step conj<L_k> / 2 + dxi_k) psi,
-    with <L_k> = sum_i conj(psi_i) (L_k psi)_i. Each term is a ufunc over one
-    component row of the batch, scaled by an operator entry (exact zeros
-    skipped) or by another (M,) row, so every trajectory sees the same
-    elementwise operations in the same order whatever the batch size: a
-    column is bit-identical to the same trajectory run alone. No complex
-    product is taken in place: numpy's in-place complex multiply rounds a
-    length-1 array differently from a long one.
+    with <L_k> = sum_i conj(psi_i) (L_k psi)_i over the live rows i of L_k.
+    Each term is a ufunc over one component row of the batch, scaled by an
+    operator entry (exact zeros skipped) or by another (M,) row, so every
+    trajectory sees the same elementwise operations in the same order
+    whatever the batch size: a column is bit-identical to the same
+    trajectory run alone. No complex product is taken in place: numpy's
+    in-place complex multiply rounds a length-1 array differently from a
+    long one.
+
+    <L_k> starts from its first live term, not from zeros, so it may hold a
+    -0.0 that +0.0 + term would have made +0.0. With nonzero increments that
+    sign reaches `out` only through `shift`, which still starts from +0.0 and
+    so holds no -0.0 either way: every bit of `out` is as before. A zero L_k
+    is skipped, as its terms would only add signed zeros to `shift`.
     """
-    g_rows, channels = ops
+    g_rows, channels, h, half_h = ops
     d = cols.shape[0]
-    tmp = buf.tmp
+    tmp, conj = buf.tmp, buf.conj
     _apply(g_rows, cols, out, tmp)
     lcol, lexp, lexp_c, coef, shift = buf.lcol, buf.lexp, buf.lexp_c, buf.coef, buf.shift
     shift[...] = 0.0
-    for (rows, live), dx in zip(channels, dxi):
+    for rows, dx in zip(channels, dxi):
+        if not rows:
+            continue
         _apply(rows, cols, lcol, tmp)
-        lexp[...] = 0.0
-        for i in live:
-            lexp += np.multiply(np.conjugate(cols[i], out=buf.conj), lcol[i], out=tmp)
-        np.conjugate(lexp, out=lexp_c)
-        np.multiply(lexp_c, step, out=coef)
+        (i, _), *rest = rows
+        np.multiply(np.conjugate(cols[i], conj), lcol[i], lexp)
+        for i, _ in rest:
+            lexp += np.multiply(np.conjugate(cols[i], conj), lcol[i], tmp)
+        np.conjugate(lexp, lexp_c)
+        np.multiply(lexp_c, h, coef)
         coef += dx
-        for i in live:
+        for i, _ in rows:
             acc = out[i]
-            acc += np.multiply(lcol[i], coef, out=tmp)
-        np.multiply(lexp_c, 0.5 * step, out=coef)
+            acc += np.multiply(lcol[i], coef, tmp)
+        np.multiply(lexp_c, half_h, coef)
         coef += dx
-        shift += np.multiply(coef, lexp, out=tmp)
+        shift += np.multiply(coef, lexp, tmp)
     for i in range(d):
         acc = out[i]
-        acc -= np.multiply(cols[i], shift, out=tmp)
-    sq = np.square(out.view(np.float64), out=buf.sq)  # re^2, im^2 interleaved
-    norms = np.add(sq[0, 0::2], sq[0, 1::2], out=buf.norms)
+        acc -= np.multiply(cols[i], shift, tmp)
+    sq = np.square(out.view(np.float64), buf.sq)  # re^2, im^2 interleaved
+    norms = np.add(sq[0, 0::2], sq[0, 1::2], buf.norms)
     for i in range(1, d):
         norms += sq[i, 0::2]
         norms += sq[i, 1::2]
-    np.sqrt(norms, out=norms)
+    np.sqrt(norms, norms)
     worst = float(norms.min())
     if worst < ZERO_NORM_FLOOR:
         raise ZeroNorm(f"trajectory norm collapsed to {worst:.3e} before renormalization")
@@ -524,37 +545,15 @@ def _qsd_step_batch(
     if renormalize:
         # divide as floats: faster than complex division, and numpy's
         # broadcast complex-by-real division rounds a one-trajectory batch
-        # differently from a long one
+        # differently from a long one. Each norm is laid out twice, for the
+        # real and the imaginary part, so that one contiguous division
+        # covers the batch; strided division is slower.
+        scale = buf.scale
+        scale[0::2] = norms
+        scale[1::2] = norms
         flat = out.view(np.float64)
-        flat[:, 0::2] /= norms
-        flat[:, 1::2] /= norms
+        np.divide(flat, scale, flat)
     return out
-
-
-def qsd_step(
-    psi: np.ndarray,
-    gen: GeneratorSet,
-    dxi: np.ndarray | None,
-    step: float,
-    renormalize: bool = True,
-) -> np.ndarray:
-    """One stochastic step of the pure-state unraveling.
-
-    dxi holds one complex Wiener increment per coupling operator (None only
-    when there are none). Eigenstates of every L are fixed points: both the
-    fluctuation operator and the drift annihilate them.
-    """
-    psi = as_complex(psi)
-    dxi = np.asarray(() if dxi is None else dxi, dtype=np.complex128)
-    if psi.shape != (gen.dim,) or dxi.shape != (len(gen.Ls),):
-        raise DimMismatch(f"state shape {psi.shape} and noise shape {dxi.shape} do not fit "
-                          f"dim {gen.dim} with {len(gen.Ls)} coupling operators")
-    ops = _qsd_ops(gen, step)
-    cols = psi[:, None]
-    out = _qsd_step_batch(
-        cols, np.empty_like(cols), ops, dxi[:, None], step, renormalize, _StepBuffers(gen.dim, 1)
-    )
-    return out[:, 0]
 
 
 def _warn_if_step_coarse(gen: GeneratorSet, step: float) -> None:
@@ -575,11 +574,13 @@ def _qsd_batches(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_t
 
     Row m runs on noise stream (cfg.seed, first + m) and, since the step
     arithmetic is per trajectory, is bit-identical whatever the other rows
-    are. The batch is stepped as columns, shape (dim, M), in two alternating
-    buffers; each item is a transposed view that the step after next
-    overwrites, so a caller copies what it keeps before advancing twice.
-    The call itself refuses more than MAX_TRAJECTORY_STEPS trajectory-steps,
-    counting at least one step per trajectory, before anything is allocated.
+    are. The noise is drawn in blocks of consecutive steps (see `_qsd_run`),
+    and an increment's bits do not depend on the block it is drawn in. The
+    batch is stepped as columns, shape (dim, M), in two alternating buffers;
+    each item is a transposed view that the step after next overwrites, so
+    a caller copies what it keeps before advancing twice. The call itself
+    refuses more than MAX_TRAJECTORY_STEPS trajectory-steps, counting at
+    least one step per trajectory, before anything is allocated.
     """
     psi0 = validate_state(psi0)
     require_same_dim(psi0, gen.H)
@@ -596,7 +597,12 @@ def _qsd_batches(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_t
 
 
 def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, streams):
-    """The generator behind `_qsd_batches`, for inputs it has checked."""
+    """The generator behind `_qsd_batches`, for inputs it has checked.
+
+    With M trajectories and K channels, one `rng.wiener_block` call draws the
+    noise of S = max(1, _NOISE_BLOCK_ENTRIES // (M*K)) consecutive steps; the
+    last block is shorter when S does not divide cfg.steps.
+    """
     ops = _qsd_ops(gen, cfg.step)
     k = len(ops[1])
     keys = rng.stream_keys(cfg.seed, streams)
@@ -604,10 +610,12 @@ def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, streams
     yield cols.T
     outs = np.empty((2,) + cols.shape, dtype=np.complex128)
     buf = _StepBuffers(*cols.shape)
-    for s in range(cfg.steps):
-        dxi = rng.wiener_block(keys, s, k, cfg.step).T
-        cols = _qsd_step_batch(cols, outs[s % 2], ops, dxi, cfg.step, cfg.renormalize, buf)
-        yield cols.T
+    block = max(1, _NOISE_BLOCK_ENTRIES // max(1, len(keys) * k))
+    for first in range(0, cfg.steps, block):
+        noise = rng.wiener_block(keys, first, min(block, cfg.steps - first), k, cfg.step)
+        for s, dxi in enumerate(noise, first):
+            cols = _qsd_step_batch(cols, outs[s % 2], ops, dxi, cfg.renormalize, buf)
+            yield cols.T
 
 
 def qsd_trajectory(

@@ -16,6 +16,11 @@ simplified weak Euler scheme of Kloeden & Platen, Numerical Solution of
 Stochastic Differential Equations (1992), ch. 14. Every part of every
 increment is exactly +-sqrt(step/2), so the increments' bits are the same on
 every IEEE host.
+
+`wiener_block` draws a run of consecutive steps in one call, laid out as
+(steps, K, M) so that the increments of one channel at one step, across M
+trajectories, are one contiguous row. An increment's counter fixes its bits,
+so a run drawn in blocks of any length gets the same noise.
 """
 
 from __future__ import annotations
@@ -63,15 +68,19 @@ def stream_keys(seed: int, streams) -> np.ndarray:
 
 
 def wiener_block(
-    keys: np.ndarray, step_index: int, channels: int, step: float
+    keys: np.ndarray, first_step: int, steps: int, channels: int, step: float
 ) -> np.ndarray:
-    """Increments of one integrator step for many trajectories, shape (M, channels).
+    """Increments of `steps` consecutive integrator steps for many trajectories,
+    shape (steps, channels, M).
 
-    `keys` comes from stream_keys. Row m depends only on keys[m], so batched
-    and per-trajectory integration consume identical noise.
+    `keys` comes from stream_keys. Entry [s, k, m] is the increment of
+    channel k at step first_step + s of trajectory m, from the word at
+    counter (first_step + s)*channels + k of keys[m]: it depends only on
+    keys[m] and that counter, so batched and per-trajectory integration,
+    drawn in blocks of any length, consume identical noise. Each [s, k] row
+    is one contiguous (M,) array.
     """
-    base = np.uint64(step_index * channels)
-    counters = base + np.arange(channels, dtype=np.uint64)
-    words = _mix(keys[:, None] + (counters[None, :] + np.uint64(1)) * _GOLDEN)
+    counters = np.arange(first_step * channels, (first_step + steps) * channels, dtype=np.uint64)
+    words = _mix(((counters + np.uint64(1)) * _GOLDEN)[:, None] + keys[None, :])
     words &= np.uint64(3)
-    return (np.sqrt(step / 2.0) * _SIGNS).take(words)
+    return (np.sqrt(step / 2.0) * _SIGNS).take(words).reshape(steps, channels, len(keys))

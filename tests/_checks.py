@@ -1,14 +1,17 @@
 """Checks that only the tests use: hyperplane construction, event membership,
-the conjugate transpose, the per-trajectory noise reference and the strict
-reading of a report's config, kept out of the package's public surface."""
+the conjugate transpose, the per-trajectory noise and step-kernel references
+and the strict reading of a report's config, kept out of the package's public
+surface."""
 
 import json
 import math
 
 import numpy as np
 
-from qfoliation.errors import NotTimelike, PastPointing
+from qfoliation.dynamics import GeneratorSet, _qsd_ops, _qsd_step_batch, _StepBuffers
+from qfoliation.errors import DimMismatch, NotTimelike, PastPointing
 from qfoliation.foliation import FourVector, Hyperplane
+from qfoliation.linalg import as_complex
 from qfoliation.rng import stream_keys, wiener_block
 
 
@@ -45,13 +48,39 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def wiener_increments(seed: int, stream: int, steps: int, channels: int, step: float) -> np.ndarray:
-    """Noise of trajectory `stream` drawn on its own, shape (steps, channels).
+    """Noise of trajectory `stream` drawn on its own, one step per call, shape
+    (steps, channels).
 
-    The per-row reference: row s must equal row m of the step-s wiener_block
-    of any batch whose m-th stream is `stream`.
+    The per-row reference: row s must equal column m of step s of any
+    wiener_block whose m-th key is stream's, whatever block holds step s.
     """
     keys = stream_keys(seed, [stream])
-    return np.concatenate([wiener_block(keys, s, channels, step) for s in range(steps)])
+    return np.stack([wiener_block(keys, s, 1, channels, step)[0, :, 0] for s in range(steps)])
+
+
+def qsd_step(
+    psi: np.ndarray,
+    gen: GeneratorSet,
+    dxi: np.ndarray | None,
+    step: float,
+    renormalize: bool = True,
+) -> np.ndarray:
+    """One stochastic step of the pure-state unraveling for one state: the
+    per-row reference of the batch kernel.
+
+    dxi holds one complex Wiener increment per coupling operator (None only
+    when there are none). Eigenstates of every L are fixed points: both the
+    fluctuation operator and the drift annihilate them.
+    """
+    psi = as_complex(psi)
+    dxi = np.asarray(() if dxi is None else dxi, dtype=np.complex128)
+    if psi.shape != (gen.dim,) or dxi.shape != (len(gen.Ls),):
+        raise DimMismatch(f"state shape {psi.shape} and noise shape {dxi.shape} do not fit "
+                          f"dim {gen.dim} with {len(gen.Ls)} coupling operators")
+    cols = psi[:, None]
+    out = _qsd_step_batch(cols, np.empty_like(cols), _qsd_ops(gen, step), dxi[:, None],
+                          renormalize, _StepBuffers(gen.dim, 1))
+    return out[:, 0]
 
 
 def _refuse_constant(name: str):

@@ -456,6 +456,20 @@ def test_zero_span_lindblad_keeps_the_sign_of_each_zero_in_rho0(tmp_path, capsys
     assert json.dumps(report["results"]["rho_final"]["entries_row_major"]) == resolved
 
 
+def test_config_echo_keeps_a_negative_zero_real_part_beside_a_positive_imaginary_part(
+        tmp_path, capsys):
+    # re + 1j*im turns the real part of [-0.0, 0.125] into +0.0, but not that of [-0.0, -0.125]
+    rho0 = [[[0.5, 0], [-0.0, -0.125]], [[-0.0, 0.125], [0.5, 0]]]
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 0, "rho0": rho0},
+           "format": "json"}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 0, err
+    with open(out, encoding="utf-8") as fh:
+        echoed = json.load(fh)["config"]["params"]["rho0"]
+    expected = [[[float(x) for x in pair] for pair in row] for row in rho0]
+    assert json.dumps(echoed) == json.dumps(expected)
+
+
 # -- flags resolve through the schema --------------------------------------------------
 
 LINDBLAD = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0}}

@@ -20,7 +20,6 @@ from qfoliation.dynamics import (
     lindblad_exact_twolevel,
     lindblad_propagate,
     liouvillian,
-    qsd_step,
     qsd_trajectory,
 )
 from qfoliation.errors import (
@@ -42,6 +41,7 @@ from qfoliation.linalg import (
 )
 from qfoliation.rng import stream_keys, wiener_block
 from qfoliation.scenarios import dephasing_model, initial_state
+from _checks import qsd_step, wiener_increments
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -670,7 +670,7 @@ def test_qsd_kernel_matches_einsum_reference(n_ls, renormalize):
     # a batch step on the ensemble's own noise
     psi0 = psis[0]
     cfg = TrajectoryConfig(step=step, steps=1, seed=31, renormalize=renormalize)
-    noise = wiener_block(stream_keys(31, np.arange(m)), 0, n_ls, step)
+    noise = wiener_block(stream_keys(31, np.arange(m)), 0, 1, n_ls, step)[0].T
     ref = qsd_step_einsum(np.tile(psi0, (m, 1)), gen, noise, step, renormalize)
     np.testing.assert_allclose(ensemble_final_states(psi0, gen, cfg, m), ref, rtol=0, atol=1e-13)
 
@@ -697,6 +697,7 @@ def test_ensemble_single_trajectory_projector():
     pytest.param(decoherence_model(), id="one-channel"),
     pytest.param(GeneratorSet(H=SZ), id="zero-channel"),
     pytest.param(GeneratorSet(H=SZ, Ls=(decohering_coupling(1.0), 0.5 * SX)), id="two-channel"),
+    pytest.param(dephasing_model(0.0), id="gamma-zero"),
 ])
 def test_ensemble_row_matches_standalone_trajectory_bitwise(gen):
     cfg = TrajectoryConfig(step=0.02, steps=100, seed=4)
@@ -704,6 +705,30 @@ def test_ensemble_row_matches_standalone_trajectory_bitwise(gen):
     for stream in (0, 7, 29):
         path = qsd_trajectory(PLUS_STATE, gen, cfg, stream=stream)
         np.testing.assert_array_equal(finals[stream], path[-1])
+
+
+def test_ensemble_noise_blocks_match_the_per_row_reference(monkeypatch):
+    # M*K = 5000 gives blocks of 2^14 // 5000 = 3 steps: 3, 3, 3 and 1 for 10 steps
+    m, seed, step = 2500, 12, 0.02
+    gen = GeneratorSet(H=SZ, Ls=(decohering_coupling(1.0), 0.5 * SX))
+    assert dynamics._NOISE_BLOCK_ENTRIES // (m * 2) == 3
+    drawn = []
+
+    def recording(keys, first_step, steps, channels, h):
+        drawn.append((first_step, steps))
+        return wiener_block(keys, first_step, steps, channels, h)
+
+    monkeypatch.setattr("qfoliation.rng.wiener_block", recording)
+    cfg = TrajectoryConfig(step=step, steps=10, seed=seed)
+    rows = (0, 1, 1234, m - 1)
+    refs = {row: PLUS_STATE.astype(complex) for row in rows}
+    noise = {row: wiener_increments(seed, row, 10, 2, step) for row in rows}
+    for s, batch in enumerate(dynamics._qsd_batches(PLUS_STATE, gen, cfg, m)):
+        for row in rows:
+            if s:
+                refs[row] = qsd_step(refs[row], gen, noise[row][s - 1], step)
+            np.testing.assert_array_equal(batch[row], refs[row])
+    assert drawn == [(0, 3), (3, 3), (6, 3), (9, 1)]
 
 
 def test_ensemble_unitary_equals_expm_route():

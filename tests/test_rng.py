@@ -23,18 +23,25 @@ def test_streams_are_distinct():
 
 
 def test_block_matches_per_trajectory_rows():
-    seed, channels, step = 7, 3, 0.05
+    seed, step = 7, 0.05
     keys = stream_keys(seed, np.arange(20))
-    for step_index in (0, 1, 17):
-        block = wiener_block(keys, step_index, channels, step)
+    for first, steps, channels in ((0, 1, 1), (0, 18, 3), (5, 4, 2), (17, 1, 3), (3, 7, 0)):
+        block = wiener_block(keys, first, steps, channels, step)
+        assert block.shape == (steps, channels, 20)
         for m in (0, 5, 19):
-            row = wiener_increments(seed, m, steps=18, channels=channels, step=step)
-            np.testing.assert_array_equal(block[m], row[step_index])
+            row = wiener_increments(seed, m, steps=first + steps, channels=channels, step=step)
+            for s in range(steps):
+                np.testing.assert_array_equal(block[s, :, m], row[first + s])
+
+
+def test_block_rows_are_contiguous():
+    block = wiener_block(stream_keys(1, np.arange(9)), 2, 4, 3, 0.1)
+    assert all(block[s, k].flags.c_contiguous for s in range(4) for k in range(3))
 
 
 def _many_increments(step):
     """10^5 increments: 100 streams times 1000 consecutive counters."""
-    return wiener_block(stream_keys(99, np.arange(100)), 0, 1000, step).ravel()
+    return wiener_block(stream_keys(99, np.arange(100)), 0, 1000, 1, step).ravel()
 
 
 def test_every_part_is_exactly_the_amplitude():
@@ -76,8 +83,8 @@ def test_stream_indices_must_be_non_negative_integers(streams):
 def test_shapes():
     xi = wiener_increments(0, 0, steps=7, channels=3, step=0.1)
     assert xi.shape == (7, 3)
-    block = wiener_block(stream_keys(0, np.arange(5)), 0, 3, 0.1)
-    assert block.shape == (5, 3)
+    block = wiener_block(stream_keys(0, np.arange(5)), 0, 4, 3, 0.1)
+    assert block.shape == (4, 3, 5)
 
 
 # The increments themselves are pinned by digest. splitmix64 is wrapping
@@ -97,8 +104,12 @@ def _sha256(arr):
 
 @pytest.mark.parametrize("step_index", sorted(INCREMENTS_SHA256))
 def test_wiener_block_bits_pinned(step_index):
-    block = wiener_block(stream_keys(20260808, np.arange(64)), step_index, 2, 0.01)
-    assert _sha256(block) == INCREMENTS_SHA256[step_index]
+    # hashed in (M, K) order, as one step's block was laid out when pinned
+    keys = stream_keys(20260808, np.arange(64))
+    alone = wiener_block(keys, step_index, 1, 2, 0.01)[0]
+    assert _sha256(alone.T) == INCREMENTS_SHA256[step_index]
+    in_run = wiener_block(keys, 0, 3000, 2, 0.01)[step_index]
+    assert _sha256(in_run.T) == INCREMENTS_SHA256[step_index]
 
 
 def test_wiener_increments_bits_pinned():
