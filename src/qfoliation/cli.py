@@ -310,11 +310,6 @@ def parse_config(text: str, command: str | None = None, *, seed: int | None = No
     return RunConfig(command=cfg_command, params=params, **top)
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Inverse of parse_config: parse_config(serialize_config(cfg)) == cfg."""
-    return json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
-
-
 # -- number formatting --------------------------------------------------------
 
 

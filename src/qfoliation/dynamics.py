@@ -38,10 +38,11 @@ The increments are the two-point ones of `rng` (the simplified weak Euler
 scheme), so a `qsd_trajectory` path is a weak-scheme path, not a strong
 approximation of a QSD path: only ensemble means and other expectations
 converge, at weak order 1, and those are all any report reads.
-One loop (`_qsd_batches`) advances every trajectory; `qsd_trajectory`
-records its path and `ensemble_final_states` keeps only the last batch.
-The batch is held as columns, shape (dim, M), so component i of every
-trajectory is one contiguous row. The drift terms linear in psi are folded
+One plain loop (`_qsd_run`) advances every trajectory under one
+np.errstate context per run; `qsd_trajectory` has it record the path and
+`ensemble_final_states` takes the final batch. The batch is held as
+columns, shape (dim, M), so component i of every trajectory is one
+contiguous row. The drift terms linear in psi are folded
 into one matrix G = 1 + step*(-iH - sum_k L_k^dag L_k / 2), built once per
 run; a step applies G and each L_k entry by entry to whole rows and adds
 the <L_k> terms, all with preallocated buffers. The noise of several steps
@@ -55,7 +56,6 @@ result to the last bit, does not depend on the batch it runs in.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +68,7 @@ from .errors import (
     StepTooLarge,
     ValidationError,
     ZeroNorm,
+    warn,
 )
 from .foliation import lorentz_gamma
 from .linalg import (
@@ -89,9 +90,16 @@ LINDBLAD_METHODS = ("exact", "rk4")
 # error is no longer comfortably below typical ensemble statistics.
 QSD_STEP_SAFETY = 0.1
 
-# work ceiling of one QSD run: 6-10 min at the 33-62 ns per trajectory-step
-# measured from 2*10^3 to 4*10^4 trajectories on a 2-vCPU host
+# work ceiling of one QSD run, in trajectory-steps, each step counted as at
+# least MIN_STEP_TRAJECTORIES trajectories: 4-10 min at any batch size on a
+# 2-vCPU host, where a trajectory-step costs 29-56 ns from 10^3 to 2*10^4
+# trajectories
 MAX_TRAJECTORY_STEPS = 10**10
+
+# the fixed cost of a QSD step, in trajectories: on the same host a step of 1
+# to 100 trajectories takes 23-36 us, as long as about 10^3 more trajectories
+# at 29-39 ns each (from 4*10^3 to 2*10^4)
+MIN_STEP_TRAJECTORIES = 10**3
 
 # increments per rng.wiener_block call of a QSD run (its block and words take
 # 384 KiB): a call's fixed cost dominates a small batch's step, but a larger
@@ -474,7 +482,6 @@ class _StepBuffers:
         self.scale = np.empty(2 * m)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm is refused below
 def _qsd_step_batch(
     cols: np.ndarray,
     out: np.ndarray,
@@ -503,6 +510,9 @@ def _qsd_step_batch(
     sign reaches `out` only through `shift`, which still starts from +0.0 and
     so holds no -0.0 either way: every bit of `out` is as before. A zero L_k
     is skipped, as its terms would only add signed zeros to `shift`.
+
+    Callers run it under one np.errstate(over="ignore", invalid="ignore") per
+    run: an overflow or NaN shows as a non-finite norm, which it refuses.
     """
     g_rows, channels, h, half_h = ops
     d = cols.shape[0]
@@ -556,66 +566,56 @@ def _qsd_step_batch(
     return out
 
 
-def _warn_if_step_coarse(gen: GeneratorSet, step: float) -> None:
-    norms = coupling_norms(gen)
-    if norms and step * max(norms) > QSD_STEP_SAFETY:
-        warnings.warn(
-            f"step*max||L^dag L|| = {step * max(norms):.3g} exceeds {QSD_STEP_SAFETY}; "
-            "stochastic integration error may dominate",
-            stacklevel=4,  # past _qsd_batches and the integrator, to its caller
-        )
+def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj: int,
+             first: int = 0, record: bool = False) -> np.ndarray:
+    """Run n_traj trajectories from psi0 on noise streams first, first + 1, ...;
+    returns the final states, shape (n_traj, dim), or with `record` the
+    path, shape (steps + 1, n_traj, dim).
 
-
-def _qsd_batches(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj: int,
-                 first: int = 0):
-    """Run n_traj trajectories from psi0, on noise streams first, first + 1, ...;
-    returns an iterator over the batch, shape (n_traj, dim), at step 0 and
-    after each step.
-
-    Row m runs on noise stream (cfg.seed, first + m) and, since the step
-    arithmetic is per trajectory, is bit-identical whatever the other rows
-    are. The noise is drawn in blocks of consecutive steps (see `_qsd_run`),
-    and an increment's bits do not depend on the block it is drawn in. The
-    batch is stepped as columns, shape (dim, M), in two alternating buffers;
-    each item is a transposed view that the step after next overwrites, so
-    a caller copies what it keeps before advancing twice. The call itself
-    refuses more than MAX_TRAJECTORY_STEPS trajectory-steps, counting at
-    least one step per trajectory, before anything is allocated.
+    Row m runs on stream (cfg.seed, first + m) and is bit-identical whatever
+    the other rows are. Before anything of the run's size is allocated, the
+    call refuses more than MAX_TRAJECTORY_STEPS trajectory-steps, counting
+    at least one step and MIN_STEP_TRAJECTORIES trajectories a step. With
+    K channels, one `rng.wiener_block` call draws the noise of max(1,
+    _NOISE_BLOCK_ENTRIES // (M*K)) consecutive steps, whose bits do not
+    depend on the block.
     """
+    if n_traj < 1:
+        raise ValidationError(f"need at least one trajectory, got {n_traj}")
     psi0 = validate_state(psi0)
     require_same_dim(psi0, gen.H)
     steps = max(cfg.steps, 1)  # a run of zero steps still holds its n_traj states
-    work = n_traj * steps  # a Python int: exact at any n_traj
-    if work > MAX_TRAJECTORY_STEPS:
+    if max(n_traj, MIN_STEP_TRAJECTORIES) * steps > MAX_TRAJECTORY_STEPS:  # exact Python ints
+        work = n_traj * steps
         total = f"{work:.3g}" if work < 1e300 else "over 1e+300"
+        floor = (f", counted at {MIN_STEP_TRAJECTORIES} trajectories a step,"
+                 if n_traj < MIN_STEP_TRAJECTORIES else "")
         raise ValidationError(
-            f"n_traj * steps = {n_traj} * {steps} = {total} trajectory-steps "
+            f"n_traj * steps = {n_traj} * {steps} = {total} trajectory-steps{floor} "
             f"exceeds the work ceiling of {MAX_TRAJECTORY_STEPS:.0e}"
         )
-    _warn_if_step_coarse(gen, cfg.step)
-    return _qsd_run(psi0, gen, cfg, range(first, first + n_traj))
-
-
-def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, streams):
-    """The generator behind `_qsd_batches`, for inputs it has checked.
-
-    With M trajectories and K channels, one `rng.wiener_block` call draws the
-    noise of S = max(1, _NOISE_BLOCK_ENTRIES // (M*K)) consecutive steps; the
-    last block is shorter when S does not divide cfg.steps.
-    """
+    norms = coupling_norms(gen)
+    if norms and cfg.step * max(norms) > QSD_STEP_SAFETY:
+        warn(f"step*max||L^dag L|| = {cfg.step * max(norms):.3g} exceeds {QSD_STEP_SAFETY}; "
+             "stochastic integration error may dominate")
     ops = _qsd_ops(gen, cfg.step)
     k = len(ops[1])
-    keys = rng.stream_keys(cfg.seed, streams)
-    cols = np.repeat(psi0[:, None], len(keys), axis=1)
-    yield cols.T
+    keys = rng.stream_keys(cfg.seed, range(first, first + n_traj))
+    cols = np.repeat(psi0[:, None], n_traj, axis=1)
+    if record:
+        path = np.empty((cfg.steps + 1, n_traj, gen.dim), dtype=np.complex128)
+        path[0] = cols.T
     outs = np.empty((2,) + cols.shape, dtype=np.complex128)
     buf = _StepBuffers(*cols.shape)
-    block = max(1, _NOISE_BLOCK_ENTRIES // max(1, len(keys) * k))
-    for first in range(0, cfg.steps, block):
-        noise = rng.wiener_block(keys, first, min(block, cfg.steps - first), k, cfg.step)
-        for s, dxi in enumerate(noise, first):
-            cols = _qsd_step_batch(cols, outs[s % 2], ops, dxi, cfg.renormalize, buf)
-            yield cols.T
+    block = max(1, _NOISE_BLOCK_ENTRIES // max(1, n_traj * k))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused per step
+        for start in range(0, cfg.steps, block):
+            noise = rng.wiener_block(keys, start, min(block, cfg.steps - start), k, cfg.step)
+            for s, dxi in enumerate(noise, start):
+                cols = _qsd_step_batch(cols, outs[s % 2], ops, dxi, cfg.renormalize, buf)
+                if record:
+                    path[s + 1] = cols.T
+    return path if record else cols.T
 
 
 def qsd_trajectory(
@@ -629,11 +629,7 @@ def qsd_trajectory(
     Deterministic given (cfg.seed, stream): the noise at every step is a
     pure function of those, so identical seeds give bit-identical paths.
     """
-    batches = _qsd_batches(psi0, gen, cfg, 1, stream)
-    path = np.empty((cfg.steps + 1, gen.dim), dtype=np.complex128)
-    for s, psis in enumerate(batches):
-        path[s] = psis[0]
-    return path
+    return _qsd_run(psi0, gen, cfg, 1, stream, record=True)[:, 0]
 
 
 def ensemble_final_states(
@@ -648,11 +644,7 @@ def ensemble_final_states(
     to qsd_trajectory(..., stream=m) finals regardless of batch size, which
     also makes the ensemble independent of any execution schedule.
     """
-    if n_traj < 1:
-        raise ValidationError(f"need at least one trajectory, got {n_traj}")
-    for psis in _qsd_batches(psi0, gen, cfg, n_traj):
-        pass
-    return psis
+    return _qsd_run(psi0, gen, cfg, n_traj)
 
 
 def ensemble_density(

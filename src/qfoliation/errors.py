@@ -1,10 +1,24 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one warning call.
 
 Numerical errors carry the violated invariant's name and magnitude in their
 message so callers (and the CLI exit-status logic) can report them directly.
 """
 
 from __future__ import annotations
+
+import os
+import sys
+import warnings
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep  # as each co_filename of the package reads
+
+
+def warn(message: str) -> None:
+    """Issue a UserWarning that names the first caller outside the package."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 class QFoliationError(Exception):

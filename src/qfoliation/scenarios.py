@@ -20,7 +20,6 @@ beta.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +33,7 @@ from .dynamics import (
     ensemble_density,
     lindblad_propagate,
 )
-from .errors import NonCommutingGenerators, NumericalError, ValidationError
+from .errors import NonCommutingGenerators, NumericalError, ValidationError, warn
 from .foliation import (
     SPEED_OF_LIGHT,
     FourVector,
@@ -187,11 +186,8 @@ def run_counterexample(
     """
     a0 = coincidence_offset(p.ell, p.beta, p.c)
     if 0.0 < p.gamma * a0 < STRONG_REDUCTION_THRESHOLD:
-        warnings.warn(
-            f"gamma*a0 = {p.gamma * a0:.3g} < {STRONG_REDUCTION_THRESHOLD}: "
-            "reduction is incomplete at the coincidence event",
-            stacklevel=2,
-        )
+        warn(f"gamma*a0 = {p.gamma * a0:.3g} < {STRONG_REDUCTION_THRESHOLD}: "
+             "reduction is incomplete at the coincidence event")
     gen = dephasing_model(p.gamma, k_correction)
     rho0 = initial_state()
     a_op = spin_observable()

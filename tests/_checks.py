@@ -1,13 +1,15 @@
 """Checks that only the tests use: hyperplane construction, event membership,
-the conjugate transpose, the per-trajectory noise and step-kernel references
-and the strict reading of a report's config, kept out of the package's public
-surface."""
+the conjugate transpose, the per-trajectory noise and step-kernel references,
+the writing of a resolved config and the strict reading of a report's config,
+kept out of the package's public surface."""
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
+from qfoliation.cli import RunConfig
 from qfoliation.dynamics import GeneratorSet, _qsd_ops, _qsd_step_batch, _StepBuffers
 from qfoliation.errors import DimMismatch, NotTimelike, PastPointing
 from qfoliation.foliation import FourVector, Hyperplane
@@ -78,9 +80,15 @@ def qsd_step(
         raise DimMismatch(f"state shape {psi.shape} and noise shape {dxi.shape} do not fit "
                           f"dim {gen.dim} with {len(gen.Ls)} coupling operators")
     cols = psi[:, None]
-    out = _qsd_step_batch(cols, np.empty_like(cols), _qsd_ops(gen, step), dxi[:, None],
-                          renormalize, _StepBuffers(gen.dim, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # as the ensembles run the kernel
+        out = _qsd_step_batch(cols, np.empty_like(cols), _qsd_ops(gen, step), dxi[:, None],
+                              renormalize, _StepBuffers(gen.dim, 1))
     return out[:, 0]
+
+
+def serialize_config(cfg: RunConfig) -> str:
+    """Inverse of parse_config: parse_config(serialize_config(cfg)) == cfg."""
+    return json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def _refuse_constant(name: str):

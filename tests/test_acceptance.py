@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qfoliation.cli import parse_config, serialize_config
+from qfoliation.cli import parse_config
 from qfoliation.dynamics import (
     GeneratorSet,
     TrajectoryConfig,
@@ -51,7 +51,7 @@ from qfoliation.scenarios import (
     spin_observable,
     sweep_velocity,
 )
-from _checks import contains_event, dagger, make_hyperplane, wiener_increments
+from _checks import contains_event, dagger, make_hyperplane, serialize_config, wiener_increments
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])

@@ -20,9 +20,9 @@ from qfoliation.cli import (
     matrix_to_pairs,
     parse_config,
     run,
-    serialize_config,
 )
 from qfoliation.errors import ParseError, ValidationError
+from _checks import serialize_config
 
 MINIMAL_CE = json.dumps(
     {"command": "counterexample", "params": {"beta": 0.01, "ell": 3000, "gamma": 1.0}}

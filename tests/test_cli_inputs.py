@@ -518,6 +518,10 @@ def _started(*args, **kwargs):
         ({"command": "counterexample",
           "params": {"beta": 0.01, "ell": 3000, "gamma": 1.0, "qsd": {"n_traj": 10, "step": 1e-9}}},
          "n_traj * steps = 10 * 30000000000 = 3e+11 trajectory-steps"),
+        # one trajectory of 10^9 steps, 6-10 h: a step costs what 10^3 trajectories do
+        ({"command": "qsd-ensemble",
+          "params": {"gamma": 1.0, "span": 1e6, "step": 1e-3, "n_traj": 1}},
+         "n_traj * steps = 1 * 1000000000 = 1e+09 trajectory-steps, counted at 1000 trajectories"),
         # 10**15 trajectories, whose stream indices alone would take 7 PiB
         ({"command": "qsd-ensemble", "params": {"gamma": 1.0, "span": 1.0, "n_traj": 10**15}},
          "n_traj * steps = 1000000000000000 * 100 = 1e+17 trajectory-steps"),
@@ -542,8 +546,9 @@ def _started(*args, **kwargs):
           "params": {"beta": 0.0, "ell": 3000, "gamma": 1.0, "qsd": {"n_traj": 2 * 10**10}}},
          "n_traj * steps = 20000000000 * 1 = 2e+10 trajectory-steps"),
     ],
-    ids=["qsd-ensemble", "counterexample-qsd", "qsd-ensemble-1e15-traj",
-         "counterexample-qsd-1e15-traj", "lindblad-samples", "lindblad-samples-memory",
+    ids=["qsd-ensemble", "counterexample-qsd", "qsd-ensemble-one-traj-1e9-steps",
+         "qsd-ensemble-1e15-traj", "counterexample-qsd-1e15-traj", "lindblad-samples",
+         "lindblad-samples-memory",
          "qsd-ensemble-1e400-traj", "counterexample-qsd-1e400-traj",
          "counterexample-qsd-1e400-traj-at-a0-0", "counterexample-qsd-2e10-traj-at-a0-0"],
 )

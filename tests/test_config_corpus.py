@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from qfoliation.cli import parse_config, serialize_config
+from qfoliation.cli import parse_config
+from _checks import serialize_config
 
 SNAPSHOT = Path(__file__).parent / "data" / "resolved_configs.json"
 

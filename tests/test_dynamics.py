@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ from qfoliation import dynamics
 from qfoliation.dynamics import (
     _PADE,
     MAX_TRAJECTORY_STEPS,
+    MIN_STEP_TRAJECTORIES,
     GeneratorSet,
     TrajectoryConfig,
     _expm,
@@ -576,21 +578,39 @@ def test_qsd_trajectory_warns_on_coarse_step():
         qsd_trajectory(PLUS_STATE, gen, TrajectoryConfig(step=0.1, steps=1, seed=0))
 
 
+class Started(Exception):
+    """Raised by a stand-in for rng.wiener_block: the run passed its work ceiling."""
+
+
+def started(*args, **kwargs):
+    raise Started
+
+
 def test_qsd_work_ceiling_refuses_one_trajectory_step_more(monkeypatch):
-    class Started(Exception):
-        pass
-
-    def started(*args, **kwargs):
-        raise Started
-
     monkeypatch.setattr("qfoliation.rng.wiener_block", started)
     gen = decoherence_model()
-    at_ceiling = TrajectoryConfig(step=1e-3, steps=MAX_TRAJECTORY_STEPS // 2)
+    m = 2 * MIN_STEP_TRAJECTORIES
+    at_ceiling = TrajectoryConfig(step=1e-3, steps=MAX_TRAJECTORY_STEPS // m)
     with pytest.raises(Started):
-        ensemble_final_states(PLUS_STATE, gen, at_ceiling, 2)
-    over = TrajectoryConfig(step=1e-3, steps=MAX_TRAJECTORY_STEPS // 2 + 1)
-    with pytest.raises(ValidationError, match=r"n_traj \* steps = 2 \* 5000000001 = 1e\+10"):
-        ensemble_final_states(PLUS_STATE, gen, over, 2)
+        ensemble_final_states(PLUS_STATE, gen, at_ceiling, m)
+    over = TrajectoryConfig(step=1e-3, steps=MAX_TRAJECTORY_STEPS // m + 1)
+    with pytest.raises(ValidationError, match=r"n_traj \* steps = 2000 \* 5000001 = 1e\+10 "
+                                              r"trajectory-steps exceeds"):
+        ensemble_final_states(PLUS_STATE, gen, over, m)
+
+
+@pytest.mark.parametrize("n_traj", [1, 100])
+def test_qsd_work_ceiling_counts_each_step_as_at_least_its_fixed_cost(monkeypatch, n_traj):
+    monkeypatch.setattr("qfoliation.rng.wiener_block", started)
+    gen = decoherence_model()
+    at_ceiling = TrajectoryConfig(step=1e-3, steps=MAX_TRAJECTORY_STEPS // MIN_STEP_TRAJECTORIES)
+    with pytest.raises(Started):
+        ensemble_final_states(PLUS_STATE, gen, at_ceiling, n_traj)
+    over = TrajectoryConfig(step=1e-3, steps=at_ceiling.steps + 1)
+    message = (f"n_traj * steps = {n_traj} * 10000001 = {n_traj * 10000001:.3g} trajectory-steps, "
+               "counted at 1000 trajectories a step, exceeds the work ceiling of 1e+10")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ensemble_final_states(PLUS_STATE, gen, over, n_traj)
 
 
 def test_refused_ensemble_allocates_nothing_of_its_size():
@@ -723,7 +743,7 @@ def test_ensemble_noise_blocks_match_the_per_row_reference(monkeypatch):
     rows = (0, 1, 1234, m - 1)
     refs = {row: PLUS_STATE.astype(complex) for row in rows}
     noise = {row: wiener_increments(seed, row, 10, 2, step) for row in rows}
-    for s, batch in enumerate(dynamics._qsd_batches(PLUS_STATE, gen, cfg, m)):
+    for s, batch in enumerate(dynamics._qsd_run(PLUS_STATE, gen, cfg, m, record=True)):
         for row in rows:
             if s:
                 refs[row] = qsd_step(refs[row], gen, noise[row][s - 1], step)

@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from qfoliation.dynamics import GeneratorSet
+from qfoliation.dynamics import (
+    GeneratorSet,
+    TrajectoryConfig,
+    ensemble_density,
+    ensemble_final_states,
+    qsd_trajectory,
+)
 from qfoliation.errors import (
     NonCommutingGenerators,
     NonHermitianInput,
@@ -21,6 +27,7 @@ from qfoliation.scenarios import (
     CounterexampleParams,
     QsdSettings,
     check_unitary_consistency,
+    dephasing_model,
     dissipative_consistency,
     initial_state,
     initial_state_vector,
@@ -121,6 +128,27 @@ def test_counterexample_beta_zero_observers_coincide():
 def test_counterexample_warns_on_weak_reduction():
     with pytest.warns(UserWarning, match="reduction is incomplete"):
         run_counterexample(CounterexampleParams(beta=0.001, ell=3000.0, gamma=1.0))
+
+
+WEAK = CounterexampleParams(beta=0.001, ell=3000.0, gamma=1.0)  # gamma*a0 = 3: it warns
+COARSE = TrajectoryConfig(step=0.1, steps=1)  # on dephasing_model(4), step*||L^dag L|| = 0.4
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: qsd_trajectory(initial_state_vector(), dephasing_model(4.0), COARSE),
+                 id="qsd_trajectory"),
+    pytest.param(lambda: ensemble_final_states(initial_state_vector(), dephasing_model(4.0),
+                                               COARSE, 2), id="ensemble_final_states"),
+    pytest.param(lambda: ensemble_density(initial_state_vector(), dephasing_model(4.0), COARSE, 2),
+                 id="ensemble_density"),
+    pytest.param(lambda: run_counterexample(WEAK), id="run_counterexample"),
+    pytest.param(lambda: sweep_velocity(WEAK, [0.001]), id="sweep_velocity"),
+    pytest.param(lambda: dissipative_consistency(WEAK), id="dissipative_consistency"),
+])
+def test_warning_names_the_line_that_called_the_package(call):
+    with pytest.warns(UserWarning) as record:
+        call()
+    assert record[0].filename == __file__
 
 
 def test_counterexample_discrepancy_closed_form_and_monotone():
