@@ -31,7 +31,7 @@ from .dynamics import (
     lindblad_exact_twolevel,
     lindblad_propagate,
 )
-from .errors import NumericalError, ParseError, ValidationError
+from .errors import NumericalError, ParseError, ValidationError, log_warnings
 from .linalg import density_from_state, trace_distance, validate_state
 
 log = logging.getLogger("qfoliation")
@@ -515,7 +515,8 @@ def run(cfg: RunConfig) -> int:
     print(f"seed: {cfg.seed}")
     try:
         chunks = _csv_chunks if cfg.format == "csv" else _json_chunks
-        _write_report(cfg.output_path, chunks(cfg, _RUNNERS[cfg.command](cfg)))
+        with log_warnings(log):
+            _write_report(cfg.output_path, chunks(cfg, _RUNNERS[cfg.command](cfg)))
     except ValueError as exc:
         log.error("validation failure: %s", exc)
         return 1

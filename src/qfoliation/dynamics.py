@@ -38,9 +38,9 @@ The increments are the two-point ones of `rng` (the simplified weak Euler
 scheme), so a `qsd_trajectory` path is a weak-scheme path, not a strong
 approximation of a QSD path: only ensemble means and other expectations
 converge, at weak order 1, and those are all any report reads.
-One plain loop (`_qsd_run`) advances every trajectory under one
-np.errstate context per run; `qsd_trajectory` has it record the path and
-`ensemble_final_states` takes the final batch. The batch is held as
+One plain loop (`_qsd_block`, run by `_qsd_run`) advances every
+trajectory under one np.errstate context per run; `qsd_trajectory` has it
+record the path and `ensemble_final_states` takes the final batch. The batch is held as
 columns, shape (dim, M), so component i of every trajectory is one
 contiguous row. The drift terms linear in psi are folded
 into one matrix G = 1 + step*(-iH - sum_k L_k^dag L_k / 2), built once per
@@ -51,11 +51,24 @@ dominate a small batch's step. Every operation is an elementwise numpy
 ufunc over rows of length M, and none is an in-place complex product (whose
 rounding depends on the length), so a trajectory's arithmetic, and its
 result to the last bit, does not depend on the batch it runs in.
+
+A large final-state ensemble (not a recorded path) runs on every CPU the
+process may use: `_qsd_split` cuts its rows into one contiguous block per
+CPU, forks a child for each block but the first, and runs the first
+itself; each child runs the same step loop (`_qsd_block`) on its streams
+and writes its rows into a shared map. A row's noise is a pure function of
+its stream and its arithmetic does not depend on its batch, so neither
+does any bit of the result depend on the split: the final states, and
+every report made from them, are the same for any number of workers.
+Errors behave as in one process (see `_qsd_split`).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,14 +104,15 @@ LINDBLAD_METHODS = ("exact", "rk4")
 QSD_STEP_SAFETY = 0.1
 
 # work ceiling of one QSD run, in trajectory-steps, each step counted as at
-# least MIN_STEP_TRAJECTORIES trajectories: 4-10 min at any batch size on a
-# 2-vCPU host, where a trajectory-step costs 29-56 ns from 10^3 to 2*10^4
-# trajectories
+# least MIN_STEP_TRAJECTORIES trajectories: 4-10 min in one process at any
+# batch size on a 2-vCPU host, where a trajectory-step costs 29-56 ns from
+# 10^3 to 2*10^4 trajectories; an ensemble split over that host's two CPUs
+# (see _MIN_BLOCK_WORK) takes about 0.57 of that, so 2.5-6 min
 MAX_TRAJECTORY_STEPS = 10**10
 
-# the fixed cost of a QSD step, in trajectories: on the same host a step of 1
-# to 100 trajectories takes 23-36 us, as long as about 10^3 more trajectories
-# at 29-39 ns each (from 4*10^3 to 2*10^4)
+# the fixed cost of a QSD step in one process, in trajectories: on the same
+# host a step of 1 to 100 trajectories takes 23-36 us, as long as about 10^3
+# more trajectories at 29-39 ns each (from 4*10^3 to 2*10^4)
 MIN_STEP_TRAJECTORIES = 10**3
 
 # increments per rng.wiener_block call of a QSD run (its block and words take
@@ -108,6 +122,19 @@ MIN_STEP_TRAJECTORIES = 10**3
 # 15 us in 64-step blocks; that of 10^4 costs 53 us one step at a time and
 # 56 us in 4-step blocks.
 _NOISE_BLOCK_ENTRIES = 2**14
+
+# the final states of an ensemble run as one block of trajectories per CPU,
+# each block in its own process, only where every block holds at least
+# _MIN_BLOCK_TRAJECTORIES trajectories and _MIN_BLOCK_WORK trajectory-steps.
+# Two blocks against one on a 2-vCPU host (dephasing model, step 0.01,
+# medians of 7 alternating runs): 10^3 trajectories x 3000 steps 154 -> 151
+# ms and 200 x 20000 steps 635 -> 589 ms, as a step of fewer than about 10^3
+# trajectories costs about the same whatever its size, but 1500 x 3000
+# 268 -> 209 ms; 10^4 x 100 34 -> 41 ms and 2000 x 200 19 -> 32 ms, as a
+# fork and its copy-on-write page faults cost about 20 ms, but 10^4 x 400
+# 184 -> 104 ms and 10^4 x 3000 1.08 -> 0.62 s.
+_MIN_BLOCK_TRAJECTORIES = 1000
+_MIN_BLOCK_WORK = 2 * 10**6
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -546,12 +573,7 @@ def _qsd_step_batch(
         norms += sq[i, 0::2]
         norms += sq[i, 1::2]
     np.sqrt(norms, norms)
-    worst = float(norms.min())
-    if worst < ZERO_NORM_FLOOR:
-        raise ZeroNorm(f"trajectory norm collapsed to {worst:.3e} before renormalization")
-    peak = float(norms.max())  # NaN if any norm is NaN
-    if not math.isfinite(peak):
-        raise NumericalError(f"trajectory norm is {peak}")
+    _check_norms(float(norms.min()), float(norms.max()))
     if renormalize:
         # divide as floats: faster than complex division, and numpy's
         # broadcast complex-by-real division rounds a one-trajectory batch
@@ -566,6 +588,15 @@ def _qsd_step_batch(
     return out
 
 
+def _check_norms(worst: float, peak: float) -> None:
+    """Refuse a step whose least trajectory norm is below ZERO_NORM_FLOOR or
+    whose greatest is not finite; both are NaN if any norm is NaN."""
+    if worst < ZERO_NORM_FLOOR:
+        raise ZeroNorm(f"trajectory norm collapsed to {worst:.3e} before renormalization")
+    if not math.isfinite(peak):
+        raise NumericalError(f"trajectory norm is {peak}")
+
+
 def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj: int,
              first: int = 0, record: bool = False) -> np.ndarray:
     """Run n_traj trajectories from psi0 on noise streams first, first + 1, ...;
@@ -575,10 +606,10 @@ def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj:
     Row m runs on stream (cfg.seed, first + m) and is bit-identical whatever
     the other rows are. Before anything of the run's size is allocated, the
     call refuses more than MAX_TRAJECTORY_STEPS trajectory-steps, counting
-    at least one step and MIN_STEP_TRAJECTORIES trajectories a step. With
-    K channels, one `rng.wiener_block` call draws the noise of max(1,
-    _NOISE_BLOCK_ENTRIES // (M*K)) consecutive steps, whose bits do not
-    depend on the block.
+    at least one step and MIN_STEP_TRAJECTORIES trajectories a step. The
+    final states of a large enough ensemble run in one contiguous block of
+    rows per CPU (`_qsd_split`, see _MIN_BLOCK_WORK); everything else runs
+    `_qsd_block` in this process.
     """
     if n_traj < 1:
         raise ValidationError(f"need at least one trajectory, got {n_traj}")
@@ -599,23 +630,156 @@ def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj:
         warn(f"step*max||L^dag L|| = {cfg.step * max(norms):.3g} exceeds {QSD_STEP_SAFETY}; "
              "stochastic integration error may dominate")
     ops = _qsd_ops(gen, cfg.step)
+    workers = min(_cpu_count(), n_traj // _MIN_BLOCK_TRAJECTORIES,
+                  n_traj * cfg.steps // _MIN_BLOCK_WORK)
+    # a fork copies only the calling thread, and with it every lock that
+    # another thread holds, which no thread of the child would release
+    if record or workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _qsd_block(psi0, ops, cfg, first, n_traj, record)
+    return _qsd_split(psi0, ops, cfg, first, n_traj, workers)
+
+
+def _qsd_block(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, n_traj: int,
+               record: bool = False) -> np.ndarray:
+    """The step loop of `_qsd_run` over streams first ... first + n_traj - 1,
+    with the same result.
+
+    With K channels, one `rng.wiener_block` call draws the noise of max(1,
+    _NOISE_BLOCK_ENTRIES // (M*K)) consecutive steps, whose bits do not
+    depend on the block. A step refused by `_check_norms` raises its error
+    with the attribute `refused` = (step index, least norm, greatest norm),
+    which `_qsd_split` merges across blocks.
+    """
     k = len(ops[1])
     keys = rng.stream_keys(cfg.seed, range(first, first + n_traj))
     cols = np.repeat(psi0[:, None], n_traj, axis=1)
     if record:
-        path = np.empty((cfg.steps + 1, n_traj, gen.dim), dtype=np.complex128)
+        path = np.empty((cfg.steps + 1, n_traj, psi0.shape[0]), dtype=np.complex128)
         path[0] = cols.T
     outs = np.empty((2,) + cols.shape, dtype=np.complex128)
     buf = _StepBuffers(*cols.shape)
     block = max(1, _NOISE_BLOCK_ENTRIES // max(1, n_traj * k))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused per step
-        for start in range(0, cfg.steps, block):
-            noise = rng.wiener_block(keys, start, min(block, cfg.steps - start), k, cfg.step)
-            for s, dxi in enumerate(noise, start):
-                cols = _qsd_step_batch(cols, outs[s % 2], ops, dxi, cfg.renormalize, buf)
-                if record:
-                    path[s + 1] = cols.T
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused per step
+            for start in range(0, cfg.steps, block):
+                noise = rng.wiener_block(keys, start, min(block, cfg.steps - start), k, cfg.step)
+                for s, dxi in enumerate(noise, start):
+                    cols = _qsd_step_batch(cols, outs[s % 2], ops, dxi, cfg.renormalize, buf)
+                    if record:
+                        path[s + 1] = cols.T
+    except NumericalError as exc:  # only _check_norms raises one here
+        exc.refused = (s, float(buf.norms.min()), float(buf.norms.max()))
+        raise
     return path if record else cols.T
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _qsd_split(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, n_traj: int,
+               workers: int) -> np.ndarray:
+    """`_qsd_block`'s final states of n_traj trajectories, computed in
+    `workers` contiguous blocks of rows at once: the first in this process,
+    each other in a forked child that writes its rows into a shared map.
+
+    A child sends any exception through its own pipe. After its own block,
+    the parent reaps every child in turn, then raises as one block would:
+    an error other than a refused step first, else the refusal of the
+    earliest step, checked again on the merged norms of every block refused
+    at that step. On any exception of its own, Ctrl-C included, the parent
+    kills and reaps every child before it re-raises. SIGINT is blocked while
+    the children are forked, so that none is missed, and stays blocked in
+    them: Ctrl-C is the parent's to handle.
+    """
+    import mmap
+    import signal
+
+    d = psi0.shape[0]
+    try:
+        shared = mmap.mmap(-1, d * n_traj * 16)
+    except OSError as exc:  # ENOMEM: a run too large to allocate, not a failed report write
+        raise MemoryError(f"cannot map the final states of {n_traj} trajectories: "
+                          f"{exc.strerror or exc}") from exc
+    finals = np.frombuffer(shared, dtype=np.complex128).reshape(d, n_traj)
+    bounds = [n_traj * w // workers for w in range(workers + 1)]
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    errors = []
+    try:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                read, write = os.pipe()
+                pipe = open(read, "rb")
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _qsd_child(write, finals[:, lo:hi], psi0, ops, cfg, first + lo, hi - lo)
+                except BaseException:
+                    pipe.close()
+                    raise
+                finally:
+                    os.close(write)
+                children.append((pid, pipe))
+        except OSError as exc:  # no pipe or process left: as a failed allocation
+            raise MemoryError(f"cannot start a trajectory worker: {exc.strerror or exc}") from exc
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        try:
+            finals[:, :bounds[1]] = _qsd_block(psi0, ops, cfg, first, bounds[1]).T
+        except NumericalError as exc:
+            if not hasattr(exc, "refused"):
+                raise
+            errors.append(exc)
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if payload:
+                errors.append(pickle.loads(payload))
+            elif status:
+                raise MemoryError(f"trajectory worker {pid} ended without its result (wait "
+                                  f"status {status}), as when the out-of-memory killer ends it")
+    except BaseException:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+        raise
+    others = [exc for exc in errors if not hasattr(exc, "refused")]
+    if others:
+        raise others[0]
+    if errors:
+        step = min(exc.refused[0] for exc in errors)
+        at = np.array([exc.refused[1:] for exc in errors if exc.refused[0] == step])
+        _check_norms(float(np.min(at[:, 0])), float(np.max(at[:, 1])))  # raises
+    return finals.copy().T  # a private array, laid out as one block's final states
+
+
+def _qsd_child(fd: int, out: np.ndarray, *block) -> None:
+    """A forked worker of `_qsd_split`: runs `_qsd_block(*block)` into out
+    and sends any exception, pickled, through the pipe fd. It never returns:
+    it leaves through os._exit, which runs no atexit handler and flushes no
+    stdio inherited from the parent."""
+    code = 1
+    try:
+        try:
+            out[...] = _qsd_block(*block).T
+            payload = b""
+        except BaseException as exc:
+            payload = pickle.dumps(exc)
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def qsd_trajectory(

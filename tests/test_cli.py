@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qfoliation
-from qfoliation import dynamics
+from qfoliation import dynamics, scenarios
 from qfoliation.cli import (
     RunConfig,
     format_fixed,
@@ -398,6 +398,35 @@ def test_module_entry_point_refuses_bad_arguments_with_usage(tmp_path, args, mes
     assert f"qfoliation: error: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert os.listdir(tmp_path) == []
+
+
+COARSE_STEP = {"command": "qsd-ensemble",
+               "params": {"gamma": 4.0, "span": 1.0, "step": 0.1, "n_traj": 10}}
+COARSE_STEP_LINE = ("WARNING step*max||L^dag L|| = 0.4 exceeds 0.1; "
+                    "stochastic integration error may dominate")
+
+
+def test_module_entry_point_logs_a_package_warning_as_one_line(tmp_path):
+    src = str(Path(qfoliation.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    (tmp_path / "c.json").write_text(json.dumps(COARSE_STEP), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "qfoliation.cli", "qsd-ensemble", "--config",
+                           "c.json"], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [COARSE_STEP_LINE, "INFO wrote qsd-ensemble_report.csv"]
+
+
+def test_cli_logs_package_warnings_and_library_calls_still_warn(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**COARSE_STEP, "output_path": str(tmp_path / "r.csv")}),
+                   encoding="utf-8")
+    with pytest.warns() as caught:
+        assert main(["qsd-ensemble", "--config", str(cfg)]) == 0
+        dynamics.ensemble_final_states(np.array([1.0, 0.0]), scenarios.dephasing_model(4.0),
+                                       dynamics.TrajectoryConfig(step=0.1, steps=1), 1)
+    assert COARSE_STEP_LINE in capsys.readouterr().err.splitlines()
+    assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
