@@ -43,14 +43,17 @@ trajectory under one np.errstate context per run; `qsd_trajectory` has it
 record the path and `ensemble_final_states` takes the final batch. The batch is held as
 columns, shape (dim, M), so component i of every trajectory is one
 contiguous row. The drift terms linear in psi are folded
-into one matrix G = 1 + step*(-iH - sum_k L_k^dag L_k / 2), built once per
-run; a step applies G and each L_k entry by entry to whole rows and adds
-the <L_k> terms, all with preallocated buffers. The noise of several steps
-is drawn in one `rng.wiener_block` call, whose fixed cost would otherwise
-dominate a small batch's step. Every operation is an elementwise numpy
-ufunc over rows of length M, and none is an in-place complex product (whose
-rounding depends on the length), so a trajectory's arithmetic, and its
-result to the last bit, does not depend on the batch it runs in.
+into one matrix G = 1 + step*(-iH - sum_k L_k^dag L_k / 2). Once per run
+(`_StepPlan`) the step is laid out as a flat list of ufunc calls over
+preallocated buffers, in which every term that only scales psi_i (G's
+diagonal, the <L_k> terms and each row of L_k whose only entry is
+diagonal) is folded into one factor per row, applied to the whole batch in
+one call. The noise of several steps is drawn in one `rng.wiener_block`
+call, whose fixed cost would otherwise dominate a small batch's step.
+Every operation is an elementwise numpy ufunc, and none is an in-place
+complex product (whose rounding depends on the length), so a trajectory's
+arithmetic, and its result to the last bit, does not depend on the batch
+it runs in.
 
 A large final-state ensemble (not a recorded path) runs on every CPU the
 process may use: `_qsd_split` cuts its rows into one contiguous block per
@@ -104,15 +107,17 @@ LINDBLAD_METHODS = ("exact", "rk4")
 QSD_STEP_SAFETY = 0.1
 
 # work ceiling of one QSD run, in trajectory-steps, each step counted as at
-# least MIN_STEP_TRAJECTORIES trajectories: 4-10 min in one process at any
-# batch size on a 2-vCPU host, where a trajectory-step costs 29-56 ns from
+# least MIN_STEP_TRAJECTORIES trajectories: 2.5-9.5 min in one process at any
+# batch size on a 2-vCPU host, where a trajectory-step costs 30-56 ns from
 # 10^3 to 2*10^4 trajectories; an ensemble split over that host's two CPUs
-# (see _MIN_BLOCK_WORK) takes about 0.57 of that, so 2.5-6 min
+# (see _MIN_BLOCK_WORK) takes about 0.5 of that, so 2.5-5 min
 MAX_TRAJECTORY_STEPS = 10**10
 
 # the fixed cost of a QSD step in one process, in trajectories: on the same
-# host a step of 1 to 100 trajectories takes 23-36 us, as long as about 10^3
-# more trajectories at 29-39 ns each (from 4*10^3 to 2*10^4)
+# host a step of 1 to 100 trajectories takes 15-29 us, as long as 500-700
+# more trajectories at 30-43 ns each (from 4*10^3 to 2*10^4). 10^3 dates
+# from the kernel before the step plan (23-36 us a step) and is kept, so
+# that the ceiling does not move.
 MIN_STEP_TRAJECTORIES = 10**3
 
 # increments per rng.wiener_block call of a QSD run (its block and words take
@@ -127,12 +132,15 @@ _NOISE_BLOCK_ENTRIES = 2**14
 # each block in its own process, only where every block holds at least
 # _MIN_BLOCK_TRAJECTORIES trajectories and _MIN_BLOCK_WORK trajectory-steps.
 # Two blocks against one on a 2-vCPU host (dephasing model, step 0.01,
-# medians of 7 alternating runs): 10^3 trajectories x 3000 steps 154 -> 151
-# ms and 200 x 20000 steps 635 -> 589 ms, as a step of fewer than about 10^3
-# trajectories costs about the same whatever its size, but 1500 x 3000
-# 268 -> 209 ms; 10^4 x 100 34 -> 41 ms and 2000 x 200 19 -> 32 ms, as a
-# fork and its copy-on-write page faults cost about 20 ms, but 10^4 x 400
-# 184 -> 104 ms and 10^4 x 3000 1.08 -> 0.62 s.
+# medians of 7 alternating runs in a bare process, two sessions that drift
+# by up to 40 %): 10^3 trajectories x 3000 steps 122 -> 177 and 187 -> 171
+# ms and 200 x 20000 steps 369 -> 465 and 610 -> 611 ms, as a step of fewer
+# than about 10^3 trajectories costs about the same whatever its size, and
+# 2000 x 200 14 -> 14 and 19 -> 19 ms, but 1500 x 3000 149 -> 117 and
+# 193 -> 171 ms, 10^4 x 400 135 -> 73 and 180 -> 89 ms and 10^4 x 3000
+# 1.06 -> 0.56 and 1.30 -> 0.63 s. 10^4 x 100 (43 -> 24 and 44 -> 29 ms)
+# gains as well, below _MIN_BLOCK_WORK, which is kept so that the split
+# decision does not move.
 _MIN_BLOCK_TRAJECTORIES = 1000
 _MIN_BLOCK_WORK = 2 * 10**6
 
@@ -461,15 +469,15 @@ def _sparse_rows(op: np.ndarray) -> tuple:
 
 
 def _qsd_ops(gen: GeneratorSet, step: float):
-    """The operators of one step as sparse rows, and the step and its half:
-    (G, (L_1, ..., L_K), step, step/2).
+    """The operators of one step as sparse rows, and half the step:
+    (G, (L_1, ..., L_K), step/2).
 
     G keeps every row. Each L_k keeps only its live rows, those with a
     nonzero entry, the only components that enter <L_k> and L_k psi; a zero
     L_k keeps none. G = 1 + step*(-iH - sum_k L_k^dag L_k / 2) holds every
     drift term that is linear in psi; only the <L_k> terms are left to each
-    step. step and step/2 are complex128 scalars, the values numpy would
-    otherwise convert a Python float to on every call.
+    step. step/2 is a complex128 scalar, the value numpy would otherwise
+    convert a Python float to on every call.
     """
     d = gen.dim
     ldl_sum = np.zeros((d, d), dtype=np.complex128)
@@ -477,115 +485,130 @@ def _qsd_ops(gen: GeneratorSet, step: float):
         ldl_sum += lk.conj().T @ lk
     g = np.eye(d, dtype=np.complex128) + step * (-1j * gen.H - 0.5 * ldl_sum)
     channels = tuple(tuple(row for row in _sparse_rows(lk) if row[1]) for lk in gen.Ls)
-    return _sparse_rows(g), channels, np.complex128(step), np.complex128(0.5 * step)
+    return _sparse_rows(g), channels, np.complex128(0.5 * step)
 
 
-def _apply(rows: tuple, cols: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out[i] = (op @ cols)[i] for columns cols, shape (d, M), and each sparse
-    row (i, entries) of op; a row without entries gives zeros."""
-    for i, row in rows:
-        acc = out[i]
-        if not row:
-            acc[...] = 0.0
-            continue
-        (j, c), *rest = row
-        np.multiply(cols[j], c, acc)
-        for j, c in rest:
-            acc += np.multiply(cols[j], c, tmp)
+def _sum_of_products(terms: list, acc: np.ndarray, tmp: np.ndarray, fresh: bool = True) -> list:
+    """Calls that set acc to the sum of a*b over the (a, b) of terms, in order,
+    or with fresh false add that sum to acc; tmp holds each further product."""
+    calls = []
+    for a, b in terms:
+        if fresh:
+            calls.append((np.multiply, (a, b, acc)))
+            fresh = False
+        else:
+            calls += [(np.multiply, (a, b, tmp)), (np.add, (acc, tmp, acc))]
+    return calls
 
 
-class _StepBuffers:
-    """Scratch arrays of `_qsd_step_batch` for a (d, M) batch, made once per
-    run: at M = 10^4 fresh temporaries cost more in page faults than in
-    arithmetic."""
+class _StepPlan:
+    """One Euler-Maruyama step of a batch of states held as columns, shape
+    (d, M), as a flat list of (ufunc, args) over buffers made once per run:
+    at M = 10^4 fresh temporaries cost more in page faults than in
+    arithmetic, and at M = 10^3 a step costs what its calls and the Python
+    between them cost, not what its arithmetic does.
 
-    def __init__(self, d: int, m: int) -> None:
-        self.lcol = np.empty((d, m), dtype=np.complex128)
-        self.tmp, self.conj, self.lexp, self.lexp_c, self.coef, self.shift = np.empty(
-            (6, m), dtype=np.complex128
-        )
-        self.sq = np.empty((d, 2 * m))
-        self.norms = np.empty(m)
-        self.scale = np.empty(2 * m)
+    The batch lives in outs, shape (2, d, M): step s reads outs[1 - s % 2]
+    and writes outs[s % 2], so `calls` holds one list for each side, and a
+    run starts from outs[1]. With G and L_k from ops = `_qsd_ops(gen, step)`
+    and dx[k] the (M,) increments of channel k, a step computes
+        G psi + sum_k coef_k L_k psi - shift psi,
+        half_k = step conj<L_k> / 2 + dx_k,  coef_k = half_k + step conj<L_k> / 2,
+        shift = sum_k <L_k> half_k,
+    with <L_k> = sum_i conj(psi_i) (L_k psi)_i over the live rows i of L_k,
+    and then the norm of every trajectory. Every term that only scales psi_i
+    is folded into one (M,) factor per row,
+        fac_i = G_ii - shift + sum_k coef_k L_k,ii
+    over the rows i of L_k whose only entry is diagonal, and one call takes
+    out = cols * fac for the whole batch; off-diagonal entries of G, and the
+    rows of L_k with an off-diagonal entry, are added row by row. A zero L_k
+    is skipped; without a live channel fac is G's diagonal, filled once.
 
+    Every call is an elementwise ufunc or a copy, so every trajectory sees
+    the same operations in the same order whatever the batch size: a column
+    is bit-identical to the same trajectory run alone. No complex product is
+    taken in place: numpy's in-place complex multiply rounds a length-1
+    array differently from a long one.
 
-def _qsd_step_batch(
-    cols: np.ndarray,
-    out: np.ndarray,
-    ops: tuple,
-    dxi,
-    renormalize: bool,
-    buf: _StepBuffers,
-) -> np.ndarray:
-    """One Euler-Maruyama step on a batch of states held as columns, shape (d, M).
-
-    With G and L_k from ops = `_qsd_ops(gen, step)` and dxi[k] the (M,)
-    increments of channel k, writes into `out` (not `cols`) and returns it:
-        G psi + sum_k (step conj<L_k> + dxi_k) L_k psi
-              - sum_k <L_k> (step conj<L_k> / 2 + dxi_k) psi,
-    with <L_k> = sum_i conj(psi_i) (L_k psi)_i over the live rows i of L_k.
-    Each term is a ufunc over one component row of the batch, scaled by an
-    operator entry (exact zeros skipped) or by another (M,) row, so every
-    trajectory sees the same elementwise operations in the same order
-    whatever the batch size: a column is bit-identical to the same
-    trajectory run alone. No complex product is taken in place: numpy's
-    in-place complex multiply rounds a length-1 array differently from a
-    long one.
-
-    <L_k> starts from its first live term, not from zeros, so it may hold a
-    -0.0 that +0.0 + term would have made +0.0. With nonzero increments that
-    sign reaches `out` only through `shift`, which still starts from +0.0 and
-    so holds no -0.0 either way: every bit of `out` is as before. A zero L_k
-    is skipped, as its terms would only add signed zeros to `shift`.
-
-    Callers run it under one np.errstate(over="ignore", invalid="ignore") per
-    run: an overflow or NaN shows as a non-finite norm, which it refuses.
+    Callers run `step` under one np.errstate(over="ignore", invalid="ignore")
+    per run: an overflow or NaN shows as a non-finite norm, which it refuses.
     """
-    g_rows, channels, h, half_h = ops
-    d = cols.shape[0]
-    tmp, conj = buf.tmp, buf.conj
-    _apply(g_rows, cols, out, tmp)
-    lcol, lexp, lexp_c, coef, shift = buf.lcol, buf.lexp, buf.lexp_c, buf.coef, buf.shift
-    shift[...] = 0.0
-    for rows, dx in zip(channels, dxi):
-        if not rows:
-            continue
-        _apply(rows, cols, lcol, tmp)
-        (i, _), *rest = rows
-        np.multiply(np.conjugate(cols[i], conj), lcol[i], lexp)
-        for i, _ in rest:
-            lexp += np.multiply(np.conjugate(cols[i], conj), lcol[i], tmp)
-        np.conjugate(lexp, lexp_c)
-        np.multiply(lexp_c, h, coef)
-        coef += dx
-        for i, _ in rows:
-            acc = out[i]
-            acc += np.multiply(lcol[i], coef, tmp)
-        np.multiply(lexp_c, half_h, coef)
-        coef += dx
-        shift += np.multiply(coef, lexp, tmp)
-    for i in range(d):
-        acc = out[i]
-        acc -= np.multiply(cols[i], shift, tmp)
-    sq = np.square(out.view(np.float64), buf.sq)  # re^2, im^2 interleaved
-    norms = np.add(sq[0, 0::2], sq[0, 1::2], buf.norms)
-    for i in range(1, d):
-        norms += sq[i, 0::2]
-        norms += sq[i, 1::2]
-    np.sqrt(norms, norms)
-    _check_norms(float(norms.min()), float(norms.max()))
-    if renormalize:
-        # divide as floats: faster than complex division, and numpy's
-        # broadcast complex-by-real division rounds a one-trajectory batch
-        # differently from a long one. Each norm is laid out twice, for the
-        # real and the imaginary part, so that one contiguous division
-        # covers the batch; strided division is slower.
-        scale = buf.scale
-        scale[0::2] = norms
-        scale[1::2] = norms
-        flat = out.view(np.float64)
-        np.divide(flat, scale, flat)
-    return out
+
+    def __init__(self, ops: tuple, outs: np.ndarray, renormalize: bool) -> None:
+        g_rows, channels, half_h = ops
+        _, d, m = outs.shape
+        live = [(k, rows) for k, rows in enumerate(channels) if rows]
+        self.outs, self.renormalize = outs, renormalize
+        self.dx = dx = np.empty((len(channels), m), dtype=np.complex128)
+        self.scale = np.empty(2 * m)
+        self.norms = norms = np.empty(m)
+        conj, fac = np.empty((2, d, m), dtype=np.complex128)
+        lcol = np.empty((len(live), d, m), dtype=np.complex128)
+        lexp, coef, half = np.empty((3, len(live), m), dtype=np.complex128)
+        tmp, shift = np.empty((2, m), dtype=np.complex128)
+        sq = np.empty((d, 2 * m))
+        gdiag = np.array([[dict(row).get(i, 0.0)] for i, row in g_rows], dtype=np.complex128)
+        if not live:
+            fac[...] = gdiag
+        folded = [[] for _ in range(d)]  # the (coef_k, L_k,ii) of row i's factor
+        added = [[] for _ in range(d)]  # the ((L_k psi)_i, coef_k) added to row i
+        for n, (_, rows) in enumerate(live):
+            for i, entries in rows:
+                if len(entries) == 1 and entries[0][0] == i:
+                    folded[i].append((coef[n], entries[0][1]))
+                else:
+                    added[i].append((lcol[n, i], coef[n]))
+        live_rows = sorted({i for _, rows in live for i, _ in rows})
+
+        def side(cols: np.ndarray, out: np.ndarray) -> list:
+            calls = [(np.conjugate, (cols[i], conj[i])) for i in live_rows]
+            for n, (k, rows) in enumerate(live):
+                for i, entries in rows:
+                    calls += _sum_of_products([(cols[j], c) for j, c in entries], lcol[n, i], tmp)
+                calls += _sum_of_products([(conj[i], lcol[n, i]) for i, _ in rows], lexp[n], tmp)
+                calls += [(np.conjugate, (lexp[n], tmp)),
+                          (np.multiply, (tmp, half_h, coef[n])),  # step conj<L_k> / 2
+                          (np.add, (coef[n], dx[k], half[n])),
+                          (np.add, (half[n], coef[n], coef[n]))]
+            if live:
+                calls += _sum_of_products(list(zip(half, lexp)), shift, tmp)
+                calls.append((np.subtract, (gdiag, shift, fac)))
+            for i in range(d):
+                calls += _sum_of_products(folded[i], fac[i], tmp, fresh=False)
+            calls.append((np.multiply, (cols, fac, out)))
+            for i, entries in g_rows:
+                terms = [(cols[j], c) for j, c in entries if j != i] + added[i]
+                calls += _sum_of_products(terms, out[i], tmp, fresh=False)
+            # the squares of the float view of the batch, summed over rows and
+            # then over each (re, im) pair: one strided add of M entries, where
+            # pairs first take one of d*M, and np.add.reduce over pairs 10x as long
+            calls.append((np.square, (out.view(np.float64), sq)))
+            calls += [(np.add, (sq[0], sq[i], sq[0])) for i in range(1, d)]
+            calls += [(np.add, (sq[0, 0::2], sq[0, 1::2], norms)), (np.sqrt, (norms, norms))]
+            return calls
+
+        self.calls = (side(outs[1], outs[0]), side(outs[0], outs[1]))
+
+    def step(self, s: int, dxi: np.ndarray) -> np.ndarray:
+        """Step s on the increments dxi, shape (K, M); returns outs[s % 2]."""
+        np.copyto(self.dx, dxi)
+        for ufunc, args in self.calls[s % 2]:
+            ufunc(*args)
+        norms = self.norms
+        _check_norms(float(norms.min()), float(norms.max()))
+        out = self.outs[s % 2]
+        if self.renormalize:
+            # divide as floats: faster than complex division, and numpy's
+            # broadcast complex-by-real division rounds a one-trajectory batch
+            # differently from a long one. Each norm is laid out twice, for the
+            # real and the imaginary part, so that one contiguous division
+            # covers the batch; strided division is slower.
+            scale = self.scale
+            scale[0::2] = norms
+            scale[1::2] = norms
+            flat = out.view(np.float64)
+            np.divide(flat, scale, flat)
+        return out
 
 
 def _check_norms(worst: float, peak: float) -> None:
@@ -652,23 +675,24 @@ def _qsd_block(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, 
     """
     k = len(ops[1])
     keys = rng.stream_keys(cfg.seed, range(first, first + n_traj))
-    cols = np.repeat(psi0[:, None], n_traj, axis=1)
+    outs = np.empty((2, psi0.shape[0], n_traj), dtype=np.complex128)
+    cols = outs[1]
+    cols[...] = psi0[:, None]
     if record:
         path = np.empty((cfg.steps + 1, n_traj, psi0.shape[0]), dtype=np.complex128)
         path[0] = cols.T
-    outs = np.empty((2,) + cols.shape, dtype=np.complex128)
-    buf = _StepBuffers(*cols.shape)
+    plan = _StepPlan(ops, outs, cfg.renormalize)
     block = max(1, _NOISE_BLOCK_ENTRIES // max(1, n_traj * k))
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused per step
             for start in range(0, cfg.steps, block):
                 noise = rng.wiener_block(keys, start, min(block, cfg.steps - start), k, cfg.step)
                 for s, dxi in enumerate(noise, start):
-                    cols = _qsd_step_batch(cols, outs[s % 2], ops, dxi, cfg.renormalize, buf)
+                    cols = plan.step(s, dxi)
                     if record:
                         path[s + 1] = cols.T
     except NumericalError as exc:  # only _check_norms raises one here
-        exc.refused = (s, float(buf.norms.min()), float(buf.norms.max()))
+        exc.refused = (s, float(plan.norms.min()), float(plan.norms.max()))
         raise
     return path if record else cols.T
 

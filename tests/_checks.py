@@ -10,7 +10,7 @@ from dataclasses import asdict
 import numpy as np
 
 from qfoliation.cli import RunConfig
-from qfoliation.dynamics import GeneratorSet, _qsd_ops, _qsd_step_batch, _StepBuffers
+from qfoliation.dynamics import GeneratorSet, _qsd_ops, _StepPlan
 from qfoliation.errors import DimMismatch, NotTimelike, PastPointing
 from qfoliation.foliation import FourVector, Hyperplane
 from qfoliation.linalg import as_complex
@@ -79,11 +79,11 @@ def qsd_step(
     if psi.shape != (gen.dim,) or dxi.shape != (len(gen.Ls),):
         raise DimMismatch(f"state shape {psi.shape} and noise shape {dxi.shape} do not fit "
                           f"dim {gen.dim} with {len(gen.Ls)} coupling operators")
-    cols = psi[:, None]
+    outs = np.empty((2, gen.dim, 1), dtype=np.complex128)
+    outs[1, :, 0] = psi
+    plan = _StepPlan(_qsd_ops(gen, step), outs, renormalize)
     with np.errstate(over="ignore", invalid="ignore"):  # as the ensembles run the kernel
-        out = _qsd_step_batch(cols, np.empty_like(cols), _qsd_ops(gen, step), dxi[:, None],
-                              renormalize, _StepBuffers(gen.dim, 1))
-    return out[:, 0]
+        return plan.step(0, dxi[:, None])[:, 0]
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -727,6 +727,56 @@ def test_ensemble_row_matches_standalone_trajectory_bitwise(gen):
         np.testing.assert_array_equal(finals[stream], path[-1])
 
 
+QSD_MODELS = [
+    pytest.param(GeneratorSet(H=SZ, Ls=(decohering_coupling(1.0),)), id="one-channel"),
+    pytest.param(GeneratorSet(H=SZ), id="zero-channel"),
+    pytest.param(GeneratorSet(H=SZ, Ls=(decohering_coupling(1.0), 0.5 * SX)), id="two-channel"),
+    pytest.param(dephasing_model(0.0), id="gamma-zero"),
+]
+
+
+@pytest.mark.parametrize("gen", QSD_MODELS)
+def test_batch_rows_are_their_streams_run_alone_bitwise_at_every_batch_size(gen):
+    # numpy's SIMD loops round a row the same whatever its place in the
+    # vector and whatever the length of the tail loop, in the (M,) calls of
+    # the step plan and in its (d, M) calls over the whole batch. Every
+    # batch is a prefix of the largest, bit for bit, and each of the first
+    # and last rows of the largest (every tail position) and a middle run
+    # is the same stream run alone. The zero-channel model draws empty
+    # (steps, 0, M) noise blocks.
+    cfg = TrajectoryConfig(step=0.02, steps=200, seed=5)
+    sizes = (1, 2, 3, 5, 8, 17, 1000, 1001)
+    largest = dynamics._qsd_run(PLUS_STATE, gen, cfg, sizes[-1])
+    for m in sizes[:-1]:
+        np.testing.assert_array_equal(dynamics._qsd_run(PLUS_STATE, gen, cfg, m), largest[:m])
+    for stream in [*range(17), *range(500, 517), *range(984, 1001)]:
+        alone = dynamics._qsd_run(PLUS_STATE, gen, cfg, 1, first=stream)
+        np.testing.assert_array_equal(alone[0], largest[stream])
+
+
+@pytest.mark.parametrize("gen", QSD_MODELS)
+def test_step_plan_is_elementwise_ufuncs_and_copies(gen):
+    # no matmul, dot, einsum or linalg call: a forked block makes no BLAS or
+    # LAPACK call in its steps
+    plan = dynamics._StepPlan(dynamics._qsd_ops(gen, 0.01), np.empty((2, 2, 5), complex), True)
+    assert plan.dx.shape == (len(gen.Ls), 5)
+    for side in plan.calls:
+        for call, args in side:
+            assert call is np.copyto or (isinstance(call, np.ufunc) and call.signature is None), call
+    assert len(plan.calls[0]) == len(plan.calls[1])
+
+
+@pytest.mark.parametrize(("gen", "calls"), [
+    # <L> 3, coef and shift 5, fac 3, out 1, norms 4: with the copy of the
+    # noise, min, max and renormalization 22 calls a step
+    pytest.param(dephasing_model(1.0), 16, id="dephasing"),
+    pytest.param(GeneratorSet(H=SZ), 5, id="zero-channel"),  # out 1, norms 4
+])
+def test_step_plan_length(gen, calls):
+    plan = dynamics._StepPlan(dynamics._qsd_ops(gen, 0.01), np.empty((2, 2, 5), complex), True)
+    assert [len(side) for side in plan.calls] == [calls, calls]
+
+
 def test_ensemble_noise_blocks_match_the_per_row_reference(monkeypatch):
     # M*K = 5000 gives blocks of 2^14 // 5000 = 3 steps: 3, 3, 3 and 1 for 10 steps
     m, seed, step = 2500, 12, 0.02
