@@ -59,11 +59,11 @@ A large final-state ensemble (not a recorded path) runs on every CPU the
 process may use: `_qsd_split` cuts its rows into one contiguous block per
 CPU, forks a child for each block but the first, and runs the first
 itself; each child runs the same step loop (`_qsd_block`) on its streams
-and writes its rows into a shared map. A row's noise is a pure function of
-its stream and its arithmetic does not depend on its batch, so neither
-does any bit of the result depend on the split: the final states, and
-every report made from them, are the same for any number of workers.
-Errors behave as in one process (see `_qsd_split`).
+and sends its rows back, pickled, through its own pipe. A row's noise is a
+pure function of its stream and its arithmetic does not depend on its
+batch, so neither does any bit of the result depend on the split: the
+final states, and every report made from them, are the same for any
+number of workers. Errors behave as in one process (see `_qsd_split`).
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ _NOISE_BLOCK_ENTRIES = 2**14
 
 # the final states of an ensemble run as one block of trajectories per CPU,
 # each block in its own process, only where every block holds at least
-# _MIN_BLOCK_TRAJECTORIES trajectories and _MIN_BLOCK_WORK trajectory-steps.
+# MIN_STEP_TRAJECTORIES trajectories and _MIN_BLOCK_WORK trajectory-steps.
 # Two blocks against one on a 2-vCPU host (dephasing model, step 0.01,
 # medians of 7 alternating runs in a bare process, two sessions that drift
 # by up to 40 %): 10^3 trajectories x 3000 steps 122 -> 177 and 187 -> 171
@@ -141,7 +141,6 @@ _NOISE_BLOCK_ENTRIES = 2**14
 # 1.06 -> 0.56 and 1.30 -> 0.63 s. 10^4 x 100 (43 -> 24 and 44 -> 29 ms)
 # gains as well, below _MIN_BLOCK_WORK, which is kept so that the split
 # decision does not move.
-_MIN_BLOCK_TRAJECTORIES = 1000
 _MIN_BLOCK_WORK = 2 * 10**6
 
 
@@ -598,11 +597,11 @@ class _StepPlan:
         _check_norms(float(norms.min()), float(norms.max()))
         out = self.outs[s % 2]
         if self.renormalize:
-            # divide as floats: faster than complex division, and numpy's
-            # broadcast complex-by-real division rounds a one-trajectory batch
-            # differently from a long one. Each norm is laid out twice, for the
-            # real and the imaginary part, so that one contiguous division
-            # covers the batch; strided division is slower.
+            # divide as floats, each norm laid out twice (for the real and the
+            # imaginary part) so that one contiguous division covers the batch,
+            # for speed: on a 2-vCPU host 9 us against 15 us for np.divide(out,
+            # norms, out) at 10^3 trajectories, 26 against 48-59 us at 5*10^3.
+            # Complex division multiplies by 1/norm, which moves the last bits.
             scale = self.scale
             scale[0::2] = norms
             scale[1::2] = norms
@@ -653,7 +652,7 @@ def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj:
         warn(f"step*max||L^dag L|| = {cfg.step * max(norms):.3g} exceeds {QSD_STEP_SAFETY}; "
              "stochastic integration error may dominate")
     ops = _qsd_ops(gen, cfg.step)
-    workers = min(_cpu_count(), n_traj // _MIN_BLOCK_TRAJECTORIES,
+    workers = min(_cpu_count(), n_traj // MIN_STEP_TRAJECTORIES,
                   n_traj * cfg.steps // _MIN_BLOCK_WORK)
     # a fork copies only the calling thread, and with it every lock that
     # another thread holds, which no thread of the child would release
@@ -709,30 +708,22 @@ def _qsd_split(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, 
                workers: int) -> np.ndarray:
     """`_qsd_block`'s final states of n_traj trajectories, computed in
     `workers` contiguous blocks of rows at once: the first in this process,
-    each other in a forked child that writes its rows into a shared map.
+    each other in a forked child that sends its rows, or its exception,
+    pickled through its own pipe.
 
-    A child sends any exception through its own pipe. After its own block,
-    the parent reaps every child in turn, then raises as one block would:
-    an error other than a refused step first, else the refusal of the
-    earliest step, checked again on the merged norms of every block refused
-    at that step. On any exception of its own, Ctrl-C included, the parent
-    kills and reaps every child before it re-raises. SIGINT is blocked while
-    the children are forked, so that none is missed, and stays blocked in
-    them: Ctrl-C is the parent's to handle.
+    After its own block, the parent reaps every child in turn, then raises
+    as one block would: an error other than a refused step first, else the
+    refusal of the earliest step, checked again on the merged norms of every
+    block refused at that step. On any exception of its own, Ctrl-C
+    included, the parent kills and reaps every child before it re-raises.
+    SIGINT is blocked while the children are forked, so that none is
+    missed, and stays blocked in them: Ctrl-C is the parent's to handle.
     """
-    import mmap
     import signal
 
-    d = psi0.shape[0]
-    try:
-        shared = mmap.mmap(-1, d * n_traj * 16)
-    except OSError as exc:  # ENOMEM: a run too large to allocate, not a failed report write
-        raise MemoryError(f"cannot map the final states of {n_traj} trajectories: "
-                          f"{exc.strerror or exc}") from exc
-    finals = np.frombuffer(shared, dtype=np.complex128).reshape(d, n_traj)
     bounds = [n_traj * w // workers for w in range(workers + 1)]
     children = []  # (pid, read end of its pipe) of each child not yet reaped
-    errors = []
+    blocks = []  # each block's final states or error, in row order
     try:
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
@@ -740,9 +731,14 @@ def _qsd_split(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, 
                 read, write = os.pipe()
                 pipe = open(read, "rb")
                 try:
+                    # a child makes no BLAS or LAPACK call (G is built with @
+                    # in _qsd_ops, before the fork), so no lock held by the
+                    # parent's OpenBLAS threads can stall it. Python 3.12's fork
+                    # DeprecationWarning is attributed to this module, so the
+                    # default warning filters ignore it.
                     pid = os.fork()
                     if pid == 0:
-                        _qsd_child(write, finals[:, lo:hi], psi0, ops, cfg, first + lo, hi - lo)
+                        _qsd_child(write, psi0, ops, cfg, first + lo, hi - lo)
                 except BaseException:
                     pipe.close()
                     raise
@@ -754,22 +750,21 @@ def _qsd_split(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, 
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         try:
-            finals[:, :bounds[1]] = _qsd_block(psi0, ops, cfg, first, bounds[1]).T
+            blocks.append(_qsd_block(psi0, ops, cfg, first, bounds[1]))
         except NumericalError as exc:
             if not hasattr(exc, "refused"):
                 raise
-            errors.append(exc)
+            blocks.append(exc)
         while children:
             pid, pipe = children[0]
             with pipe:
                 payload = pipe.read()
             _, status = os.waitpid(pid, 0)
             children.pop(0)
-            if payload:
-                errors.append(pickle.loads(payload))
-            elif status:
+            if status or not payload:  # a child killed while it writes sends part of it
                 raise MemoryError(f"trajectory worker {pid} ended without its result (wait "
                                   f"status {status}), as when the out-of-memory killer ends it")
+            blocks.append(pickle.loads(payload))
     except BaseException:
         for pid, pipe in children:
             os.kill(pid, signal.SIGKILL)
@@ -777,6 +772,7 @@ def _qsd_split(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, 
         for pid, _ in children:
             os.waitpid(pid, 0)
         raise
+    errors = [b for b in blocks if isinstance(b, BaseException)]
     others = [exc for exc in errors if not hasattr(exc, "refused")]
     if others:
         raise others[0]
@@ -784,21 +780,21 @@ def _qsd_split(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, 
         step = min(exc.refused[0] for exc in errors)
         at = np.array([exc.refused[1:] for exc in errors if exc.refused[0] == step])
         _check_norms(float(np.min(at[:, 0])), float(np.max(at[:, 1])))  # raises
-    return finals.copy().T  # a private array, laid out as one block's final states
+    return np.concatenate([b.T for b in blocks], axis=1).T  # laid out as one block's cols.T
 
 
-def _qsd_child(fd: int, out: np.ndarray, *block) -> None:
-    """A forked worker of `_qsd_split`: runs `_qsd_block(*block)` into out
-    and sends any exception, pickled, through the pipe fd. It never returns:
-    it leaves through os._exit, which runs no atexit handler and flushes no
-    stdio inherited from the parent."""
+def _qsd_child(fd: int, *block) -> None:
+    """A forked worker of `_qsd_split`: sends the final states of
+    `_qsd_block(*block)`, or any exception it raises, pickled through the
+    pipe fd. It never returns: it leaves through os._exit, which runs no
+    atexit handler and flushes no stdio inherited from the parent."""
     code = 1
     try:
         try:
-            out[...] = _qsd_block(*block).T
-            payload = b""
+            result = _qsd_block(*block)
         except BaseException as exc:
-            payload = pickle.dumps(exc)
+            result = exc
+        payload = pickle.dumps(result)
         with open(fd, "wb") as pipe:
             pipe.write(payload)
         code = 0

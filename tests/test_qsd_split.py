@@ -2,11 +2,14 @@
 bits, the same errors and exit codes as one process, and no process left
 behind after a run that succeeds, fails or is interrupted."""
 
+import ast
 import errno
+import inspect
 import json
 import math
-import mmap
 import os
+import pickle
+import signal
 import threading
 import time
 import warnings
@@ -46,7 +49,7 @@ def forks(monkeypatch):
         return pid
 
     def split(workers):
-        monkeypatch.setattr(dynamics, "_MIN_BLOCK_TRAJECTORIES", 1)
+        monkeypatch.setattr(dynamics, "MIN_STEP_TRAJECTORIES", 1)
         monkeypatch.setattr(dynamics, "_MIN_BLOCK_WORK", 1)
         monkeypatch.setattr(dynamics, "_cpu_count", lambda: workers)
         monkeypatch.setattr(os, "fork", fork)
@@ -71,6 +74,32 @@ def run_cli(tmp_path, params, capsys, fmt="csv"):
     if report is not None:
         out.unlink()
     return status, capsys.readouterr().err, report
+
+
+# names of numpy's BLAS- and LAPACK-backed calls
+BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum", "kron", "linalg"}
+
+
+def blas_uses(obj) -> list[str]:
+    """`@` and BLAS-backed names in the source of a function or class."""
+    tree = ast.parse(inspect.getsource(obj))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{obj.__name__}:{node.lineno} @")
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if name in BLAS_NAMES:
+            found.append(f"{obj.__name__}:{node.lineno} {name}")
+    return found
+
+
+def test_a_worker_makes_no_blas_or_lapack_call():
+    # a forked child may not take a lock that the parent's OpenBLAS threads
+    # hold: all it runs is its block's step loop, made of ufuncs and rng
+    run_by_a_worker = [dynamics._qsd_child, dynamics._qsd_block, dynamics._StepPlan,
+                       dynamics._sum_of_products, dynamics._check_norms,
+                       rng.stream_keys, rng.wiener_block, rng._mix]
+    assert [use for obj in run_by_a_worker for use in blas_uses(obj)] == []
 
 
 def test_large_ensembles_split_and_small_ones_do_not(monkeypatch):
@@ -220,14 +249,46 @@ def test_interrupt_in_the_parent_block_kills_every_worker_and_exits_130(tmp_path
     assert len(pids) == 2
 
 
-def test_a_shared_map_that_cannot_be_allocated_exits_1(tmp_path, capsys, monkeypatch, forks):
-    def no_memory(*args, **kwargs):
-        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+@pytest.mark.parametrize("started", [0, 1])
+def test_a_worker_that_cannot_be_forked_exits_1(tmp_path, capsys, monkeypatch, forks, started):
+    # with 3 blocks, the fork of the first or of the second child fails
+    split, pids = forks
+    split(3)
+    counting_fork = os.fork
 
-    monkeypatch.setattr(mmap, "mmap", no_memory)
+    def fork():
+        if len(pids) == started:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    status, err, report = run_cli(tmp_path, {"gamma": 1.0, "span": 2.0, "n_traj": 31}, capsys)
+    assert status == 1 and report is None
+    assert "cannot start a trajectory worker" in err
+    assert "cannot write report" not in err and "Traceback" not in err
+    assert len(pids) == started
+
+
+@pytest.mark.parametrize("sent", [0.0, 0.5])
+def test_a_worker_killed_before_its_whole_result_is_sent_exits_1(tmp_path, capsys, monkeypatch,
+                                                                 forks, sent):
+    # the child writes none or half of its pickled result, then is killed
+    parent, dumps, real_exit = os.getpid(), pickle.dumps, os._exit
+
+    def cut_dumps(obj):
+        payload = dumps(obj)
+        return payload[:int(len(payload) * sent)] if os.getpid() != parent else payload
+
+    def killed(code):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_exit(code)
+
+    monkeypatch.setattr(pickle, "dumps", cut_dumps)
+    monkeypatch.setattr(os, "_exit", killed)
     split, pids = forks
     split(2)
     status, err, report = run_cli(tmp_path, {"gamma": 1.0, "span": 2.0, "n_traj": 31}, capsys)
     assert status == 1 and report is None
-    assert "input too large to allocate" in err and "cannot write report" not in err
-    assert pids == []
+    assert "ended without its result" in err and "Traceback" not in err
+    assert len(pids) == 1
