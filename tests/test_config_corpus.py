@@ -107,6 +107,9 @@ CORPUS = {
     "lind-span-zero": ({"command": "lindblad",
                         "params": {"gamma": 1.0, "span": 0, "samples": None, "rho0": None,
                                    "step": None}}, None),
+    # a long table: 600 rows
+    "lind-chunked": ({"command": "lindblad",
+                      "params": {"gamma": 0.5, "span": 30.0, "samples": 600}}, None),
     # qsd-ensemble
     "qsd-minimal-ints": ({"command": "qsd-ensemble",
                           "params": {"gamma": 1, "span": 2, "n_traj": 50}}, None),
