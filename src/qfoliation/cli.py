@@ -40,7 +40,7 @@ COMMANDS = ("counterexample", "sweep", "consistency", "lindblad", "qsd-ensemble"
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
-# work ceiling of one lindblad run, in time: 21-26 us per offset at span 30,
+# work ceiling of one lindblad run, in time: 10-18 us per offset at span 30,
 # but 0.73 ms at span 1e300 as Pade squarings grow with log2(gamma*span), so
 # 12 min at 10^6 (the report is streamed: ~0.26 KiB of memory per offset)
 MAX_LINDBLAD_SAMPLES = 10**6
@@ -313,25 +313,32 @@ def parse_config(text: str, command: str | None = None, *, seed: int | None = No
 # -- number formatting --------------------------------------------------------
 
 
+# "%.{d}f" with d = max(0, 11 - e) for each decimal exponent e = floor(log10|x|)
+# of a nonzero finite double, -324 <= e <= 308: 12 significant digits
+_FIXED = tuple(f"%.{max(0, 11 - e)}f" for e in range(-324, 309))
+
+
+def _cells(values: list) -> list[str]:
+    """The CSV cells of a non-empty column of one type: finite floats in fixed
+    notation with 12 significant digits, bools as true/false, anything else by str.
+
+    math.log10 and not np.log10: a SIMD np.log10 may differ from libm by an
+    ulp next to a power of ten, and so by one in the number of decimals.
+    """
+    if isinstance(values[0], bool):
+        return ["true" if v else "false" for v in values]
+    if isinstance(values[0], float):
+        fixed, floor, log10 = _FIXED, math.floor, math.log10
+        return [fixed[floor(log10(abs(v))) + 324] % v if v else "0.00000000000" for v in values]
+    return [str(v) for v in values]
+
+
 def format_fixed(x: float) -> str:
     """Fixed-notation decimal with 12 significant digits."""
     x = float(x)
     if not math.isfinite(x):
         raise NumericalError(f"non-finite value in report: {x!r}")
-    if x == 0.0:
-        return "0.00000000000"
-    decimals = 11 - math.floor(math.log10(abs(x)))
-    return f"{x:.{max(0, decimals)}f}"
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_fixed(value)
-    return str(value)
+    return _cells([x])[0]
 
 
 # -- report building ----------------------------------------------------------
@@ -458,6 +465,23 @@ _CSV_COLUMNS = {
 # -- output -------------------------------------------------------------------
 
 
+# rows per CSV chunk. A chunk is checked, formatted a column at a time and
+# written as one string: 256 rows share the cost of the per-chunk numpy calls,
+# and a report's strings take the memory of one chunk
+_CSV_CHUNK_ROWS = 256
+
+
+def _check_finite(columns: list) -> None:
+    """Refuse the first NaN or infinity of the float columns, in row order."""
+    floats = [col for col in columns if col.dtype.kind == "f"]
+    if floats:
+        grid = np.column_stack(floats)
+        finite = np.isfinite(grid)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise NumericalError(f"non-finite value in report: {float(grid[row, col])!r}")
+
+
 def _csv_chunks(cfg: RunConfig, results: dict):
     base = {**cfg.params, "seed": cfg.seed, **results}
     if "qsd" in results:
@@ -465,12 +489,25 @@ def _csv_chunks(cfg: RunConfig, results: dict):
     points = results.get("points")
     columns = list(points) if points else [col for col in _CSV_COLUMNS[cfg.command]
                                            if "qsd" in results or col not in _QSD_COLUMNS]
-    rows = zip(*(points[c].tolist() for c in columns)) if points else [[base[c] for c in columns]]
+    table = [points[c] if points else np.array([base[c]]) for c in columns]
     config = json.dumps(dict(command=cfg.command, params=cfg.params, seed=cfg.seed), sort_keys=True)
     yield f"# qfoliation report\n# command: {cfg.command}\n# seed: {cfg.seed}\n# config: {config}\n"
     yield ",".join(columns) + "\n"
-    for row in rows:
-        yield ",".join(map(_cell, row)) + "\n"
+    for lo in range(0, len(table[0]), _CSV_CHUNK_ROWS):
+        chunk = [col[lo:lo + _CSV_CHUNK_ROWS] for col in table]
+        _check_finite(chunk)
+        yield "\n".join(map(",".join, zip(*(_cells(col.tolist()) for col in chunk)))) + "\n"
+
+
+def _first_non_finite(obj) -> float | None:
+    """The first NaN or infinity that json.dumps(obj, sort_keys=True) meets, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else float(obj)
+    if isinstance(obj, dict):
+        obj = [obj[key] for key in sorted(obj)]
+    if isinstance(obj, (list, tuple)):
+        return next((x for x in map(_first_non_finite, obj) if x is not None), None)
+    return None
 
 
 def _json_chunks(cfg: RunConfig, results: dict):
@@ -483,16 +520,19 @@ def _json_chunks(cfg: RunConfig, results: dict):
     }
     # a point maps names to numbers, so separators alone lay it out as json.dumps(indent=2) would
     point = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n        ", ": "))
+    item = doc  # what json is encoding
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
         head, mark, tail = text.partition('"points": [')
         yield head + mark
         for i, row in enumerate(zip(*(col.tolist() for col in points.values()))):
-            body = point.encode(dict(zip(points, row)))[1:-1]
+            item = dict(zip(points, row))
+            body = point.encode(item)[1:-1]
             yield f"{',' if i else ''}\n      {{\n        {body}\n      }}"
         yield ("\n    " if points else "") + tail + "\n"
     except ValueError as exc:  # allow_nan=False refuses NaN and inf, as CSV refuses them
-        raise NumericalError(f"non-finite value in report: {exc}") from exc
+        # json's own message names the value on some Python versions only
+        raise NumericalError(f"non-finite value in report: {_first_non_finite(item)!r}") from exc
 
 
 def _write_report(path: str, chunks) -> None:

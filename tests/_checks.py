@@ -1,7 +1,7 @@
 """Checks that only the tests use: hyperplane construction, event membership,
-the conjugate transpose, the per-trajectory noise and step-kernel references,
-the writing of a resolved config and the strict reading of a report's config,
-kept out of the package's public surface."""
+the conjugate transpose, the per-trajectory noise, step-kernel and CSV-cell
+references, the writing of a resolved config and the strict reading of a
+report's config, kept out of the package's public surface."""
 
 import json
 import math
@@ -11,7 +11,7 @@ import numpy as np
 
 from qfoliation.cli import RunConfig
 from qfoliation.dynamics import GeneratorSet, _qsd_ops, _StepPlan
-from qfoliation.errors import DimMismatch, NotTimelike, PastPointing
+from qfoliation.errors import DimMismatch, NotTimelike, NumericalError, PastPointing
 from qfoliation.foliation import FourVector, Hyperplane
 from qfoliation.linalg import as_complex
 from qfoliation.rng import stream_keys, wiener_block
@@ -84,6 +84,24 @@ def qsd_step(
     plan = _StepPlan(_qsd_ops(gen, step), outs, renormalize)
     with np.errstate(over="ignore", invalid="ignore"):  # as the ensembles run the kernel
         return plan.step(0, dxi[:, None])[:, 0]
+
+
+def cell_reference(value) -> str:
+    """One CSV cell formatted alone: the per-cell reference of the column formatter.
+
+    Floats in fixed notation with 12 significant digits, bools as true/false,
+    anything else by str; a NaN or infinity is refused.
+    """
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if not isinstance(value, float):
+        return str(value)
+    if not math.isfinite(value):
+        raise NumericalError(f"non-finite value in report: {value!r}")
+    if value == 0.0:
+        return "0.00000000000"
+    decimals = 11 - math.floor(math.log10(abs(value)))
+    return f"{value:.{max(0, decimals)}f}"
 
 
 def serialize_config(cfg: RunConfig) -> str:

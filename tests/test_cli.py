@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfoliation
-from qfoliation import dynamics, scenarios
+from qfoliation import cli, dynamics, scenarios
 from qfoliation.cli import (
     RunConfig,
     format_fixed,
@@ -22,7 +24,7 @@ from qfoliation.cli import (
     run,
 )
 from qfoliation.errors import ParseError, ValidationError
-from _checks import serialize_config
+from _checks import cell_reference, serialize_config
 
 MINIMAL_CE = json.dumps(
     {"command": "counterexample", "params": {"beta": 0.01, "ell": 3000, "gamma": 1.0}}
@@ -158,6 +160,54 @@ def test_format_fixed_rejects_non_finite():
 
     with pytest.raises(NumericalError):
         format_fixed(float("inf"))
+
+
+def _powers_of_ten() -> list:
+    """Every power of ten of the double range with both neighbours, each of both
+    signs, and the range's ends and signed zeros."""
+    values = [5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0]
+    for k in range(-323, 309):
+        x = float(f"1e{k}")
+        for v in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)):
+            values += [float(v), -float(v)]
+    return values
+
+
+def test_cells_match_the_per_cell_reference_next_to_every_power_of_ten():
+    values = _powers_of_ten()
+    assert cli._cells(values) == [cell_reference(v) for v in values]
+    assert [format_fixed(v) for v in values] == [cell_reference(v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_cells_match_the_per_cell_reference_on_drawn_doubles(values):
+    assert cli._cells(values) == [cell_reference(v) for v in values]
+
+
+def test_cells_of_ints_and_bools_match_the_per_cell_reference():
+    ints = [0, 1, -1, 12, 2**31, 2**53 + 1, -(2**63), 2**63 - 1, 2**63, 2**64 - 1]
+    assert cli._cells(ints) == [cell_reference(v) for v in ints]
+    assert cli._cells([True, False, True]) == ["true", "false", "true"]
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 600])
+def test_csv_rows_match_the_per_cell_reference_across_chunks(rows):
+    rng = np.random.default_rng(rows)
+    points = {
+        "x": rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+        "n": (2**64 - 1) - np.arange(rows, dtype=np.uint64),
+        "flag": rng.integers(0, 2, rows).astype(bool),
+        "zero": np.copysign(np.zeros(rows), rng.standard_normal(rows)),
+    }
+    cfg = RunConfig("lindblad", {}, "report.csv", "csv", 0, "quiet")
+    chunks = list(cli._csv_chunks(cfg, {"points": points}))
+    assert chunks[1] == "x,n,flag,zero\n"
+    sizes = [min(cli._CSV_CHUNK_ROWS, rows - lo) for lo in range(0, rows, cli._CSV_CHUNK_ROWS)]
+    assert [chunk.count("\n") for chunk in chunks[2:]] == sizes
+    expected = [",".join(map(cell_reference, row)) + "\n"
+                for row in zip(*(col.tolist() for col in points.values()))]
+    assert "".join(chunks[2:]) == "".join(expected)
 
 
 # -- running ------------------------------------------------------------------------

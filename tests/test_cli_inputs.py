@@ -649,6 +649,36 @@ def test_non_finite_value_late_in_the_report_exits_2_and_leaves_nothing(tmp_path
     assert len(written) == 1 and written[0] > 10_000
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_first_non_finite_value_in_row_order_is_named(tmp_path, capsys, monkeypatch, fmt):
+    # one chunk: the NaN is in the first column and the inf in the second, but
+    # the inf's row comes first
+    first, second = np.zeros(300), np.zeros(300)
+    first[7], second[3] = np.nan, np.inf
+    monkeypatch.setitem(cli._RUNNERS, "lindblad",
+                        lambda cfg: {"points": {"a": first, "b": second}})
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0}, "format": fmt}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 2
+    assert "ERROR numerical invariant breach: non-finite value in report: inf" in err.splitlines()
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["point", "result"])
+def test_json_names_the_non_finite_value_as_csv_does(tmp_path, capsys, monkeypatch, where, value):
+    # json's own ValueError text names the value on Python 3.12 and later only
+    column = np.array([0.5, value, 0.25])
+    results = ({"points": {"a": column}} if where == "point"
+               else {"points": {"a": np.ones(3)}, "summary": {"x": 1.0, "y": [2.0, float(value)]}})
+    monkeypatch.setitem(cli._RUNNERS, "lindblad", lambda cfg: results)
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0}, "format": "json"}
+    status, err, _ = run_doc(tmp_path, doc, capsys)
+    assert status == 2
+    line = f"ERROR numerical invariant breach: non-finite value in report: {float(value)!r}"
+    assert err.splitlines() == [line]
+
+
 # -- Ctrl-C -----------------------------------------------------------------------------
 
 

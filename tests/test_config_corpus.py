@@ -107,7 +107,7 @@ CORPUS = {
     "lind-span-zero": ({"command": "lindblad",
                         "params": {"gamma": 1.0, "span": 0, "samples": None, "rho0": None,
                                    "step": None}}, None),
-    # a long table: 600 rows
+    # 600 rows: two full 256-row chunks of the CSV writer and a short third one
     "lind-chunked": ({"command": "lindblad",
                       "params": {"gamma": 0.5, "span": 30.0, "samples": 600}}, None),
     # qsd-ensemble
