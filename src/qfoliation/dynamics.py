@@ -18,17 +18,21 @@ operators as over one. Both Lindblad methods are a matrix applied to
 vec(rho): expm(span*L) for `exact`, and for `rk4` the Runge-Kutta
 polynomial P(hL)^n, equal to n classical RK4 steps of h as L does not
 depend on a. The exponential is `_expm`, a Pade scaling-and-squaring
-method in numpy (Higham 2005). Fixed-step methods take
+method in numpy (Higham 2005) for one generator L and many offsets: every
+matrix it exponentiates is a multiple a*L, so the powers of L/||L||_1 are
+formed once per call, and each offset's approximant is a sum of them with
+real weights. Fixed-step methods take
 n = max(1, ceiling of span/step) equal steps of h = span/n: rk4 through
 `_fixed_steps`, the QSD ensembles through `TrajectoryConfig.covering`. One
 offset is a 0-d stack of offsets on the same path: the offsets of a
 `lindblad_propagate` call run in blocks of `_LINDBLAD_BLOCK`, which bound
-its memory. A block takes its propagators (for `exact`, one `_expm` call
-over its stack of span*L, where the matrices that share a Pade plan go
-through stacked matmul and one stacked solve; for `rk4`, P(hL)^n per
-offset), one matmul of the propagators with vec(rho0) and one stacked
-`validate_density`. Every stacked numpy call runs the same per-matrix
-arithmetic, so each density is bit for bit the one its offset gives alone.
+its memory. A block takes its propagators (for `exact`, the next stack that
+`_expm` yields, where the offsets that share a Pade plan go through
+elementwise weighted sums, one stacked solve and stacked squarings; for
+`rk4`, P(hL)^n per offset), one matmul of the propagators with vec(rho0)
+and one stacked `validate_density`. Every stacked numpy call runs the same
+per-matrix or per-element arithmetic, so each density is bit for bit the
+one its offset gives alone.
 
 The unraveling is the standard quantum-state-diffusion Ito form with one
 complex Wiener process per coupling operator: drift
@@ -265,10 +269,9 @@ def liouvillian(gen: GeneratorSet) -> np.ndarray:
 # revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179, table 2.3 and
 # eq. (2.2): per degree m, the 1-norm bound theta_m up to which the [m/m]
 # Pade approximant has backward error below the unit roundoff 2^-53, and
-# the coefficients b_0..b_m of its numerator as two rows, even b_2j and
-# odd b_2j+1.
+# the real coefficients b_0..b_m of its numerator.
 _PADE = tuple(
-    (m, theta, np.array(b, dtype=np.complex128).reshape(-1, 2).T)
+    (m, theta, np.array(b, dtype=np.float64))
     for m, theta, b in (
         (3, 1.495585217958292e-2, (120, 60, 12, 1)),
         (5, 2.539398330063230e-1, (30240, 15120, 3360, 420, 30, 1)),
@@ -286,71 +289,81 @@ _PADE = tuple(
 _THETAS = np.array([theta for _, theta, _ in _PADE])
 
 # offsets propagated per block of stacked calls: bounds the work arrays of
-# lindblad_propagate, the largest being the Pade powers of _expm, at most
-# 7 * _LINDBLAD_BLOCK * d^4 complex entries (0.46 MB at d = 2)
+# lindblad_propagate, the largest being the weighted powers b_j c^j L^j of
+# _expm, at most 14 * _LINDBLAD_BLOCK * 2d^4 floats (0.92 MB at d = 2)
 _LINDBLAD_BLOCK = 256
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a square matrix or a stack of them, shape (..., n, n), by Pade
-    scaling and squaring (Higham 2005).
+def _expm(l: np.ndarray, a: np.ndarray):
+    """Yield exp(a_i l) for one square matrix l, shape (n, n), and each
+    non-negative offset a_i of a, shape (k,), as stacks of shape (b, n, n),
+    one per _LINDBLAD_BLOCK offsets, by Pade scaling and squaring (Higham
+    2005). Every offset's 1-norm is checked before the first stack.
 
-    Each matrix takes the least degree m whose theta_m bounds its ||a||_1;
-    above theta_13, it is scaled by 2^-s into range and the approximant
-    squared s times. The matrices that share a plan (m, s) go through
-    together, by stacked matmul and one stacked solve, so each result is bit
-    for bit the one its matrix gives alone.
+    An offset's plan is the least degree m whose theta_m bounds
+    c = a_i ||l||_1 / 2^s, with s = 0 unless it exceeds theta_13; the
+    approximant of 2^-s a_i l is then squared s times. The approximant is
+    q(-x)^-1 q(x) with q(x) = V + U, where V sums b_j c^j L^j over even j
+    and U over odd j, L = l / ||l||_1. The powers L^0..L^m are formed once,
+    up to the largest m of any offset, and the weights and sums are
+    elementwise float ufunc calls on their float views (c^j by repeated
+    multiplication). Only the stacked solve and the squarings work per
+    matrix, so each result is bit for bit the one its offset gives alone.
+
+    For an upper triangular l and s > 0, the diagonal is reset to the exact
+    exp(diag(a_i l) 2^(j-s)) before and after each squaring j, which would
+    amplify its error 2^s-fold (Al-Mohy & Higham, SIMAX 31 (2009) 970,
+    Fragment 2.1), so the last one is exp(a_i l_jj).
     """
-    n = a.shape[-1]
-    stack = a.reshape(-1, n, n)
-    norms = abs(stack).sum(axis=1).max(axis=1, initial=0.0)
+    n = l.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        norm = float(abs(l).sum(axis=0).max(initial=0.0))
+        norms = a * norm
     if not math.isfinite(norms.max(initial=0.0)):
         bad = norms[~np.isfinite(norms)][0]
         raise NumericalError(f"exponent 1-norm is {bad}: expm(span*L) overflows")
     degree = (norms[:, None] > _THETAS[:-1]).sum(axis=1)  # index of the least theta >= norm
     frac, s = np.frexp(norms / _THETAS[degree])  # the least s >= 0 with norm <= 2^s theta
     s = np.maximum(s - (frac == 0.5), 0)
-    stack = stack / np.ldexp(1.0, s)[:, None, None]
+    c = np.ldexp(norms, -s)
     plans = degree + len(_PADE) * s
-    out = np.empty_like(stack)
-    for plan in sorted(set(plans.tolist())):
-        sel = (plans == plan).nonzero()[0]
-        out[sel] = _expm_plan(stack[sel], *divmod(plan, len(_PADE)))
-    return out.reshape(a.shape)
-
-
-def _expm_plan(a: np.ndarray, s: int, m_index: int) -> np.ndarray:
-    """exp(2^s a) for a stack a, shape (B, n, n), whose matrices share s
-    squarings and the [m/m] Pade approximant of _PADE[m_index].
-
-    The approximant is q(-a)^-1 q(a) with q(a) = V + U, V the even and U the
-    odd part of its numerator. For an upper triangular matrix with s > 0,
-    the diagonal is reset to the exact exp(2^j diag(a)) before and after
-    each squaring, which would amplify its error 2^s-fold (Al-Mohy & Higham,
-    SIMAX 31 (2009) 970, Fragment 2.1).
-    """
-    m, _, coef = _PADE[m_index]
-    b, n = a.shape[0], a.shape[-1]
-    k = m // 2 + 1
-    powers = np.empty((b, k, n, n), dtype=np.complex128)  # 1, a^2, a^4, ..., a^(m-1)
-    powers[:, 0] = np.eye(n)
-    np.matmul(a, a, out=powers[:, 1])
-    for j in range(2, k):
-        np.matmul(powers[:, j - 1], powers[:, 1], out=powers[:, j])
-    even_odd = coef @ powers.reshape(b, k, n * n)
-    v, odd = even_odd[:, 0].reshape(b, n, n), even_odd[:, 1].reshape(b, n, n)
-    u = a @ odd
-    r = np.linalg.solve(v - u, v + u)
-    tri = np.zeros(b, dtype=bool)
-    if s:
-        lower = np.arange(n)[:, None] > np.arange(n)
-        tri = ~a[:, lower].any(axis=1)  # upper triangular
-    diag_a = a.diagonal(axis1=1, axis2=2)[tri]
-    for j in range(s + 1):
-        r = r @ r if j else r  # a fresh C-ordered array, so the reshape below is a view
-        if diag_a.size:
-            r.reshape(b, n * n)[:, :: n + 1][tri] = np.exp(diag_a * 2.0**j)
-    return r
+    top = _PADE[degree.max(initial=0)][0]
+    powers = np.empty((top + 1, n, n), dtype=np.complex128)  # L^0 .. L^top
+    powers[0] = np.eye(n)
+    powers[1].view(np.float64)[...] = l.view(np.float64) / (norm or 1.0)
+    k = 1
+    while k < top:  # L^(k+1) .. L^2k in one stacked call, each L^j = L^(j-k) L^k
+        hi = min(2 * k, top)
+        np.matmul(powers[1:hi - k + 1], powers[k], out=powers[k + 1:hi + 1])
+        k *= 2
+    flat = powers.view(np.float64).reshape(top + 1, 1, 2 * n * n)
+    ii = np.arange(n)
+    tri = not l[ii[:, None] > ii].any()  # upper triangular
+    diag = l.diagonal().copy().view(np.float64)  # re, im of each l_jj
+    for start in range(0, a.size, _LINDBLAD_BLOCK):
+        block = slice(start, start + _LINDBLAD_BLOCK)
+        a_b, c_b, plans_b = a[block], c[block], plans[block]
+        out = np.empty((a_b.size, n, n), dtype=np.complex128)
+        for plan in sorted(set(plans_b.tolist())):
+            sel = (plans_b == plan).nonzero()[0]
+            squarings, m_index = divmod(plan, len(_PADE))
+            m, _, coef = _PADE[m_index]
+            cs = np.ones((m + 1, sel.size))
+            cs[1:] = c_b[sel]
+            np.multiply.accumulate(cs, axis=0, out=cs)  # c^0 .. c^m, each c^(j-1) * c
+            terms = (coef[:, None] * cs)[:, :, None] * flat[:m + 1]  # b_j c^j L^j
+            vu = terms[0:2] + terms[2:4]  # V and U, each summed in the order of j
+            for j in range(4, m, 2):
+                vu += terms[j:j + 2]
+            v, u = vu.view(np.complex128).reshape(2, -1, n, n)
+            r = np.linalg.solve(v - u, v + u)
+            diag_a = a_b[sel, None] * diag if tri and squarings else None
+            for j in range(squarings + 1):
+                r = r @ r if j else r
+                if diag_a is not None:
+                    r[:, ii, ii] = np.exp((diag_a * 2.0 ** (j - squarings)).view(np.complex128))
+            out[sel] = r
+        yield out
 
 
 def lindblad_propagate(
@@ -369,12 +382,13 @@ def lindblad_propagate(
     exactly. The other offsets go through in blocks of _LINDBLAD_BLOCK, each
     by stacked numpy calls: the propagators of the block, their product with
     vec(rho0) in one matmul, and one stacked validate_density. `exact`
-    exponentiates every span*L, L = liouvillian(gen), in one `_expm` call
-    and validates to 1e-9. `rk4` takes the `_fixed_steps(span, step)` plan
-    of n classical Runge-Kutta steps of h, which for this offset-independent
-    generator is exactly P(hL)^n with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24,
-    built per offset by repeated squaring; it requires step * ||generator||
-    <= 1 and validates to 1e-6. Without dissipation rk4 runs `exact` and
+    exponentiates every span*L, L = liouvillian(gen), through one `_expm`
+    call, which takes the 1-norm and the Pade powers of L once and yields
+    each block's propagators, and validates to 1e-9. `rk4` takes the
+    `_fixed_steps(span, step)` plan of n classical Runge-Kutta steps of h,
+    which for this offset-independent generator is exactly P(hL)^n with
+    P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, built per offset by repeated
+    squaring; it requires step * ||generator|| <= 1 and validates to 1e-6. Without dissipation rk4 runs `exact` and
     needs no step. Both costs grow as d^6; no caller goes above dim 4.
     """
     rho0 = require_density(rho0, "rho0")
@@ -401,15 +415,14 @@ def lindblad_propagate(
     flat, spans = out.reshape((-1,) + rho0.shape), spans.reshape(-1)
     live = spans.nonzero()[0]
     sup = liouvillian(gen)
+    exact = None if rk4 else _expm(sup, spans[live])
     for start in range(0, live.size, _LINDBLAD_BLOCK):
         block = live[start:start + _LINDBLAD_BLOCK]
-        a = spans[block]
         if rk4:
-            propagators = np.array([_rk4_propagator(sup, x, step) for x in a.tolist()])
+            propagators = np.array([_rk4_propagator(sup, x, step) for x in spans[block].tolist()])
         else:
-            with np.errstate(over="ignore", invalid="ignore"):  # _expm refuses a non-finite product
-                propagators = _expm(sup * a[:, None, None])
-        rhos = (propagators @ rho0.reshape(-1)).reshape(a.shape + rho0.shape)
+            propagators = next(exact)
+        rhos = (propagators @ rho0.reshape(-1)).reshape(block.shape + rho0.shape)
         flat[block] = validate_density(rhos, 1e-6 if rk4 else TOL)
     return out
 

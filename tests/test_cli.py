@@ -497,8 +497,8 @@ def test_lindblad_report_is_written_in_memory_bounded_by_its_arrays(tmp_path, fm
 
 def test_lindblad_samples_take_stacked_calls_not_one_per_offset(tmp_path, monkeypatch):
     # counts, not timings: a run that falls back to per-offset work calls
-    # _expm and eigvalsh once per sample instead of once per block
-    calls = {"expm": 0, "eigvalsh": 0}
+    # solve and eigvalsh once per sample instead of once per block
+    calls = {"solve": 0, "eigvalsh": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -506,12 +506,14 @@ def test_lindblad_samples_take_stacked_calls_not_one_per_offset(tmp_path, monkey
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(dynamics, "_expm", counting("expm", dynamics._expm))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     samples = 2000
     doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 30.0, "samples": samples},
            "output_path": str(tmp_path / "lindblad.csv")}
     assert run(parse_config(json.dumps(doc))) == 0
     blocks = math.ceil(samples / dynamics._LINDBLAD_BLOCK)
-    assert 1 <= calls["expm"] <= blocks + 2
+    # one solve per Pade plan of each block: the rising offsets of 1-norm up
+    # to 15 pass through 7 plans (degrees 3 to 13, then 1 and 2 squarings)
+    assert blocks <= calls["solve"] <= blocks + 6
     assert 1 <= calls["eigvalsh"] <= blocks + 3

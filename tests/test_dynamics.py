@@ -367,10 +367,16 @@ def norm1(m):
     return float(np.abs(m).sum(axis=0).max())
 
 
-def pade_choice(a):
-    """(degree m, squarings s) that Higham's rule picks for a."""
-    m, theta = next(((m, theta) for m, theta, _ in _PADE if norm1(a) <= theta), _PADE[-1][:2])
-    return m, max(0, math.ceil(math.log2(norm1(a) / theta)))
+def pade_choice(l, a):
+    """(degree m, squarings s) that Higham's rule picks for the offset a of l."""
+    norm = a * norm1(l)
+    m, theta = next(((m, theta) for m, theta, _ in _PADE if norm <= theta), _PADE[-1][:2])
+    return m, max(0, math.ceil(math.log2(norm / theta)))
+
+
+def expm(l, offsets):
+    """exp(a l) for each offset a, as one stack."""
+    return np.concatenate(list(_expm(l, np.asarray(offsets, dtype=np.float64))))
 
 
 def test_expm_matches_scipy_on_random_generators():
@@ -378,22 +384,36 @@ def test_expm_matches_scipy_on_random_generators():
     rng = np.random.default_rng(31)
     choices, worst = set(), 0.0
     for _ in range(60):
-        gen = random_model(rng, int(rng.integers(2, 5)), n_ls=int(rng.integers(0, 3)))
-        sup = liouvillian(gen)
+        sup = liouvillian(random_model(rng, int(rng.integers(2, 5)), n_ls=int(rng.integers(0, 3))))
         # 1-norms of span*L that pick m = 3, 5, 7, 9 and 13, the last with s = 0, 3 and 6
-        for target in (0.01, 0.2, 0.9, 2.0, 5.0, 40.0, 300.0):
-            a = sup * (target / norm1(sup))
-            choices.add(pade_choice(a))
-            ref = scipy_linalg.expm(a)
-            worst = max(worst, norm1(_expm(a) - ref) / norm1(ref))
+        offsets = np.array([0.01, 0.2, 0.9, 2.0, 5.0, 40.0, 300.0]) / norm1(sup)
+        for a, got in zip(offsets, expm(sup, offsets)):
+            choices.add(pade_choice(sup, a))
+            ref = scipy_linalg.expm(sup * a)
+            worst = max(worst, norm1(got - ref) / norm1(ref))
     assert {m for m, _ in choices} == {3, 5, 7, 9, 13}
-    assert max(s for _, s in choices) > 0
+    assert {s for _, s in choices} >= {0, 3, 6}
     assert worst <= 1e-12
 
 
 def test_expm_of_zero_is_identity_exactly():
     for n in (1, 2, 4, 9):
-        np.testing.assert_array_equal(_expm(np.zeros((n, n), dtype=complex)), np.eye(n))
+        for got in expm(np.zeros((n, n), dtype=complex), [0.0, 1.0, 1e300]):
+            np.testing.assert_array_equal(got, np.eye(n))
+
+
+def test_expm_normalizes_a_generator_whose_powers_overflow():
+    # ||L||_1 = 1e30: L^13 overflows, but 1e-30 L has 1-norm 1 and takes m = 7
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    sup = liouvillian(random_model(np.random.default_rng(47), 2, n_ls=2))
+    sup *= 1e30 / norm1(sup)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.linalg.matrix_power(sup, 13)).all()
+    offsets = [1e-30, 3e-31, 2e-29]
+    for a, got in zip(offsets, expm(sup, offsets)):
+        ref = scipy_linalg.expm(sup * a)
+        assert np.isfinite(got).all()
+        assert norm1(got - ref) <= 1e-12 * norm1(ref)
 
 
 @pytest.mark.parametrize("gamma_span", [1e-3, 0.05, 0.5, 1.5, 4.0, 10.0, 30.0, 200.0])
@@ -415,55 +435,57 @@ def test_expm_dephasing_keeps_the_trace_at_large_norm(gamma_span):
         np.testing.assert_allclose(got, lindblad_exact_twolevel(rho, 1.0, gamma_span),
                                    rtol=0, atol=1e-14)
     scipy_linalg = pytest.importorskip("scipy.linalg")
-    a = liouvillian(decoherence_model(1.0)) * gamma_span
-    np.testing.assert_allclose(_expm(a), scipy_linalg.expm(a), rtol=0, atol=1e-14)
+    sup = liouvillian(decoherence_model(1.0))
+    np.testing.assert_allclose(expm(sup, [gamma_span])[0], scipy_linalg.expm(sup * gamma_span),
+                               rtol=0, atol=1e-14)
+
+
+def random_triangular(rng, n):
+    """An upper triangular matrix of 1-norm 1 whose diagonal decays."""
+    a = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    a[np.diag_indices(n)] -= np.abs(a.diagonal().real) + 1.0
+    return a / norm1(a)
 
 
 def test_expm_upper_triangular_diagonal_is_exact():
-    # with s > 0 squarings, each square's diagonal is reset to exp(2^-j diag(a)),
-    # so the last one is exp(diag(a)); 1-norms 10, 40 and 300 take s = 1, 3 and 6
+    # with s > 0 squarings, each square's diagonal is reset to exp(2^(j-s) diag(a L)),
+    # so the last one is exp(diag(a L)); 1-norms 10, 40 and 300 take s = 1, 3 and 6
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(43)
-    for target in (10.0, 40.0, 300.0):
-        for _ in range(10):
-            n = int(rng.integers(2, 5))
-            a = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-            a[np.diag_indices(n)] -= np.abs(a.diagonal().real) + 1.0  # decaying modes
-            a *= target / norm1(a)
-            got = _expm(a)
-            np.testing.assert_array_equal(got.diagonal(), np.exp(a.diagonal()))
-            ref = scipy_linalg.expm(a)
+    offsets = [40.0, 10.0, 300.0]
+    for _ in range(10):
+        l = random_triangular(rng, int(rng.integers(2, 5)))
+        for a, got in zip(offsets, expm(l, offsets)):
+            np.testing.assert_array_equal(got.diagonal(), np.exp(l.diagonal() * a))
+            ref = scipy_linalg.expm(l * a)
             assert norm1(got - ref) <= 1e-12 * norm1(ref)
 
 
-def test_expm_of_a_stack_is_each_matrix_bitwise():
+def test_expm_of_a_stack_is_each_matrix_bitwise(monkeypatch):
     rng = np.random.default_rng(71)
-    mats = []
-    for target in (0.01, 0.2, 0.9, 2.0, 5.0, 40.0, 300.0):
-        for _ in range(3):
-            sup = liouvillian(random_model(rng, 2, n_ls=int(rng.integers(0, 3))))
-            mats.append(sup * (target / norm1(sup)))
-        a = np.triu(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        a[np.diag_indices(4)] -= np.abs(a.diagonal().real) + 1.0
-        mats.append(a * (target / norm1(a)))
-    mats.append(np.zeros((4, 4), dtype=complex))
-    order = rng.permutation(len(mats))  # plans interleaved, not in runs
-    stack = np.array(mats)[order]
-    choices = {pade_choice(a) for a in stack if norm1(a)}
+    gens = [liouvillian(random_model(rng, 2, n_ls=n_ls)) for n_ls in (0, 1, 2)]
+    gens += [random_triangular(rng, 4), np.zeros((4, 4), dtype=complex)]
+    targets = np.array([0.01, 0.2, 0.9, 2.0, 5.0, 40.0, 300.0, 0.0, 1e-320])
+    choices = set()
+    for l in gens:
+        offsets = rng.permutation(np.repeat(targets / (norm1(l) or 1.0), 3))  # plans interleaved
+        choices |= {pade_choice(l, a) for a in offsets if a * norm1(l)}
+        got = expm(l, offsets)
+        for a, e in zip(offsets, got):
+            assert np.array_equal(bits(e), bits(expm(l, [a])[0]))
+        monkeypatch.setattr(dynamics, "_LINDBLAD_BLOCK", 4)
+        assert [len(b) for b in _expm(l, offsets)] == [4] * 6 + [3]
+        assert np.array_equal(bits(expm(l, offsets)), bits(got))
+        monkeypatch.undo()
     assert {m for m, _ in choices} == {3, 5, 7, 9, 13}
     assert {s for _, s in choices} >= {0, 3, 6}
-    got = _expm(stack)
-    for a, e in zip(stack, got):
-        assert np.array_equal(bits(e), bits(_expm(a)))
-    grid = _expm(stack[:28].reshape(4, 7, 4, 4))
-    assert np.array_equal(bits(grid), bits(got[:28].reshape(4, 7, 4, 4)))
 
 
 def test_expm_stack_reports_the_first_non_finite_exponent():
-    stack = np.zeros((3, 4, 4), dtype=complex)
-    stack[1, 2, 2], stack[2, 0, 0] = -np.inf, np.nan
-    with pytest.raises(NumericalError, match="1-norm is inf"):
-        _expm(stack)
+    sup = liouvillian(decoherence_model(1e10))
+    for offsets, first in (([1.0, 1e300, np.nan], "inf"), ([1.0, np.nan, 1e300], "nan")):
+        with pytest.raises(NumericalError, match=f"1-norm is {first}"):
+            next(_expm(sup, np.array(offsets)))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -471,7 +493,7 @@ def test_expm_refuses_non_finite_exponent(bad):
     a = np.zeros((4, 4), dtype=complex)
     a[1, 1] = bad
     with pytest.raises(NumericalError, match="overflows"):
-        _expm(a)
+        next(_expm(a, np.array([1.0])))
 
 
 # -- closed-form two-level oracle ---------------------------------------------------

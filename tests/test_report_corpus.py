@@ -11,6 +11,9 @@ Re-record every report (for example after a deliberate change of the QSD
 noise) with
 
     PYTHONPATH=src python tests/test_report_corpus.py --record
+
+which prints, for each case whose text changed, the largest absolute and
+relative change among its numbers, and the number of unchanged cases.
 """
 
 import json
@@ -74,14 +77,32 @@ def test_report_matches_recorded(case, tmp_path):
             assert close(float(g), float(e)), f"{case}: number {g} != recorded {e}"
 
 
+def change(old: str, new: str) -> str:
+    """The largest absolute and relative change among the numbers of two reports."""
+    old_parts, new_parts = _NUMBER.split(old), _NUMBER.split(new)
+    if len(old_parts) != len(new_parts) or old_parts[::2] != new_parts[::2]:
+        return "structure changed"
+    pairs = [(float(a), float(b)) for a, b in zip(old_parts[1::2], new_parts[1::2]) if a != b]
+    worst_abs = max(abs(b - a) for a, b in pairs)
+    worst_rel = max(abs(b - a) / max(abs(a), abs(b)) for a, b in pairs)
+    return f"{len(pairs)} numbers, largest change {worst_abs:.3g} absolute, {worst_rel:.3g} relative"
+
+
 def record(workdir: Path) -> None:
-    reports = {}
+    previous = json.loads(REPORTS.read_text(encoding="utf-8")) if REPORTS.exists() else {}
+    reports, unchanged = {}, 0
     for case in CASES:
         case_dir = workdir / case.replace("/", "-")
         case_dir.mkdir()
         reports[case] = report_text(case, case_dir)
+        if case not in previous:
+            print(f"{case}: new")
+        elif reports[case] == previous[case]:
+            unchanged += 1
+        else:
+            print(f"{case}: {change(previous[case], reports[case])}")
     REPORTS.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"recorded {len(reports)} reports in {REPORTS}")
+    print(f"recorded {len(reports)} reports in {REPORTS}, {unchanged} unchanged")
 
 
 if __name__ == "__main__":
