@@ -121,7 +121,7 @@ MAX_TRAJECTORY_STEPS = 10**10
 # host a step of 1 to 100 trajectories takes 15-29 us, as long as 500-700
 # more trajectories at 30-43 ns each (from 4*10^3 to 2*10^4). 10^3 dates
 # from the kernel before the step plan (23-36 us a step) and is kept, so
-# that the ceiling does not move.
+# that the ceiling does not move; the split reads _MIN_BLOCK_TRAJECTORIES.
 MIN_STEP_TRAJECTORIES = 10**3
 
 # increments per rng.wiener_block call of a QSD run (its block and words take
@@ -134,18 +134,21 @@ _NOISE_BLOCK_ENTRIES = 2**14
 
 # the final states of an ensemble run as one block of trajectories per CPU,
 # each block in its own process, only where every block holds at least
-# MIN_STEP_TRAJECTORIES trajectories and _MIN_BLOCK_WORK trajectory-steps.
-# Two blocks against one on a 2-vCPU host (dephasing model, step 0.01,
-# medians of 7 alternating runs in a bare process, two sessions that drift
-# by up to 40 %): 10^3 trajectories x 3000 steps 122 -> 177 and 187 -> 171
-# ms and 200 x 20000 steps 369 -> 465 and 610 -> 611 ms, as a step of fewer
-# than about 10^3 trajectories costs about the same whatever its size, and
-# 2000 x 200 14 -> 14 and 19 -> 19 ms, but 1500 x 3000 149 -> 117 and
-# 193 -> 171 ms, 10^4 x 400 135 -> 73 and 180 -> 89 ms and 10^4 x 3000
-# 1.06 -> 0.56 and 1.30 -> 0.63 s. 10^4 x 100 (43 -> 24 and 44 -> 29 ms)
-# gains as well, below _MIN_BLOCK_WORK, which is kept so that the split
-# decision does not move.
-_MIN_BLOCK_WORK = 2 * 10**6
+# _MIN_BLOCK_TRAJECTORIES trajectories and _MIN_BLOCK_WORK trajectory-steps.
+# Two blocks against one on a 2-vCPU host with both CPUs busy in the last
+# seconds (dephasing model, step 0.01, medians of 15 alternating runs in a
+# process that imported the CLI, in ms): 10^3 trajectories x 3000 steps
+# 179 -> 136, 800 x 3000 155 -> 127, 600 x 3000 138 -> 115, 10^3 x 2000
+# 121 -> 96, 10^3 x 1000 60 -> 52, 10^4 x 100 49 -> 32, 10^4 x 200 93 ->
+# 55, 10^4 x 3000 1379 -> 657 and 200 x 20000 637 -> 623, as a step of up
+# to about 250 trajectories costs its fixed 20 us whatever its size. In
+# earlier sessions, blocks of 300 or 400 trajectories lost or tied, blocks
+# of 500 won in every one. Run as CLI processes, 10^4 x 100 took 50 -> 38 ms
+# in main(), lower in 19 of 21 pairs, but spawn to exit it was lower in
+# only 13, so the work minimum stays where a block's work hides the fork.
+# A CPU idle for a few seconds first gives two blocks little or nothing.
+_MIN_BLOCK_TRAJECTORIES = 500
+_MIN_BLOCK_WORK = 10**6
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -643,8 +646,8 @@ def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj:
     call refuses more than MAX_TRAJECTORY_STEPS trajectory-steps, counting
     at least one step and MIN_STEP_TRAJECTORIES trajectories a step. The
     final states of a large enough ensemble run in one contiguous block of
-    rows per CPU (`_qsd_split`, see _MIN_BLOCK_WORK); everything else runs
-    `_qsd_block` in this process.
+    rows per CPU (`_qsd_split`, see _MIN_BLOCK_TRAJECTORIES); everything
+    else runs `_qsd_block` in this process.
     """
     if n_traj < 1:
         raise ValidationError(f"need at least one trajectory, got {n_traj}")
@@ -665,7 +668,7 @@ def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj:
         warn(f"step*max||L^dag L|| = {cfg.step * max(norms):.3g} exceeds {QSD_STEP_SAFETY}; "
              "stochastic integration error may dominate")
     ops = _qsd_ops(gen, cfg.step)
-    workers = min(_cpu_count(), n_traj // MIN_STEP_TRAJECTORIES,
+    workers = min(_cpu_count(), n_traj // _MIN_BLOCK_TRAJECTORIES,
                   n_traj * cfg.steps // _MIN_BLOCK_WORK)
     # a fork copies only the calling thread, and with it every lock that
     # another thread holds, which no thread of the child would release

@@ -49,7 +49,7 @@ def forks(monkeypatch):
         return pid
 
     def split(workers):
-        monkeypatch.setattr(dynamics, "MIN_STEP_TRAJECTORIES", 1)
+        monkeypatch.setattr(dynamics, "_MIN_BLOCK_TRAJECTORIES", 1)
         monkeypatch.setattr(dynamics, "_MIN_BLOCK_WORK", 1)
         monkeypatch.setattr(dynamics, "_cpu_count", lambda: workers)
         monkeypatch.setattr(os, "fork", fork)
@@ -63,13 +63,13 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def run_cli(tmp_path, params, capsys, fmt="csv"):
-    """Exit status, stderr and report bytes (None if absent) of one qsd-ensemble run."""
+def run_cli(tmp_path, params, capsys, fmt="csv", command="qsd-ensemble"):
+    """Exit status, stderr and report bytes (None if absent) of one run."""
     out = tmp_path / f"report.{fmt}"
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"command": "qsd-ensemble", "params": params, "format": fmt,
+    cfg.write_text(json.dumps({"command": command, "params": params, "format": fmt,
                                "output_path": str(out)}), encoding="utf-8")
-    status = main(["qsd-ensemble", "--config", str(cfg)])
+    status = main([command, "--config", str(cfg)])
     report = out.read_bytes() if out.exists() else None
     if report is not None:
         out.unlink()
@@ -103,15 +103,25 @@ def test_a_worker_makes_no_blas_or_lapack_call():
 
 
 def test_large_ensembles_split_and_small_ones_do_not(monkeypatch):
-    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 8)
     calls = []
     monkeypatch.setattr(dynamics, "_qsd_split", lambda *args: calls.append(args[-1]))
+    monkeypatch.setattr(dynamics, "_qsd_block", lambda *args: calls.append(1))
     gen = dephasing_model(1.0)
-    long_run = TrajectoryConfig(step=0.01, steps=3000)
-    ensemble_final_states(PLUS_STATE, gen, long_run, 10**4)  # the ensemble-large workload
-    ensemble_final_states(PLUS_STATE, gen, long_run, 10**3)  # the headline QSD block
-    ensemble_final_states(PLUS_STATE, gen, TrajectoryConfig(step=0.01, steps=100), 10**4)
-    assert calls == [8]
+    cases = [  # CPUs, trajectories, steps: blocks
+        ((8, 10**4, 3000), 8),  # the ensemble-large workload
+        ((2, 10**4, 3000), 2),
+        ((2, 10**3, 3000), 2),  # the headline QSD block
+        ((8, 10**3, 3000), 2),  # at least _MIN_BLOCK_TRAJECTORIES a block
+        ((2, 999, 3000), 1),
+        ((2, 10**3, 1999), 1),  # at least _MIN_BLOCK_WORK trajectory-steps a block
+        ((2, 10**4, 100), 1),
+        ((2, 200, 20000), 1),  # blocks of 100, whose step costs about its fixed cost
+        ((1, 10**4, 3000), 1),
+    ]
+    for (cpus, n_traj, steps), _ in cases:
+        monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
+        ensemble_final_states(PLUS_STATE, gen, TrajectoryConfig(step=0.01, steps=steps), n_traj)
+    assert calls == [blocks for _, blocks in cases]
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -148,14 +158,19 @@ def test_a_process_with_another_thread_runs_one_block(forks):
     assert pids == [] and not other.is_alive()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_split_qsd_ensemble_report_is_byte_identical(tmp_path, capsys, forks, fmt):
-    params = {"gamma": 1.0, "span": 2.0, "n_traj": 31}
-    status, err, one = run_cli(tmp_path, params, capsys, fmt)
+@pytest.mark.parametrize(("command", "params", "fmt"), [
+    pytest.param("qsd-ensemble", {"gamma": 1.0, "span": 2.0, "n_traj": 31}, "csv", id="csv"),
+    pytest.param("qsd-ensemble", {"gamma": 1.0, "span": 2.0, "n_traj": 31}, "json", id="json"),
+    pytest.param("counterexample", {"beta": 0.01, "ell": 200.0, "gamma": 1.0, "method": "exact",
+                                    "qsd": {"n_traj": 31}}, "json", id="counterexample"),
+])
+def test_split_qsd_ensemble_report_is_byte_identical(tmp_path, capsys, forks, command, params,
+                                                      fmt):
+    status, err, one = run_cli(tmp_path, params, capsys, fmt, command)
     assert status == 0, err
     split, pids = forks
     split(3)
-    status, err, many = run_cli(tmp_path, params, capsys, fmt)
+    status, err, many = run_cli(tmp_path, params, capsys, fmt, command)
     assert status == 0, err
     assert len(pids) == 2
     assert many == one
