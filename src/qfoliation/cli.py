@@ -31,7 +31,7 @@ from .dynamics import (
     lindblad_exact_twolevel,
     lindblad_propagate,
 )
-from .errors import NumericalError, ParseError, ValidationError, log_warnings
+from .errors import NumericalError, ValidationError, log_warnings
 from .linalg import density_from_state, trace_distance, validate_state
 
 log = logging.getLogger("qfoliation")
@@ -285,11 +285,13 @@ def parse_config(text: str, command: str | None = None, *, seed: int | None = No
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        raise ValidationError(
+            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
     except (ValueError, RecursionError) as exc:  # an integer over the digit limit, or deep nesting
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        raise ValidationError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParseError(f"config document must be a JSON object, got {type(doc).__name__}")
+        raise ValidationError(f"config document must be a JSON object, got {type(doc).__name__}")
 
     cfg_command = command if doc.get("command") is None else doc["command"]
     if cfg_command is None:
@@ -332,14 +334,6 @@ def _cells(values: list) -> list[str]:
         fixed, floor, log10 = _FIXED, math.floor, math.log10
         return [fixed[floor(log10(abs(v))) + 324] % v if v else "0.00000000000" for v in values]
     return [str(v) for v in values]
-
-
-def format_fixed(x: float) -> str:
-    """Fixed-notation decimal with 12 significant digits."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise NumericalError(f"non-finite value in report: {x!r}")
-    return _cells([x])[0]
 
 
 # -- report building ----------------------------------------------------------

@@ -81,15 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import (
-    DimMismatch,
-    MissingBoostGenerator,
-    NumericalError,
-    StepTooLarge,
-    ValidationError,
-    ZeroNorm,
-    warn,
-)
+from .errors import NumericalError, ValidationError, warn
 from .foliation import lorentz_gamma
 from .linalg import (
     TOL,
@@ -177,13 +169,13 @@ class GeneratorSet:
         if self.K is not None:
             k = require_hermitian(self.K, "K")
             if k.shape != h.shape:
-                raise DimMismatch(f"K shape {k.shape} != H shape {h.shape}")
+                raise ValidationError(f"K shape {k.shape} != H shape {h.shape}")
             object.__setattr__(self, "K", _readonly(k))
         ls = []
         for i, lk in enumerate(self.Ls):
             lk = require_square(as_complex(lk))
             if lk.shape != h.shape:
-                raise DimMismatch(f"L[{i}] shape {lk.shape} != H shape {h.shape}")
+                raise ValidationError(f"L[{i}] shape {lk.shape} != H shape {h.shape}")
             ls.append(_readonly(lk))
         object.__setattr__(self, "Ls", tuple(ls))
 
@@ -206,7 +198,7 @@ class TrajectoryConfig:
     renormalize: bool = True
 
     def __post_init__(self) -> None:
-        if self.step <= 0.0:
+        if not self.step > 0.0:
             raise ValidationError(f"step must be positive, got {self.step:.6g}")
         if self.steps < 0:
             raise ValidationError(f"steps must be non-negative, got {self.steps}")
@@ -399,16 +391,16 @@ def lindblad_propagate(
     if method not in LINDBLAD_METHODS:
         raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'rk4'")
     spans = np.asarray(span, dtype=np.float64)
-    negative = spans[spans < 0.0]
+    negative = spans[~(spans >= 0.0)]  # NaN included
     if negative.size:
         raise ValidationError(f"span must be non-negative, got {negative[0]:.6g}")
     rk4 = method == "rk4" and any(np.any(lk) for lk in gen.Ls)  # no dissipator: exact
     if rk4:
-        if step is None or step <= 0.0:
+        if step is None or not step > 0.0:
             raise ValidationError("rk4 requires a positive step")
         bound = generator_norm_bound(gen)
         if step * bound > 1.0:
-            raise StepTooLarge(
+            raise ValidationError(
                 f"step*||generator|| = {step * bound:.3e} > 1; reduce step below {1.0 / bound:.3e}"
             )
     out = np.empty(spans.shape + rho0.shape, dtype=np.complex128)
@@ -450,8 +442,8 @@ def lindblad_exact_twolevel(rho0: np.ndarray, gamma: float, span) -> np.ndarray:
     """
     rho0 = require_square(as_complex(rho0))
     if rho0.shape != (2, 2):
-        raise DimMismatch(f"closed form is for dim 2, got shape {rho0.shape}")
-    if gamma < 0.0:
+        raise ValidationError(f"closed form is for dim 2, got shape {rho0.shape}")
+    if not gamma >= 0.0:
         raise ValidationError(f"gamma must be non-negative, got {gamma:.6g}")
     spans = np.asarray(span, dtype=np.float64)
     # math.exp per offset: numpy's vectorized exp may differ from it in the last bit
@@ -465,7 +457,7 @@ def lindblad_exact_twolevel(rho0: np.ndarray, gamma: float, span) -> np.ndarray:
 
 def decohering_coupling(gamma: float) -> np.ndarray:
     """Two-level coupling operator sqrt(gamma) |0><0| driving pure decoherence."""
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise ValidationError(f"gamma must be non-negative, got {gamma:.6g}")
     lk = np.zeros((2, 2), dtype=np.complex128)
     lk[0, 0] = math.sqrt(gamma)
@@ -630,7 +622,7 @@ def _check_norms(worst: float, peak: float) -> None:
     """Refuse a step whose least trajectory norm is below ZERO_NORM_FLOOR or
     whose greatest is not finite; both are NaN if any norm is NaN."""
     if worst < ZERO_NORM_FLOOR:
-        raise ZeroNorm(f"trajectory norm collapsed to {worst:.3e} before renormalization")
+        raise NumericalError(f"trajectory norm collapsed to {worst:.3e} before renormalization")
     if not math.isfinite(peak):
         raise NumericalError(f"trajectory norm is {peak}")
 
@@ -862,7 +854,7 @@ def mean_projector(states: np.ndarray) -> np.ndarray:
     normalized first, so the mean has unit trace for unrenormalized runs too."""
     norms = np.sqrt(np.einsum("mi,mi->m", states.conj(), states).real)
     if np.any(norms < ZERO_NORM_FLOOR):
-        raise ZeroNorm(f"final-state norm collapsed to {float(np.min(norms)):.3e}")
+        raise NumericalError(f"final-state norm collapsed to {float(np.min(norms)):.3e}")
     states = states / norms[:, None]
     rho = np.einsum("mi,mj->ij", states, states.conj()) / len(states)
     return validate_density(rho)
@@ -885,7 +877,7 @@ def boost_transport(state: np.ndarray, gen: GeneratorSet, beta: float) -> np.nda
     lorentz_gamma(beta)  # rejects |beta| >= 1
     k_x = gen.K
     if k_x is None:
-        raise MissingBoostGenerator("no boost generator configured and beta != 0")
+        raise ValidationError("no boost generator configured and beta != 0")
     require_same_dim(state, k_x)
     u = expm_generator(k_x, math.atanh(beta))
     if state.ndim == 1:
@@ -893,4 +885,4 @@ def boost_transport(state: np.ndarray, gen: GeneratorSet, beta: float) -> np.nda
     if state.ndim == 2:
         require_square(state)
         return u @ state @ u.conj().T
-    raise DimMismatch(f"expected a vector or matrix, got shape {state.shape}")
+    raise ValidationError(f"expected a vector or matrix, got shape {state.shape}")

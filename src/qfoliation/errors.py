@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and its one warning call.
+"""The package's two exception types, one per CLI exit status, and its one
+warning call.
 
-Numerical errors carry the violated invariant's name and magnitude in their
-message so callers (and the CLI exit-status logic) can report them directly.
+ValidationError refuses a malformed input (a ValueError; the CLI exits 1),
+NumericalError reports a breached invariant of a computed value (exit 2).
+No subclass refines either: the message says what was refused or breached,
+and a numerical error carries the invariant's name and magnitude in it, so
+callers (and the CLI) can report it directly.
 """
 
 from __future__ import annotations
@@ -61,65 +65,3 @@ class ValidationError(QFoliationError, ValueError):
 class NumericalError(QFoliationError):
     """A numerical invariant was breached during computation."""
 
-
-# -- linalg ----------------------------------------------------------------
-
-class DimMismatch(ValidationError):
-    """Operands have incompatible dimensions."""
-
-
-class NonHermitianInput(ValidationError):
-    """A generator expected to be Hermitian is not, beyond tolerance."""
-
-
-class NotHermitian(NumericalError):
-    """Density-matrix Hermiticity check failed."""
-
-
-class BadTrace(NumericalError):
-    """Density-matrix trace is not 1 within tolerance."""
-
-
-class NotPositive(NumericalError):
-    """Density matrix has an eigenvalue below -tolerance."""
-
-
-class ZeroNorm(NumericalError):
-    """State vector norm collapsed below the representable threshold."""
-
-
-# -- foliation --------------------------------------------------------------
-
-class NotTimelike(ValidationError):
-    """Hyperplane normal is not time-like (n.n <= 0)."""
-
-
-class PastPointing(ValidationError):
-    """Hyperplane normal is time-like but points to the past (t <= 0)."""
-
-
-class SuperluminalBeta(ValidationError):
-    """|beta| >= 1 requested for a boost."""
-
-
-# -- dynamics ---------------------------------------------------------------
-
-class StepTooLarge(ValidationError):
-    """Fixed-step integrator step exceeds the stability bound."""
-
-
-class MissingBoostGenerator(ValidationError):
-    """Boost transport requested with no boost generator configured."""
-
-
-# -- scenarios --------------------------------------------------------------
-
-class NonCommutingGenerators(ValidationError):
-    """Consistency check refused: [H, K] != 0 would conflate path dependence
-    with genuine observer inconsistency."""
-
-
-# -- cli --------------------------------------------------------------------
-
-class ParseError(ValidationError):
-    """Configuration document is not well-formed."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotTimelike, PastPointing, SuperluminalBeta, ValidationError
+from .errors import ValidationError
 
 SPEED_OF_LIGHT = 1.0
 
@@ -47,15 +47,15 @@ class Hyperplane:
     def __post_init__(self) -> None:
         nn = self.normal.dot(self.normal)
         if abs(nn - 1.0) > _NORMALIZATION_TOL:
-            raise NotTimelike(f"normal is not unit time-like: n.n = {nn:.15g}")
+            raise ValidationError(f"normal is not unit time-like: n.n = {nn:.15g}")
         if self.normal.t <= 0.0:
-            raise PastPointing(f"normal must be future-pointing, got t = {self.normal.t:.6g}")
+            raise ValidationError(f"normal must be future-pointing, got t = {self.normal.t:.6g}")
 
 
 def lorentz_gamma(beta: float) -> float:
-    """1/sqrt(1 - beta^2), rejecting |beta| >= 1."""
-    if abs(beta) >= 1.0:
-        raise SuperluminalBeta(f"|beta| = {abs(beta):.6g} >= 1")
+    """1/sqrt(1 - beta^2), rejecting |beta| >= 1 and NaN."""
+    if not abs(beta) < 1.0:
+        raise ValidationError(f"|beta| = {abs(beta):.6g} >= 1")
     return 1.0 / math.sqrt(1.0 - beta * beta)
 
 
@@ -74,12 +74,15 @@ def coincidence_offset(ell: float, beta: float, c: float = SPEED_OF_LIGHT) -> fl
 
     This is the offset at which the rest observer's hyperplane passes
     through the event where the moving observer's a = 0 plane crosses the
-    worldline x = ell; in physical units it equals ell*v/c^2. An a0 that
-    overflows the float range is a ValidationError.
+    worldline x = ell; in physical units it equals ell*v/c^2. A c that is
+    not positive and finite, or an a0 that overflows the float range, is a
+    ValidationError.
     """
     lorentz_gamma(beta)  # rejects |beta| >= 1
     if ell <= 0.0:
         raise ValidationError(f"localization distance must be positive, got {ell:.6g}")
+    if not 0.0 < c < math.inf:
+        raise ValidationError(f"c must be positive and finite, got {c:.6g}")
     a0 = ell * beta / c
     if not math.isfinite(a0):
         raise ValidationError(f"coincidence offset a0 = {ell:.6g}*{beta:.6g}/{c:.6g} is not finite")

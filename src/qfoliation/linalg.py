@@ -18,16 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    BadTrace,
-    DimMismatch,
-    NonHermitianInput,
-    NotHermitian,
-    NotPositive,
-    NumericalError,
-    ValidationError,
-    ZeroNorm,
-)
+from .errors import NumericalError, ValidationError
 
 TOL = 1e-9
 ZERO_NORM_FLOOR = 1e-12
@@ -52,27 +43,27 @@ def hermiticity_defect(m: np.ndarray):
 def require_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
+        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def _require_square_stack(m: np.ndarray) -> np.ndarray:
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise DimMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
+        raise ValidationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return m
 
 
 def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[-1] != b.shape[-1]:
-        raise DimMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
+        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
 def require_hermitian(m, name: str) -> np.ndarray:
-    """m as a square complex array; NonHermitianInput names it if it is not Hermitian."""
+    """m as a square complex array; ValidationError names it if it is not Hermitian."""
     m = require_square(as_complex(m))
     defect = hermiticity_defect(m)
     if defect > TOL:
-        raise NonHermitianInput(f"{name} Hermiticity defect {defect:.3e} exceeds tolerance {TOL:.1e}")
+        raise ValidationError(f"{name} Hermiticity defect {defect:.3e} exceeds tolerance {TOL:.1e}")
     return m
 
 
@@ -90,7 +81,7 @@ def expm_generator(g: np.ndarray, s) -> np.ndarray:
 
     s is one parameter or an array of them, giving shape s.shape + g.shape
     from the one decomposition of g. Unitary to floating-point accuracy for
-    the small dimensions handled here; raises NonHermitianInput if g fails
+    the small dimensions handled here; raises ValidationError if g fails
     the Hermiticity check.
     """
     g = require_hermitian(g, "generator")
@@ -100,11 +91,11 @@ def expm_generator(g: np.ndarray, s) -> np.ndarray:
 
 
 def normalize_state(psi: np.ndarray) -> np.ndarray:
-    """Return psi scaled to unit norm; ZeroNorm if the norm is degenerate."""
+    """Return psi scaled to unit norm; NumericalError if the norm is degenerate."""
     psi = as_complex(psi)
     n = float(np.linalg.norm(psi))
     if n < ZERO_NORM_FLOOR:
-        raise ZeroNorm(f"state norm {n:.3e} below floor {ZERO_NORM_FLOOR:.0e}")
+        raise NumericalError(f"state norm {n:.3e} below floor {ZERO_NORM_FLOOR:.0e}")
     return psi / n
 
 
@@ -179,18 +170,18 @@ def validate_density(rho: np.ndarray, tol: float = TOL) -> np.ndarray:
         return rho
     i = failed[0]
     if not_hermitian[i]:
-        raise NotHermitian(f"Hermiticity defect {defect[i]:.3e} exceeds tolerance {tol:.1e}")
+        raise NumericalError(f"Hermiticity defect {defect[i]:.3e} exceeds tolerance {tol:.1e}")
     if bad_trace[i]:
         tr = complex(trace[i])
-        raise BadTrace(f"trace {tr:.12g} deviates from 1 by {abs(tr - 1.0):.3e}")
-    raise NotPositive(f"smallest eigenvalue {w_min[i]:.3e} below -{tol:.1e}")
+        raise NumericalError(f"trace {tr:.12g} deviates from 1 by {abs(tr - 1.0):.3e}")
+    raise NumericalError(f"smallest eigenvalue {w_min[i]:.3e} below -{tol:.1e}")
 
 
 def validate_state(psi: np.ndarray) -> np.ndarray:
     """Check that psi is a finite unit vector; return it."""
     psi = as_complex(psi)
     if psi.ndim != 1:
-        raise DimMismatch(f"expected a 1-D state vector, got shape {psi.shape}")
+        raise ValidationError(f"expected a 1-D state vector, got shape {psi.shape}")
     n = float(np.linalg.norm(psi))
     if abs(n - 1.0) > TOL:
         raise ValidationError(f"state norm {n:.12g} deviates from 1 by {abs(n - 1.0):.3e}")

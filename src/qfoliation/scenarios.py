@@ -33,7 +33,7 @@ from .dynamics import (
     ensemble_density,
     lindblad_propagate,
 )
-from .errors import NonCommutingGenerators, NumericalError, ValidationError, warn
+from .errors import NumericalError, ValidationError, warn
 from .foliation import (
     SPEED_OF_LIGHT,
     FourVector,
@@ -90,7 +90,7 @@ class QsdSettings:
             raise ValidationError(f"qsd n_traj must be >= 1, got {self.n_traj}")
         if self.seed < 0:
             raise ValidationError(f"qsd seed must be non-negative, got {self.seed}")
-        if self.step is not None and self.step <= 0.0:
+        if self.step is not None and not self.step > 0.0:
             raise ValidationError(f"qsd step must be positive, got {self.step:.6g}")
 
 
@@ -112,15 +112,15 @@ class CounterexampleParams:
                 "runs forward in the offset and cannot reach the negative coincidence "
                 "offset a0 = ell*beta/c"
             )
-        if self.ell <= 0.0:
+        if not self.ell > 0.0:
             raise ValidationError(f"ell must be positive, got {self.ell:.6g}")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValidationError(f"gamma must be non-negative, got {self.gamma:.6g}")
         if self.method not in LINDBLAD_METHODS:
             raise ValidationError(f"method must be 'exact' or 'rk4', got {self.method!r}")
-        if self.step is not None and self.step <= 0.0:
+        if self.step is not None and not self.step > 0.0:
             raise ValidationError(f"step must be positive, got {self.step:.6g}")
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise ValidationError(f"c must be positive, got {self.c:.6g}")
 
 
@@ -267,9 +267,7 @@ def check_unitary_consistency(
     defect = float(np.max(np.abs(comm)))
     scale = max(1.0, float(np.max(np.abs(gen.H))) * float(np.max(np.abs(k_x))))
     if defect > _COMMUTATOR_TOL * scale:
-        raise NonCommutingGenerators(
-            f"||[H, K]|| = {defect:.3e}: transport would be path-dependent"
-        )
+        raise ValidationError(f"||[H, K]|| = {defect:.3e}: transport would be path-dependent")
 
     a0 = coincidence_offset(ell, beta, c)
     u_offset = expm_generator(gen.H, a0)

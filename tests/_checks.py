@@ -11,7 +11,7 @@ import numpy as np
 
 from qfoliation.cli import RunConfig
 from qfoliation.dynamics import GeneratorSet, _qsd_ops, _StepPlan
-from qfoliation.errors import DimMismatch, NotTimelike, NumericalError, PastPointing
+from qfoliation.errors import NumericalError, ValidationError
 from qfoliation.foliation import FourVector, Hyperplane
 from qfoliation.linalg import as_complex
 from qfoliation.rng import stream_keys, wiener_block
@@ -24,9 +24,9 @@ def make_hyperplane(n_raw: FourVector, a: float) -> Hyperplane:
     """
     nn = n_raw.dot(n_raw)
     if nn <= 0.0:
-        raise NotTimelike(f"normal must be time-like: n.n = {nn:.6g} <= 0")
+        raise ValidationError(f"normal must be time-like: n.n = {nn:.6g} <= 0")
     if n_raw.t <= 0.0:
-        raise PastPointing(f"normal must be future-pointing, got t = {n_raw.t:.6g}")
+        raise ValidationError(f"normal must be future-pointing, got t = {n_raw.t:.6g}")
     f = 1.0 / math.sqrt(nn)
     return Hyperplane(FourVector(n_raw.t * f, n_raw.x * f, n_raw.y * f, n_raw.z * f), a)
 
@@ -77,8 +77,8 @@ def qsd_step(
     psi = as_complex(psi)
     dxi = np.asarray(() if dxi is None else dxi, dtype=np.complex128)
     if psi.shape != (gen.dim,) or dxi.shape != (len(gen.Ls),):
-        raise DimMismatch(f"state shape {psi.shape} and noise shape {dxi.shape} do not fit "
-                          f"dim {gen.dim} with {len(gen.Ls)} coupling operators")
+        raise ValidationError(f"state shape {psi.shape} and noise shape {dxi.shape} do not fit "
+                              f"dim {gen.dim} with {len(gen.Ls)} coupling operators")
     outs = np.empty((2, gen.dim, 1), dtype=np.complex128)
     outs[1, :, 0] = psi
     plan = _StepPlan(_qsd_ops(gen, step), outs, renormalize)

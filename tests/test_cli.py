@@ -16,14 +16,13 @@ import qfoliation
 from qfoliation import cli, dynamics, scenarios
 from qfoliation.cli import (
     RunConfig,
-    format_fixed,
     main,
     matrix_from_config,
     matrix_to_pairs,
     parse_config,
     run,
 )
-from qfoliation.errors import ParseError, ValidationError
+from qfoliation.errors import ValidationError
 from _checks import cell_reference, serialize_config
 
 MINIMAL_CE = json.dumps(
@@ -56,12 +55,12 @@ def test_parse_rejects_superluminal_beta():
 
 
 def test_parse_rejects_empty_document():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="^invalid JSON at line 1 column 1"):
         parse_config("")
 
 
 def test_parse_rejects_malformed_json_with_position():
-    with pytest.raises(ParseError, match="line 1"):
+    with pytest.raises(ValidationError, match="line 1"):
         parse_config("{oops}")
 
 
@@ -145,21 +144,13 @@ def test_matrix_codec_rejects_ragged_and_nonfinite():
 
 # -- number formatting -------------------------------------------------------------
 
-def test_format_fixed_significant_digits():
-    assert format_fixed(1.0) == "1.00000000000"
-    assert format_fixed(3000.0) == "3000.00000000"
-    assert format_fixed(0.0) == "0.00000000000"
-    assert format_fixed(3.059023205018258e-07) == "0.000000305902320502"
-    assert format_fixed(-0.5) == "-0.500000000000"
+def test_cells_significant_digits():
+    assert cli._cells([1.0, 3000.0, 0.0, 3.059023205018258e-07, -0.5]) == [
+        "1.00000000000", "3000.00000000", "0.00000000000", "0.000000305902320502",
+        "-0.500000000000",
+    ]
     # fixed notation only: no exponent marker
-    assert "e" not in format_fixed(1.23456789e-11)
-
-
-def test_format_fixed_rejects_non_finite():
-    from qfoliation.errors import NumericalError
-
-    with pytest.raises(NumericalError):
-        format_fixed(float("inf"))
+    assert "e" not in cli._cells([1.23456789e-11])[0]
 
 
 def _powers_of_ten() -> list:
@@ -176,7 +167,6 @@ def _powers_of_ten() -> list:
 def test_cells_match_the_per_cell_reference_next_to_every_power_of_ten():
     values = _powers_of_ten()
     assert cli._cells(values) == [cell_reference(v) for v in values]
-    assert [format_fixed(v) for v in values] == [cell_reference(v) for v in values]
 
 
 @settings(max_examples=300, deadline=None)

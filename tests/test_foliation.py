@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qfoliation.errors import NotTimelike, PastPointing, SuperluminalBeta, ValidationError
+from qfoliation.errors import ValidationError
 from qfoliation.foliation import (
     FourVector,
     Hyperplane,
@@ -28,22 +28,22 @@ def test_make_hyperplane_rescales_normal():
 
 
 def test_make_hyperplane_rejects_lightlike():
-    with pytest.raises(NotTimelike):
+    with pytest.raises(ValidationError, match="must be time-like: n.n = 0 <= 0"):
         make_hyperplane(FourVector(1.0, 1.0), 0.0)
 
 
 def test_make_hyperplane_rejects_spacelike():
-    with pytest.raises(NotTimelike):
+    with pytest.raises(ValidationError, match="must be time-like: n.n = -3 <= 0"):
         make_hyperplane(FourVector(1.0, 2.0), 0.0)
 
 
 def test_make_hyperplane_rejects_past_pointing():
-    with pytest.raises(PastPointing):
+    with pytest.raises(ValidationError, match="must be future-pointing, got t = -1"):
         make_hyperplane(FourVector(-1.0), 0.0)
 
 
 def test_hyperplane_constructor_enforces_unit_normal():
-    with pytest.raises(NotTimelike):
+    with pytest.raises(ValidationError, match="normal is not unit time-like"):
         Hyperplane(FourVector(1.0 + 1e-6), 0.0)
 
 
@@ -70,9 +70,9 @@ def test_frame_normal_gamma_factor():
 
 
 def test_frame_normal_rejects_lightspeed():
-    with pytest.raises(SuperluminalBeta):
+    with pytest.raises(ValidationError, match=r"^\|beta\| = 1 >= 1$"):
         frame_normal(1.0)
-    with pytest.raises(SuperluminalBeta):
+    with pytest.raises(ValidationError, match=r"^\|beta\| = 1 >= 1$"):
         lorentz_gamma(-1.0)
 
 
@@ -86,7 +86,7 @@ def test_observer_frame_plane():
     plane = Hyperplane(frame_normal(0.3), 2.0)
     assert plane.offset == 2.0
     assert plane.normal.dot(plane.normal) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(SuperluminalBeta):
+    with pytest.raises(ValidationError, match=r"^\|beta\| = 1.5 >= 1$"):
         Hyperplane(frame_normal(1.5), 0.0)
 
 
@@ -111,13 +111,29 @@ def test_coincidence_offset_values():
 
 
 def test_coincidence_offset_rejects_bad_inputs():
-    with pytest.raises(SuperluminalBeta):
+    with pytest.raises(ValidationError, match=r"^\|beta\| = 1 >= 1$"):
         coincidence_offset(10.0, 1.0)
     with pytest.raises(ValueError):
         coincidence_offset(-1.0, 0.5)
     for ell, beta, c in ((2.0, 0.5, 1e-320), (math.inf, 1e-10, 1.0), (math.inf, 0.0, 1.0)):
         with pytest.raises(ValidationError, match="coincidence offset .* is not finite"):
             coincidence_offset(ell, beta, c)
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_coincidence_offset_rejects_c_that_is_not_positive_and_finite(c):
+    with pytest.raises(ValidationError, match="^c must be positive and finite, got"):
+        coincidence_offset(10.0, 0.5, c)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lorentz_gamma(math.nan),
+    lambda: frame_normal(math.nan),
+    lambda: coincidence_offset(10.0, math.nan),
+], ids=["lorentz_gamma", "frame_normal", "coincidence_offset"])
+def test_nan_beta_is_refused(call):
+    with pytest.raises(ValidationError, match=r"^\|beta\| = nan >= 1$"):
+        call()
 
 
 def test_coincidence_event_lies_on_both_planes():

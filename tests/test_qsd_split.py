@@ -25,7 +25,7 @@ from qfoliation.dynamics import (
     decohering_coupling,
     ensemble_final_states,
 )
-from qfoliation.errors import NumericalError, ZeroNorm
+from qfoliation.errors import NumericalError
 from qfoliation.scenarios import dephasing_model
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -213,14 +213,14 @@ def test_the_earliest_refused_step_wins_and_its_least_norm_is_merged(monkeypatch
     refusals = {0: (4, 0.0, 1.0), 2: (3, 1e-200, 1.0), 4: (3, 1e-250, 2.0)}
 
     def refusing(psi0, ops, cfg, first, n_traj, record=False):
-        exc = ZeroNorm("stand-in")
+        exc = NumericalError("stand-in")
         exc.refused = refusals[first]
         raise exc
 
     monkeypatch.setattr(dynamics, "_qsd_block", refusing)
     split, pids = forks
     split(3)
-    with pytest.raises(ZeroNorm, match=r"^trajectory norm collapsed to 1\.000e-250 before"):
+    with pytest.raises(NumericalError, match=r"^trajectory norm collapsed to 1\.000e-250 before"):
         ensemble_final_states(PLUS_STATE, dephasing_model(1.0), TrajectoryConfig(0.01, 10), 6)
     assert len(pids) == 2
 
