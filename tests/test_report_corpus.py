@@ -1,11 +1,11 @@
 """CLI reports of the config corpus, pinned against the recorded reports.
 
 Every document of `test_config_corpus.CORPUS` is run through `cli.main` in
-both formats (the long tables of `CSV_ONLY` in CSV alone), with the case's
-seed override as `--seed` and a fixed relative `--out`. Each report must
-equal its entry in `data/reports.json`: the text between numeric literals
-exactly, and each number to 1e-9 relative or 1e-12 absolute, so the data
-does not pin the platform's round-off.
+both formats, with the case's seed override as `--seed` and a fixed
+relative `--out`. Each report must equal its entry in `data/reports.json`:
+the text between numeric literals exactly, and each number to 1e-9
+relative or 1e-12 absolute, so the data does not pin the platform's
+round-off.
 
 Re-record every report (for example after a deliberate change of the QSD
 noise) with
@@ -30,10 +30,7 @@ from test_config_corpus import CORPUS
 
 REPORTS = Path(__file__).parent / "data" / "reports.json"
 FORMATS = ("csv", "json")
-# long tables, recorded in CSV only: the JSON writer formats each point alone
-CSV_ONLY = {"lind-chunked"}
-CASES = [f"{name}/{fmt}" for name in sorted(CORPUS) for fmt in FORMATS
-         if fmt == "csv" or name not in CSV_ONLY]
+CASES = [f"{name}/{fmt}" for name in sorted(CORPUS) for fmt in FORMATS]
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
 
