@@ -460,21 +460,24 @@ _CSV_COLUMNS = {
 # -- output -------------------------------------------------------------------
 
 
-# rows per CSV chunk. A chunk is checked, formatted a column at a time and
-# written as one string: 256 rows share the cost of the per-chunk numpy calls,
-# and a report's strings take the memory of one chunk
-_CSV_CHUNK_ROWS = 256
+# rows per chunk of a report's table. A chunk is checked, formatted a column
+# at a time and written as one string: 256 rows share the cost of the
+# per-chunk numpy calls, and a report's strings take the memory of one chunk
+_CHUNK_ROWS = 256
 
 
-def _check_finite(columns: list) -> None:
-    """Refuse the first NaN or infinity of the float columns, in row order."""
-    floats = [col for col in columns if col.dtype.kind == "f"]
-    if floats:
-        grid = np.column_stack(floats)
-        finite = np.isfinite(grid)
-        if not finite.all():
-            row, col = np.argwhere(~finite)[0]
-            raise NumericalError(f"non-finite value in report: {float(grid[row, col])!r}")
+def _table_chunks(table: list, cells):
+    """Each _CHUNK_ROWS rows of the columns in table, as rows of cells formatted a column at
+    a time, after refusing the chunk's first NaN or infinity in row order."""
+    for lo in range(0, len(table[0]), _CHUNK_ROWS):
+        chunk = [col[lo:lo + _CHUNK_ROWS] for col in table]
+        floats = [col for col in chunk if col.dtype.kind == "f"]
+        if floats:
+            grid = np.column_stack(floats)
+            bad = grid[~np.isfinite(grid)]
+            if bad.size:
+                raise NumericalError(f"non-finite value in report: {float(bad[0])!r}")
+        yield zip(*(cells(col.tolist()) for col in chunk))
 
 
 def _csv_chunks(cfg: RunConfig, results: dict):
@@ -488,46 +491,44 @@ def _csv_chunks(cfg: RunConfig, results: dict):
     config = json.dumps(dict(command=cfg.command, params=cfg.params, seed=cfg.seed), sort_keys=True)
     yield f"# qfoliation report\n# command: {cfg.command}\n# seed: {cfg.seed}\n# config: {config}\n"
     yield ",".join(columns) + "\n"
-    for lo in range(0, len(table[0]), _CSV_CHUNK_ROWS):
-        chunk = [col[lo:lo + _CSV_CHUNK_ROWS] for col in table]
-        _check_finite(chunk)
-        yield "\n".join(map(",".join, zip(*(_cells(col.tolist()) for col in chunk)))) + "\n"
+    yield from ("\n".join(map(",".join, rows)) + "\n" for rows in _table_chunks(table, _cells))
 
 
-def _first_non_finite(obj) -> float | None:
-    """The first NaN or infinity that json.dumps(obj, sort_keys=True) meets, or None."""
-    if isinstance(obj, float):
-        return None if math.isfinite(obj) else float(obj)
+def _json_cells(values: list) -> list[str]:
+    """The JSON numbers of a non-empty column of one type: floats as json writes them."""
+    return list(map(float.__repr__, values)) if isinstance(values[0], float) else _cells(values)
+
+
+def _refuse_non_finite(obj) -> None:
+    """Refuse the first NaN or infinity that json.dumps(obj, sort_keys=True) meets."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise NumericalError(f"non-finite value in report: {float(obj)!r}")
     if isinstance(obj, dict):
         obj = [obj[key] for key in sorted(obj)]
     if isinstance(obj, (list, tuple)):
-        return next((x for x in map(_first_non_finite, obj) if x is not None), None)
-    return None
+        for item in obj:
+            _refuse_non_finite(item)
 
 
 def _json_chunks(cfg: RunConfig, results: dict):
-    points = results.get("points", {})
+    points = dict(sorted(results.get("points", {}).items()))
     doc = {
         "command": cfg.command,
         "config": {"params": cfg.params, "seed": cfg.seed,
                    "format": cfg.format, "output_path": cfg.output_path},
         "results": {**results, "points": []} if points else results,
     }
-    # a point maps names to numbers, so separators alone lay it out as json.dumps(indent=2) would
-    point = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n        ", ": "))
-    item = doc  # what json is encoding
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-        head, mark, tail = text.partition('"points": [')
-        yield head + mark
-        for i, row in enumerate(zip(*(col.tolist() for col in points.values()))):
-            item = dict(zip(points, row))
-            body = point.encode(item)[1:-1]
-            yield f"{',' if i else ''}\n      {{\n        {body}\n      }}"
-        yield ("\n    " if points else "") + tail + "\n"
-    except ValueError as exc:  # allow_nan=False refuses NaN and inf, as CSV refuses them
-        # json's own message names the value on some Python versions only
-        raise NumericalError(f"non-finite value in report: {_first_non_finite(item)!r}") from exc
+    _refuse_non_finite(doc)  # the points are checked by the table walk
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    head, mark, tail = text.partition('"points": [')
+    yield head + mark
+    if points:
+        # json.dumps(indent=2) lays out a point, which maps names to numbers, as this template
+        fields = ",\n        ".join(f"{json.dumps(key)}: %s" for key in points)
+        point = f"\n      {{\n        {fields}\n      }}"
+        for i, rows in enumerate(_table_chunks(list(points.values()), _json_cells)):
+            yield ("," if i else "") + ",".join(map(point.__mod__, rows))
+    yield ("\n    " if points else "") + tail + "\n"
 
 
 def _write_report(path: str, chunks) -> None:

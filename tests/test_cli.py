@@ -181,8 +181,13 @@ def test_cells_of_ints_and_bools_match_the_per_cell_reference():
     assert cli._cells([True, False, True]) == ["true", "false", "true"]
 
 
-@pytest.mark.parametrize("rows", [1, 255, 256, 257, 600])
-def test_csv_rows_match_the_per_cell_reference_across_chunks(rows):
+@pytest.mark.parametrize(("rows", "fmt"), [
+    pytest.param(rows, fmt, id=str(rows) if fmt == "csv" else f"json-{rows}")
+    for fmt in ("csv", "json") for rows in (1, 255, 256, 257, 600)
+])
+def test_csv_rows_match_the_per_cell_reference_across_chunks(rows, fmt):
+    # both formats walk the table in the same chunks; JSON must lay its
+    # points out as json.dumps does, whatever the column order
     rng = np.random.default_rng(rows)
     points = {
         "x": rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
@@ -190,13 +195,21 @@ def test_csv_rows_match_the_per_cell_reference_across_chunks(rows):
         "flag": rng.integers(0, 2, rows).astype(bool),
         "zero": np.copysign(np.zeros(rows), rng.standard_normal(rows)),
     }
-    cfg = RunConfig("lindblad", {}, "report.csv", "csv", 0, "quiet")
+    cfg = RunConfig("lindblad", {}, f"report.{fmt}", fmt, 0, "quiet")
+    sizes = [min(cli._CHUNK_ROWS, rows - lo) for lo in range(0, rows, cli._CHUNK_ROWS)]
+    rows_of_values = list(zip(*(col.tolist() for col in points.values())))
+    if fmt == "json":
+        chunks = list(cli._json_chunks(cfg, {"points": points}))
+        assert [chunk.count("{") for chunk in chunks[1:-1]] == sizes
+        doc = {"command": "lindblad",
+               "config": {"params": {}, "seed": 0, "format": "json", "output_path": "report.json"},
+               "results": {"points": [dict(zip(points, row)) for row in rows_of_values]}}
+        assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return
     chunks = list(cli._csv_chunks(cfg, {"points": points}))
     assert chunks[1] == "x,n,flag,zero\n"
-    sizes = [min(cli._CSV_CHUNK_ROWS, rows - lo) for lo in range(0, rows, cli._CSV_CHUNK_ROWS)]
     assert [chunk.count("\n") for chunk in chunks[2:]] == sizes
-    expected = [",".join(map(cell_reference, row)) + "\n"
-                for row in zip(*(col.tolist() for col in points.values()))]
+    expected = [",".join(map(cell_reference, row)) + "\n" for row in rows_of_values]
     assert "".join(chunks[2:]) == "".join(expected)
 
 

@@ -664,6 +664,21 @@ def test_the_first_non_finite_value_in_row_order_is_named(tmp_path, capsys, monk
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(("fmt", "named"), [("csv", "-inf"), ("json", "nan")])
+def test_the_first_non_finite_value_of_a_row_is_named_in_the_formats_column_order(
+        tmp_path, capsys, monkeypatch, fmt, named):
+    # CSV writes the columns as given, JSON in sorted key order
+    b, a = np.zeros(300), np.zeros(300)
+    b[260], a[260] = -np.inf, np.nan
+    monkeypatch.setitem(cli._RUNNERS, "lindblad", lambda cfg: {"points": {"b": b, "a": a}})
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0}, "format": fmt}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 2
+    line = f"ERROR numerical invariant breach: non-finite value in report: {named}"
+    assert err.splitlines() == [line]
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("where", ["point", "result"])
 def test_json_names_the_non_finite_value_as_csv_does(tmp_path, capsys, monkeypatch, where, value):
