@@ -169,7 +169,7 @@ def _convert(key: str, spec: Key, val, known: dict):
     elif spec.kind == "matrix":
         val = matrix_to_pairs(matrix_from_config(val, key, spec.dim))
     elif spec.kind == "vector":
-        val = [[float(x.real), float(x.imag)] for x in _complex_array(val, key, ndim=1)]
+        val = matrix_to_pairs(_complex_array(val, key, ndim=1))
     elif spec.kind == "betas":
         if not isinstance(val, list) or not val:
             raise ValidationError(f"config key {key!r} must be a non-empty list")
@@ -233,9 +233,8 @@ def matrix_from_config(obj, key: str, dim: int | None = None) -> np.ndarray:
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
-    """Encode a complex matrix as row-major [re, im] pairs (lists)."""
-    m = np.asarray(m, dtype=np.complex128)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    """Encode a complex array of any rank as row-major [re, im] pairs (lists)."""
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def _counterexample_params(params: dict) -> scenarios.CounterexampleParams:

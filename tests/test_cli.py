@@ -133,6 +133,24 @@ def test_matrix_codec_round_trip():
     np.testing.assert_array_equal(decoded, m)
 
 
+def pairs_reference(m: np.ndarray) -> list:
+    """[re, im] pairs encoded one entry at a time, nested as the array."""
+    if m.ndim == 1:
+        return [[float(x.real), float(x.imag)] for x in m]
+    return [pairs_reference(row) for row in m]
+
+
+SIGNED_ZEROS = np.array([[complex(-0.0, 0.0), complex(1.5, -0.0)],
+                         [complex(0.0, -0.0), complex(-0.0, -0.0)]])
+
+
+@pytest.mark.parametrize("m", [SIGNED_ZEROS, SIGNED_ZEROS.T, SIGNED_ZEROS[:, 0]],
+                         ids=["matrix", "transposed-view", "vector"])
+def test_pairs_match_the_per_entry_encoding_with_signed_zeros(m):
+    # json.dumps tells -0.0 from 0.0, which == does not
+    assert json.dumps(matrix_to_pairs(m)) == json.dumps(pairs_reference(m))
+
+
 def test_matrix_codec_rejects_ragged_and_nonfinite():
     with pytest.raises(ValidationError):
         matrix_from_config([[1, 2], [3]], "k")
