@@ -198,7 +198,7 @@ class TrajectoryConfig:
     renormalize: bool = True
 
     def __post_init__(self) -> None:
-        if not self.step > 0.0:
+        if not 0.0 < self.step < math.inf:
             raise ValidationError(f"step must be positive, got {self.step:.6g}")
         if self.steps < 0:
             raise ValidationError(f"steps must be non-negative, got {self.steps}")
@@ -372,8 +372,8 @@ def lindblad_propagate(
 
     span is one offset, giving one density matrix, or an array of offsets,
     giving shape span.shape + (d, d); one offset is a 0-d stack on the same
-    path, and one path serves every generator. rho0, method, every offset's
-    sign and the rk4 step are checked first; each zero offset returns rho0
+    path, and one path serves every generator. rho0, method, every offset
+    (>= 0, finite) and the rk4 step are checked first; each zero offset returns rho0
     exactly. The other offsets go through in blocks of _LINDBLAD_BLOCK, each
     by stacked numpy calls: the propagators of the block, their product with
     vec(rho0) in one matmul, and one stacked validate_density. `exact`
@@ -391,9 +391,9 @@ def lindblad_propagate(
     if method not in LINDBLAD_METHODS:
         raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'rk4'")
     spans = np.asarray(span, dtype=np.float64)
-    negative = spans[~(spans >= 0.0)]  # NaN included
-    if negative.size:
-        raise ValidationError(f"span must be non-negative, got {negative[0]:.6g}")
+    bad = spans[~((0.0 <= spans) & (spans < math.inf))]  # NaN included
+    if bad.size:
+        raise ValidationError(f"span must be non-negative, got {bad[0]:.6g}")
     rk4 = method == "rk4" and any(np.any(lk) for lk in gen.Ls)  # no dissipator: exact
     if rk4:
         if step is None or not step > 0.0:
@@ -457,7 +457,7 @@ def lindblad_exact_twolevel(rho0: np.ndarray, gamma: float, span) -> np.ndarray:
 
 def decohering_coupling(gamma: float) -> np.ndarray:
     """Two-level coupling operator sqrt(gamma) |0><0| driving pure decoherence."""
-    if not gamma >= 0.0:
+    if not 0.0 <= gamma < math.inf:
         raise ValidationError(f"gamma must be non-negative, got {gamma:.6g}")
     lk = np.zeros((2, 2), dtype=np.complex128)
     lk[0, 0] = math.sqrt(gamma)

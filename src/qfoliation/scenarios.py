@@ -90,7 +90,7 @@ class QsdSettings:
             raise ValidationError(f"qsd n_traj must be >= 1, got {self.n_traj}")
         if self.seed < 0:
             raise ValidationError(f"qsd seed must be non-negative, got {self.seed}")
-        if self.step is not None and not self.step > 0.0:
+        if self.step is not None and not 0.0 < self.step < math.inf:
             raise ValidationError(f"qsd step must be positive, got {self.step:.6g}")
 
 
@@ -114,11 +114,11 @@ class CounterexampleParams:
             )
         if not self.ell > 0.0:
             raise ValidationError(f"ell must be positive, got {self.ell:.6g}")
-        if not self.gamma >= 0.0:
+        if not 0.0 <= self.gamma < math.inf:
             raise ValidationError(f"gamma must be non-negative, got {self.gamma:.6g}")
         if self.method not in LINDBLAD_METHODS:
             raise ValidationError(f"method must be 'exact' or 'rk4', got {self.method!r}")
-        if self.step is not None and not self.step > 0.0:
+        if self.step is not None and not 0.0 < self.step < math.inf:
             raise ValidationError(f"step must be positive, got {self.step:.6g}")
         if not self.c > 0.0:
             raise ValidationError(f"c must be positive, got {self.c:.6g}")

@@ -113,6 +113,13 @@ def test_trajectory_config_refuses_nan(call, message):
         call()
 
 
+@pytest.mark.parametrize("step", [math.inf, -math.inf], ids=["inf", "-inf"])
+def test_trajectory_config_refuses_an_infinite_step(step):
+    # an infinite step would end the ensemble in a NaN norm, not an input error
+    with pytest.raises(ValidationError, match=f"^step must be positive, got {step}$"):
+        TrajectoryConfig(step=step, steps=3)
+
+
 def test_trajectory_config_covering_keeps_the_fixed_step_plan():
     for span in (0.0, 1e-3, 0.7, 1.0, 1.75, 2.0, 30.0, 1e6):
         for step in (1e-3, 0.01, 0.04, 0.1, 0.3, 1.0, 7.0, 100.0):
@@ -286,6 +293,17 @@ def test_lindblad_rk4_checks_its_step_even_at_zero_offsets(step):
 ], ids=["span", "span-in-array", "rk4-span", "rk4-step"])
 def test_lindblad_refuses_nan_as_an_input_error(span, method, step, message):
     with pytest.raises(ValidationError, match=message):
+        lindblad_propagate(PLUS_RHO, decoherence_model(), span, method=method, step=step)
+
+
+@pytest.mark.parametrize(("span", "method", "step"), [
+    (math.inf, "exact", None),
+    ([0.5, math.inf, 1.0], "exact", None),
+    (math.inf, "rk4", 1e-3),
+], ids=["span", "span-in-array", "rk4-span"])
+def test_lindblad_refuses_an_infinite_span_as_an_input_error(span, method, step):
+    # not a NumericalError from the exponent's 1-norm
+    with pytest.raises(ValidationError, match="^span must be non-negative, got inf$"):
         lindblad_propagate(PLUS_RHO, decoherence_model(), span, method=method, step=step)
 
 
@@ -531,6 +549,12 @@ def test_twolevel_closed_form_half_life():
 def test_nan_gamma_is_refused(call):
     with pytest.raises(ValidationError, match="^gamma must be non-negative, got nan$"):
         call()
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf], ids=["inf", "-inf"])
+def test_decohering_coupling_refuses_an_infinite_gamma(gamma):
+    with pytest.raises(ValidationError, match=f"^gamma must be non-negative, got {gamma}$"):
+        decohering_coupling(gamma)
 
 
 def test_twolevel_closed_form_rejects_dim():

@@ -97,6 +97,22 @@ def test_qsd_settings_refuse_a_nan_step():
         QsdSettings(n_traj=1, seed=0, step=math.nan)
 
 
+@pytest.mark.parametrize(("field", "message"), [
+    ("gamma", "^gamma must be non-negative, got inf$"),
+    ("step", "^step must be positive, got inf$"),
+], ids=["gamma", "step"])
+def test_params_refuse_inf(field, message):
+    # an infinite gamma would fail later, in GeneratorSet, without naming gamma
+    with pytest.raises(ValidationError, match=message):
+        replace(HEADLINE, **{field: math.inf})
+
+
+@pytest.mark.parametrize("step", [math.inf, -math.inf], ids=["inf", "-inf"])
+def test_qsd_settings_refuse_an_infinite_step(step):
+    with pytest.raises(ValidationError, match=f"^qsd step must be positive, got {step}$"):
+        QsdSettings(n_traj=1, seed=0, step=step)
+
+
 def test_params_reject_negative_beta():
     with pytest.raises(ValidationError, match="negative coincidence offset"):
         CounterexampleParams(beta=-0.01, ell=3000.0, gamma=1.0)
