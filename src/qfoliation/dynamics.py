@@ -361,6 +361,15 @@ def _expm(l: np.ndarray, a: np.ndarray):
         yield out
 
 
+def _offsets(span) -> np.ndarray:
+    """span as an array of offsets, refusing the first that is negative, NaN or infinite."""
+    spans = np.asarray(span, dtype=np.float64)
+    bad = spans[~((0.0 <= spans) & (spans < math.inf))]
+    if bad.size:
+        raise ValidationError(f"span must be non-negative, got {bad[0]:.6g}")
+    return spans
+
+
 def lindblad_propagate(
     rho0: np.ndarray,
     gen: GeneratorSet,
@@ -390,10 +399,7 @@ def lindblad_propagate(
     require_same_dim(rho0, gen.H)
     if method not in LINDBLAD_METHODS:
         raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'rk4'")
-    spans = np.asarray(span, dtype=np.float64)
-    bad = spans[~((0.0 <= spans) & (spans < math.inf))]  # NaN included
-    if bad.size:
-        raise ValidationError(f"span must be non-negative, got {bad[0]:.6g}")
+    spans = _offsets(span)
     rk4 = method == "rk4" and any(np.any(lk) for lk in gen.Ls)  # no dissipator: exact
     if rk4:
         if step is None or not step > 0.0:
@@ -438,14 +444,15 @@ def lindblad_exact_twolevel(rho0: np.ndarray, gamma: float, span) -> np.ndarray:
     Populations are constant and each coherence decays by
     exp(-gamma*span/2); serves as the independent oracle for
     lindblad_propagate on the decoherence scenario. span is one offset or
-    an array of them, giving shape span.shape + (2, 2).
+    an array of them, checked as lindblad_propagate checks them, giving
+    shape span.shape + (2, 2).
     """
     rho0 = require_square(as_complex(rho0))
     if rho0.shape != (2, 2):
         raise ValidationError(f"closed form is for dim 2, got shape {rho0.shape}")
-    if not gamma >= 0.0:
+    if not 0.0 <= gamma < math.inf:
         raise ValidationError(f"gamma must be non-negative, got {gamma:.6g}")
-    spans = np.asarray(span, dtype=np.float64)
+    spans = _offsets(span)
     # math.exp per offset: numpy's vectorized exp may differ from it in the last bit
     decay = np.array([math.exp(-0.5 * gamma * a) for a in spans.ravel().tolist()])
     decay = decay.reshape(spans.shape)

@@ -557,6 +557,18 @@ def test_decohering_coupling_refuses_an_infinite_gamma(gamma):
         decohering_coupling(gamma)
 
 
+@pytest.mark.parametrize(("gamma", "span", "message"), [
+    (1.0, -1.0, "^span must be non-negative, got -1$"),
+    (1.0, math.nan, "^span must be non-negative, got nan$"),
+    (1.0, [0.5, math.inf], "^span must be non-negative, got inf$"),
+    (math.inf, 1.0, "^gamma must be non-negative, got inf$"),
+], ids=["negative-span", "nan-span", "inf-span", "inf-gamma"])
+def test_twolevel_closed_form_refuses_what_lindblad_propagate_refuses(gamma, span, message):
+    # with lindblad_propagate's message; a span of -1 gave a coherence of 0.824 from 0.5, and a NaN span NaN coherences
+    with pytest.raises(ValidationError, match=message):
+        lindblad_exact_twolevel(PLUS_RHO, gamma, span)
+
+
 def test_twolevel_closed_form_rejects_dim():
     with pytest.raises(ValidationError, match="closed form is for dim 2"):
         lindblad_exact_twolevel(np.eye(3) / 3, 1.0, 1.0)
