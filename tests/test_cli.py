@@ -216,19 +216,19 @@ def test_csv_rows_match_the_per_cell_reference_across_chunks(rows, fmt):
     cfg = RunConfig("lindblad", {}, f"report.{fmt}", fmt, 0, "quiet")
     sizes = [min(cli._CHUNK_ROWS, rows - lo) for lo in range(0, rows, cli._CHUNK_ROWS)]
     rows_of_values = list(zip(*(col.tolist() for col in points.values())))
-    if fmt == "json":
+    if fmt == "csv":
+        chunks = list(cli._csv_chunks(cfg, {"points": points}))
+        assert chunks[1] == "x,n,flag,zero\n"
+        assert [chunk.count("\n") for chunk in chunks[2:]] == sizes
+        expected = [",".join(map(cell_reference, row)) + "\n" for row in rows_of_values]
+        assert "".join(chunks[2:]) == "".join(expected)
+    else:
         chunks = list(cli._json_chunks(cfg, {"points": points}))
         assert [chunk.count("{") for chunk in chunks[1:-1]] == sizes
         doc = {"command": "lindblad",
                "config": {"params": {}, "seed": 0, "format": "json", "output_path": "report.json"},
                "results": {"points": [dict(zip(points, row)) for row in rows_of_values]}}
         assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        return
-    chunks = list(cli._csv_chunks(cfg, {"points": points}))
-    assert chunks[1] == "x,n,flag,zero\n"
-    assert [chunk.count("\n") for chunk in chunks[2:]] == sizes
-    expected = [",".join(map(cell_reference, row)) + "\n" for row in rows_of_values]
-    assert "".join(chunks[2:]) == "".join(expected)
 
 
 # -- running ------------------------------------------------------------------------

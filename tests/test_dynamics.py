@@ -564,7 +564,8 @@ def test_decohering_coupling_refuses_an_infinite_gamma(gamma):
     (math.inf, 1.0, "^gamma must be non-negative, got inf$"),
 ], ids=["negative-span", "nan-span", "inf-span", "inf-gamma"])
 def test_twolevel_closed_form_refuses_what_lindblad_propagate_refuses(gamma, span, message):
-    # with lindblad_propagate's message; a span of -1 gave a coherence of 0.824 from 0.5, and a NaN span NaN coherences
+    # with lindblad_propagate's message; unchecked, a span of -1 gave a coherence
+    # of 0.824 from 0.5, and a NaN span NaN coherences
     with pytest.raises(ValidationError, match=message):
         lindblad_exact_twolevel(PLUS_RHO, gamma, span)
 
