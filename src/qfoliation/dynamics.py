@@ -231,12 +231,6 @@ def coupling_norms(gen: GeneratorSet) -> list[float]:
     return [float(np.max(np.linalg.eigvalsh(lk.conj().T @ lk))) for lk in gen.Ls]
 
 
-def generator_norm_bound(gen: GeneratorSet) -> float:
-    """Upper bound on the spectral norm of the full Lindblad generator."""
-    h_norm = float(np.max(np.abs(np.linalg.eigvalsh(gen.H)))) if gen.dim else 0.0
-    return 2.0 * h_norm + 2.0 * sum(coupling_norms(gen))
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron(a, b) for square matrices of one dimension, by broadcasting."""
     d = a.shape[0]
@@ -289,11 +283,11 @@ _THETAS = np.array([theta for _, theta, _ in _PADE])
 _LINDBLAD_BLOCK = 256
 
 
-def _expm(l: np.ndarray, a: np.ndarray):
-    """Yield exp(a_i l) for one square matrix l, shape (n, n), and each
-    non-negative offset a_i of a, shape (k,), as stacks of shape (b, n, n),
-    one per _LINDBLAD_BLOCK offsets, by Pade scaling and squaring (Higham
-    2005). Every offset's 1-norm is checked before the first stack.
+def _expm(l: np.ndarray, a: np.ndarray, norm: float) -> np.ndarray:
+    """exp(a_i l) for one square matrix l, shape (n, n), of 1-norm `norm`,
+    and each offset a_i of a, shape (k,), as one stack of shape (k, n, n),
+    by Pade scaling and squaring (Higham 2005). Every a_i and a_i * norm
+    must be finite and non-negative: `lindblad_propagate` refuses the rest.
 
     An offset's plan is the least degree m whose theta_m bounds
     c = a_i ||l||_1 / 2^s, with s = 0 unless it exceeds theta_13; the
@@ -311,18 +305,13 @@ def _expm(l: np.ndarray, a: np.ndarray):
     Fragment 2.1), so the last one is exp(a_i l_jj).
     """
     n = l.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        norm = float(abs(l).sum(axis=0).max(initial=0.0))
-        norms = a * norm
-    if not math.isfinite(norms.max(initial=0.0)):
-        bad = norms[~np.isfinite(norms)][0]
-        raise NumericalError(f"exponent 1-norm is {bad}: expm(span*L) overflows")
+    norms = a * norm
     degree = (norms[:, None] > _THETAS[:-1]).sum(axis=1)  # index of the least theta >= norm
     frac, s = np.frexp(norms / _THETAS[degree])  # the least s >= 0 with norm <= 2^s theta
     s = np.maximum(s - (frac == 0.5), 0)
     c = np.ldexp(norms, -s)
     plans = degree + len(_PADE) * s
-    top = _PADE[degree.max(initial=0)][0]
+    top = _PADE[degree.max()][0]
     powers = np.empty((top + 1, n, n), dtype=np.complex128)  # L^0 .. L^top
     powers[0] = np.eye(n)
     powers[1].view(np.float64)[...] = l.view(np.float64) / (norm or 1.0)
@@ -335,30 +324,27 @@ def _expm(l: np.ndarray, a: np.ndarray):
     ii = np.arange(n)
     tri = not l[ii[:, None] > ii].any()  # upper triangular
     diag = l.diagonal().copy().view(np.float64)  # re, im of each l_jj
-    for start in range(0, a.size, _LINDBLAD_BLOCK):
-        block = slice(start, start + _LINDBLAD_BLOCK)
-        a_b, c_b, plans_b = a[block], c[block], plans[block]
-        out = np.empty((a_b.size, n, n), dtype=np.complex128)
-        for plan in sorted(set(plans_b.tolist())):
-            sel = (plans_b == plan).nonzero()[0]
-            squarings, m_index = divmod(plan, len(_PADE))
-            m, _, coef = _PADE[m_index]
-            cs = np.ones((m + 1, sel.size))
-            cs[1:] = c_b[sel]
-            np.multiply.accumulate(cs, axis=0, out=cs)  # c^0 .. c^m, each c^(j-1) * c
-            terms = (coef[:, None] * cs)[:, :, None] * flat[:m + 1]  # b_j c^j L^j
-            vu = terms[0:2] + terms[2:4]  # V and U, each summed in the order of j
-            for j in range(4, m, 2):
-                vu += terms[j:j + 2]
-            v, u = vu.view(np.complex128).reshape(2, -1, n, n)
-            r = np.linalg.solve(v - u, v + u)
-            diag_a = a_b[sel, None] * diag if tri and squarings else None
-            for j in range(squarings + 1):
-                r = r @ r if j else r
-                if diag_a is not None:
-                    r[:, ii, ii] = np.exp((diag_a * 2.0 ** (j - squarings)).view(np.complex128))
-            out[sel] = r
-        yield out
+    out = np.empty((a.size, n, n), dtype=np.complex128)
+    for plan in sorted(set(plans.tolist())):
+        sel = (plans == plan).nonzero()[0]
+        squarings, m_index = divmod(plan, len(_PADE))
+        m, _, coef = _PADE[m_index]
+        cs = np.ones((m + 1, sel.size))
+        cs[1:] = c[sel]
+        np.multiply.accumulate(cs, axis=0, out=cs)  # c^0 .. c^m, each c^(j-1) * c
+        terms = (coef[:, None] * cs)[:, :, None] * flat[:m + 1]  # b_j c^j L^j
+        vu = terms[0:2] + terms[2:4]  # V and U, each summed in the order of j
+        for j in range(4, m, 2):
+            vu += terms[j:j + 2]
+        v, u = vu.view(np.complex128).reshape(2, -1, n, n)
+        r = np.linalg.solve(v - u, v + u)
+        diag_a = a[sel, None] * diag if tri and squarings else None
+        for j in range(squarings + 1):
+            r = r @ r if j else r
+            if diag_a is not None:
+                r[:, ii, ii] = np.exp((diag_a * 2.0 ** (j - squarings)).view(np.complex128))
+        out[sel] = r
+    return out
 
 
 def _offsets(span) -> np.ndarray:
@@ -381,19 +367,22 @@ def lindblad_propagate(
 
     span is one offset, giving one density matrix, or an array of offsets,
     giving shape span.shape + (d, d); one offset is a 0-d stack on the same
-    path, and one path serves every generator. rho0, method, every offset
-    (>= 0, finite) and the rk4 step are checked first; each zero offset returns rho0
-    exactly. The other offsets go through in blocks of _LINDBLAD_BLOCK, each
-    by stacked numpy calls: the propagators of the block, their product with
-    vec(rho0) in one matmul, and one stacked validate_density. `exact`
-    exponentiates every span*L, L = liouvillian(gen), through one `_expm`
-    call, which takes the 1-norm and the Pade powers of L once and yields
-    each block's propagators, and validates to 1e-9. `rk4` takes the
+    path, and one path serves every generator. Every input is refused before
+    the first block: rho0, method, every offset (>= 0, finite), for `rk4`
+    the step, step * ||generator|| <= 1 and every step count span/step, for
+    `exact` every exponent 1-norm span * ||L||_1 (finite, else
+    NumericalError), each naming the first bad offset. Each zero offset
+    returns rho0 exactly. The others go through one loop in blocks of
+    _LINDBLAD_BLOCK, each by stacked numpy calls: the propagators of the
+    block, their product with vec(rho0) in one matmul, and one stacked
+    validate_density. `exact` exponentiates the block's span*L,
+    L = liouvillian(gen), by one `_expm` call, which forms the Pade powers
+    of L once per block, and validates to 1e-9. `rk4` takes the
     `_fixed_steps(span, step)` plan of n classical Runge-Kutta steps of h,
     which for this offset-independent generator is exactly P(hL)^n with
     P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, built per offset by repeated
-    squaring; it requires step * ||generator|| <= 1 and validates to 1e-6. Without dissipation rk4 runs `exact` and
-    needs no step. Both costs grow as d^6; no caller goes above dim 4.
+    squaring, and validates to 1e-6. Without dissipation rk4 runs `exact`
+    and needs no step. Both costs grow as d^6; no caller goes above dim 4.
     """
     rho0 = require_density(rho0, "rho0")
     require_same_dim(rho0, gen.H)
@@ -404,25 +393,34 @@ def lindblad_propagate(
     if rk4:
         if step is None or not step > 0.0:
             raise ValidationError("rk4 requires a positive step")
-        bound = generator_norm_bound(gen)
+        h_norm = float(np.max(np.abs(np.linalg.eigvalsh(gen.H))))
+        bound = 2.0 * h_norm + 2.0 * sum(coupling_norms(gen))  # >= the generator's norm
         if step * bound > 1.0:
             raise ValidationError(
                 f"step*||generator|| = {step * bound:.3e} > 1; reduce step below {1.0 / bound:.3e}"
             )
+        with np.errstate(over="ignore"):  # refused below
+            bad = spans[~np.isfinite(spans / step)]
+        if bad.size:
+            _fixed_steps(float(bad[0]), step)  # raises
+    sup = liouvillian(gen)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        norm = float(abs(sup).sum(axis=0).max())
+    top = float(spans.max(initial=0.0)) * norm  # the largest exponent 1-norm: inf or nan if any is
+    if not rk4 and spans.any() and not math.isfinite(top):
+        raise NumericalError(f"exponent 1-norm is {top}: expm(span*L) overflows")
     out = np.empty(spans.shape + rho0.shape, dtype=np.complex128)
     # a zero offset keeps rho0 exactly: the product expm(0) @ vec(rho0) would
     # turn each -0.0 entry of rho0 into +0.0, which a JSON report writes
     out[...] = rho0
     flat, spans = out.reshape((-1,) + rho0.shape), spans.reshape(-1)
     live = spans.nonzero()[0]
-    sup = liouvillian(gen)
-    exact = None if rk4 else _expm(sup, spans[live])
     for start in range(0, live.size, _LINDBLAD_BLOCK):
         block = live[start:start + _LINDBLAD_BLOCK]
         if rk4:
             propagators = np.array([_rk4_propagator(sup, x, step) for x in spans[block].tolist()])
         else:
-            propagators = next(exact)
+            propagators = _expm(sup, spans[block], norm)
         rhos = (propagators @ rho0.reshape(-1)).reshape(block.shape + rho0.shape)
         flat[block] = validate_density(rhos, 1e-6 if rk4 else TOL)
     return out

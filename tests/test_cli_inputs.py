@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qfoliation import cli, rng
+from qfoliation import cli, dynamics, rng
 from qfoliation.cli import main, parse_config
 from qfoliation.dynamics import lindblad_propagate
 from qfoliation.linalg import trace_distance
@@ -238,6 +238,20 @@ def test_non_finite_step_count_exits_1(tmp_path, capsys, doc):
     assert status == 1
     assert "validation failure" in err and "has no finite step count" in err
     assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_lindblad_rk4_step_count_is_refused_before_any_offset_runs(tmp_path, capsys, monkeypatch):
+    # span/step overflows from the offset 1.8e298 on, the 360th of 2000
+    def no_work(*args):
+        raise AssertionError("an offset was propagated before the step counts were checked")
+
+    monkeypatch.setattr(dynamics, "_rk4_propagator", no_work)
+    doc = {"command": "lindblad", "params": {"gamma": 1e-9, "span": 1e299, "method": "rk4",
+                                             "step": 1e-10, "samples": 2000}}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert "span/step = 1.8e+298/1e-10 has no finite step count" in err
     assert not os.path.exists(out)
 
 

@@ -406,7 +406,7 @@ def pade_choice(l, a):
 
 def expm(l, offsets):
     """exp(a l) for each offset a, as one stack."""
-    return np.concatenate(list(_expm(l, np.asarray(offsets, dtype=np.float64))))
+    return _expm(l, np.asarray(offsets, dtype=np.float64), norm1(l))
 
 
 def test_expm_matches_scipy_on_random_generators():
@@ -491,7 +491,7 @@ def test_expm_upper_triangular_diagonal_is_exact():
             assert norm1(got - ref) <= 1e-12 * norm1(ref)
 
 
-def test_expm_of_a_stack_is_each_matrix_bitwise(monkeypatch):
+def test_expm_of_a_stack_is_each_matrix_bitwise():
     rng = np.random.default_rng(71)
     gens = [liouvillian(random_model(rng, 2, n_ls=n_ls)) for n_ls in (0, 1, 2)]
     gens += [random_triangular(rng, 4), np.zeros((4, 4), dtype=complex)]
@@ -503,27 +503,33 @@ def test_expm_of_a_stack_is_each_matrix_bitwise(monkeypatch):
         got = expm(l, offsets)
         for a, e in zip(offsets, got):
             assert np.array_equal(bits(e), bits(expm(l, [a])[0]))
-        monkeypatch.setattr(dynamics, "_LINDBLAD_BLOCK", 4)
-        assert [len(b) for b in _expm(l, offsets)] == [4] * 6 + [3]
-        assert np.array_equal(bits(expm(l, offsets)), bits(got))
-        monkeypatch.undo()
     assert {m for m, _ in choices} == {3, 5, 7, 9, 13}
     assert {s for _, s in choices} >= {0, 3, 6}
 
 
-def test_expm_stack_reports_the_first_non_finite_exponent():
-    sup = liouvillian(decoherence_model(1e10))
-    for offsets, first in (([1.0, 1e300, np.nan], "inf"), ([1.0, np.nan, 1e300], "nan")):
-        with pytest.raises(NumericalError, match=f"1-norm is {first}"):
-            next(_expm(sup, np.array(offsets)))
+@pytest.mark.parametrize(
+    "gamma, method, step, message",
+    [(1e-9, "rk4", 1e-10, r"span/step = 1e\+299/1e-10 has no finite step count"),
+     (1e10, "exact", None, r"exponent 1-norm is inf: expm\(span\*L\) overflows")],
+    ids=["rk4-step-count", "exact-exponent"],
+)
+def test_lindblad_refuses_an_overflowing_second_offset_before_any_block(
+        monkeypatch, gamma, method, step, message):
+    monkeypatch.setattr(dynamics, "_expm", _no_work)
+    monkeypatch.setattr(dynamics, "_rk4_propagator", _no_work)
+    with pytest.raises((ValidationError, NumericalError), match=message):
+        lindblad_propagate(PLUS_RHO, decoherence_model(gamma), [1.0, 1e299], method, step)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_expm_refuses_non_finite_exponent(bad):
-    a = np.zeros((4, 4), dtype=complex)
-    a[1, 1] = bad
-    with pytest.raises(NumericalError, match="overflows"):
-        next(_expm(a, np.array([1.0])))
+def test_lindblad_refuses_non_finite_exponent(monkeypatch, bad):
+    sup = np.zeros((4, 4), dtype=complex)
+    sup[1, 1] = bad
+    monkeypatch.setattr(dynamics, "liouvillian", lambda gen: sup)
+    monkeypatch.setattr(dynamics, "_expm", _no_work)
+    with pytest.raises(NumericalError, match=f"1-norm is {abs(bad)}: expm.* overflows"):
+        lindblad_propagate(PLUS_RHO, decoherence_model(), [0.0, 1.0])
+    assert np.array_equal(lindblad_propagate(PLUS_RHO, decoherence_model(), [0.0]), [PLUS_RHO])
 
 
 # -- closed-form two-level oracle ---------------------------------------------------
