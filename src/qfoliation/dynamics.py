@@ -90,6 +90,7 @@ from .linalg import (
     expm_generator,
     require_density,
     require_hermitian,
+    require_integer,
     require_same_dim,
     require_square,
     validate_density,
@@ -200,6 +201,8 @@ class TrajectoryConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.step < math.inf:
             raise ValidationError(f"step must be positive, got {self.step:.6g}")
+        object.__setattr__(self, "steps", require_integer(self.steps, "steps"))
+        object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
         if self.steps < 0:
             raise ValidationError(f"steps must be non-negative, got {self.steps}")
         if self.seed < 0:
@@ -646,6 +649,7 @@ def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj:
     rows per CPU (`_qsd_split`, see _MIN_BLOCK_TRAJECTORIES); everything
     else runs `_qsd_block` in this process.
     """
+    n_traj, first = require_integer(n_traj, "n_traj"), require_integer(first, "stream")
     if n_traj < 1:
         raise ValidationError(f"need at least one trajectory, got {n_traj}")
     psi0 = validate_state(psi0)
@@ -765,8 +769,6 @@ def _qsd_split(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, 
         try:
             blocks.append(_qsd_block(psi0, ops, cfg, first, bounds[1]))
         except NumericalError as exc:
-            if not hasattr(exc, "refused"):
-                raise
             blocks.append(exc)
         while children:
             pid, pipe = children[0]

@@ -50,6 +50,8 @@ class Hyperplane:
             raise ValidationError(f"normal is not unit time-like: n.n = {nn:.15g}")
         if self.normal.t <= 0.0:
             raise ValidationError(f"normal must be future-pointing, got t = {self.normal.t:.6g}")
+        if not math.isfinite(self.offset):
+            raise ValidationError(f"offset must be finite, got {self.offset}")
 
 
 def lorentz_gamma(beta: float) -> float:

@@ -16,6 +16,8 @@ computed values and raise NumericalError, an invariant breach (exit 2).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import NumericalError, ValidationError
@@ -53,6 +55,14 @@ def _require_square_stack(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def require_integer(value, name: str) -> int:
+    """value as a Python int (numpy integers pass); ValidationError names it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[-1] != b.shape[-1]:
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
@@ -82,9 +92,12 @@ def expm_generator(g: np.ndarray, s) -> np.ndarray:
     s is one parameter or an array of them, giving shape s.shape + g.shape
     from the one decomposition of g. Unitary to floating-point accuracy for
     the small dimensions handled here; raises ValidationError if g fails
-    the Hermiticity check.
+    the Hermiticity check or a parameter is not finite.
     """
     g = require_hermitian(g, "generator")
+    bad = np.asarray(s)[~np.isfinite(s)]
+    if bad.size:
+        raise ValidationError(f"generator parameter must be finite, got {bad[0]}")
     w, v = np.linalg.eigh(g)
     phases = np.exp(-1j * np.multiply.outer(s, w))
     return (v * phases[..., None, :]) @ v.conj().T

@@ -50,6 +50,7 @@ from .linalg import (
     expm_generator,
     purity,
     require_hermitian,
+    require_integer,
     require_same_dim,
     state_expectation,
     trace_distance,
@@ -86,6 +87,8 @@ class QsdSettings:
     step: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_traj", require_integer(self.n_traj, "qsd n_traj"))
+        object.__setattr__(self, "seed", require_integer(self.seed, "qsd seed"))
         if self.n_traj < 1:
             raise ValidationError(f"qsd n_traj must be >= 1, got {self.n_traj}")
         if self.seed < 0:

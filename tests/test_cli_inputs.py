@@ -197,6 +197,11 @@ def test_unitary_consistency_dimension_mismatch_exits_1(tmp_path, capsys, params
 
 # -- inputs that used to end in a traceback ----------------------------------------------
 
+def test_config_without_a_command_is_refused():
+    with pytest.raises(ValidationError, match="^no command given"):
+        parse_config(json.dumps({"params": {"gamma": 1.0, "span": 1.0}}))
+
+
 def test_int_beyond_float_range_is_rejected():
     for doc in (
         {"command": "counterexample", "params": {"beta": 10**400, "ell": 1, "gamma": 1}},

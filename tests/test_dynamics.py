@@ -22,6 +22,7 @@ from qfoliation.dynamics import (
     lindblad_exact_twolevel,
     lindblad_propagate,
     liouvillian,
+    mean_projector,
     qsd_trajectory,
 )
 from qfoliation.errors import NumericalError, ValidationError
@@ -33,7 +34,7 @@ from qfoliation.linalg import (
     validate_density,
 )
 from qfoliation.rng import stream_keys, wiener_block
-from qfoliation.scenarios import dephasing_model, initial_state
+from qfoliation.scenarios import QsdSettings, dephasing_model, initial_state
 from _checks import qsd_step, wiener_increments
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -938,6 +939,12 @@ def test_boost_requires_generator():
         boost_transport(PLUS_RHO, gen, 0.1)
 
 
+def test_boost_refuses_a_stack_of_states():
+    gen = GeneratorSet(H=ZERO2, K=SY / 2)
+    with pytest.raises(ValidationError, match=r"^expected a vector or matrix, got shape \(2, 2, 2\)$"):
+        boost_transport(np.stack([PLUS_RHO, PLUS_RHO]), gen, 0.1)
+
+
 def test_boost_rejects_superluminal():
     gen = GeneratorSet(H=ZERO2, K=SY / 2)
     with pytest.raises(ValidationError, match=r"^\|beta\| = 1 >= 1$"):
@@ -990,3 +997,53 @@ def test_boost_state_and_density_consistent():
 def test_coupling_norms():
     gen = decoherence_model(4.0)
     assert coupling_norms(gen) == [pytest.approx(4.0)]
+
+
+# -- library input refusals -----------------------------------------------------
+
+SHORT = TrajectoryConfig(step=0.01, steps=3)
+
+NON_INTEGER = {
+    "TrajectoryConfig.steps": (lambda v: TrajectoryConfig(step=0.01, steps=v), "steps"),
+    "TrajectoryConfig.seed": (lambda v: TrajectoryConfig(step=0.01, steps=3, seed=v), "seed"),
+    "QsdSettings.n_traj": (lambda v: QsdSettings(n_traj=v, seed=0), "qsd n_traj"),
+    "QsdSettings.seed": (lambda v: QsdSettings(n_traj=2, seed=v), "qsd seed"),
+    "ensemble_final_states": (
+        lambda v: ensemble_final_states(PLUS_STATE, decoherence_model(), SHORT, v), "n_traj"),
+    "ensemble_density": (
+        lambda v: ensemble_density(PLUS_STATE, decoherence_model(), SHORT, v), "n_traj"),
+    "qsd_trajectory": (
+        lambda v: qsd_trajectory(PLUS_STATE, decoherence_model(), SHORT, stream=v), "stream"),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER)
+def test_non_integer_counts_seeds_and_streams_are_input_errors(call):
+    make, name = NON_INTEGER[call]
+    for bad in (2.5, 1.5, np.float64(2.0), "2"):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            make(bad)
+    np.testing.assert_array_equal(make(np.int64(2)), make(2))  # numpy integers pass
+
+
+def test_numpy_integer_counts_are_stored_as_python_ints():
+    cfg = TrajectoryConfig(step=0.01, steps=np.int64(3), seed=np.uint8(4))
+    assert (type(cfg.steps), type(cfg.seed)) == (int, int) and (cfg.steps, cfg.seed) == (3, 4)
+    qsd = QsdSettings(n_traj=np.int32(5), seed=np.int64(6))
+    assert (type(qsd.n_traj), type(qsd.seed)) == (int, int)
+
+
+def test_trajectory_config_refuses_a_negative_seed():
+    with pytest.raises(ValidationError, match="^seed must be non-negative, got -1$"):
+        TrajectoryConfig(step=0.01, steps=3, seed=-1)
+
+
+def test_ensemble_needs_at_least_one_trajectory():
+    with pytest.raises(ValidationError, match="^need at least one trajectory, got 0$"):
+        ensemble_final_states(PLUS_STATE, decoherence_model(), SHORT, 0)
+
+
+def test_mean_projector_refuses_a_zero_row():
+    states = np.array([PLUS_STATE, [0.0, 0.0]], dtype=complex)
+    with pytest.raises(NumericalError, match=r"^final-state norm collapsed to 0\.000e\+00$"):
+        mean_projector(states)

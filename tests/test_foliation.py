@@ -42,6 +42,17 @@ def test_make_hyperplane_rejects_past_pointing():
         make_hyperplane(FourVector(-1.0), 0.0)
 
 
+def test_hyperplane_constructor_rejects_a_unit_past_pointing_normal():
+    with pytest.raises(ValidationError, match="^normal must be future-pointing, got t = -1$"):
+        Hyperplane(FourVector(-1.0), 0.0)
+
+
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+def test_hyperplane_constructor_rejects_a_non_finite_offset(offset):
+    with pytest.raises(ValidationError, match=f"^offset must be finite, got {offset}$"):
+        Hyperplane(FourVector(1.0), offset)
+
+
 def test_hyperplane_constructor_enforces_unit_normal():
     with pytest.raises(ValidationError, match="normal is not unit time-like"):
         Hyperplane(FourVector(1.0 + 1e-6), 0.0)

@@ -84,6 +84,14 @@ def test_expm_rejects_non_hermitian():
         expm_generator(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+def test_expm_rejects_a_non_finite_parameter(bad, shape):
+    s = bad if shape == "scalar" else np.array([[0.5, 1.0], [bad, np.nan]])
+    with pytest.raises(ValidationError, match=f"^generator parameter must be finite, got {bad}$"):
+        expm_generator(SZ, s)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.integers(min_value=2, max_value=16),
