@@ -24,10 +24,12 @@ formed once per call, and each offset's approximant is a sum of them with
 real weights. Fixed-step methods take
 n = max(1, ceiling of span/step) equal steps of h = span/n: rk4 through
 `_fixed_steps`, the QSD ensembles through `TrajectoryConfig.covering`. One
-offset is a 0-d stack of offsets on the same path: the offsets of a
-`lindblad_propagate` call run in blocks of `_LINDBLAD_BLOCK`, which bound
-its memory. A block takes its propagators (for `exact`, the next stack that
-`_expm` yields, where the offsets that share a Pade plan go through
+offset is a 0-d stack of offsets on the same path. `lindblad_propagate`
+refuses every input first, the rk4 step count and the exact exponent
+1-norm of each offset included, and then runs one loop over blocks of
+`_LINDBLAD_BLOCK` offsets, which bound its memory. A block takes its
+propagators (for `exact`, one `_expm` call, which forms the Pade powers
+once per block and sends the offsets that share a Pade plan through
 elementwise weighted sums, one stacked solve and stacked squarings; for
 `rk4`, P(hL)^n per offset), one matmul of the propagators with vec(rho0)
 and one stacked `validate_density`. Every stacked numpy call runs the same
