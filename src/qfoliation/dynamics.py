@@ -298,8 +298,8 @@ def _expm(l: np.ndarray, a: np.ndarray, norm: float) -> np.ndarray:
     c = a_i ||l||_1 / 2^s, with s = 0 unless it exceeds theta_13; the
     approximant of 2^-s a_i l is then squared s times. The approximant is
     q(-x)^-1 q(x) with q(x) = V + U, where V sums b_j c^j L^j over even j
-    and U over odd j, L = l / ||l||_1. The powers L^0..L^m are formed once,
-    up to the largest m of any offset, and the weights and sums are
+    and U over odd j, L = l / ||l||_1. The powers L^0..L^m are formed once
+    per call, up to the largest m of any offset, and the weights and sums are
     elementwise float ufunc calls on their float views (c^j by repeated
     multiplication). Only the stacked solve and the squarings work per
     matrix, so each result is bit for bit the one its offset gives alone.
@@ -374,10 +374,10 @@ def lindblad_propagate(
     giving shape span.shape + (d, d); one offset is a 0-d stack on the same
     path, and one path serves every generator. Every input is refused before
     the first block: rho0, method, every offset (>= 0, finite), for `rk4`
-    the step, step * ||generator|| <= 1 and every step count span/step, for
-    `exact` every exponent 1-norm span * ||L||_1 (finite, else
-    NumericalError), each naming the first bad offset. Each zero offset
-    returns rho0 exactly. The others go through one loop in blocks of
+    the step, step * ||generator|| <= 1 and every step count span/step (the
+    first offset without one named), for `exact` every exponent 1-norm
+    span * ||L||_1 (finite, else NumericalError). Each zero offset returns
+    rho0 exactly. The others go through one loop in blocks of
     _LINDBLAD_BLOCK, each by stacked numpy calls: the propagators of the
     block, their product with vec(rho0) in one matmul, and one stacked
     validate_density. `exact` exponentiates the block's span*L,
