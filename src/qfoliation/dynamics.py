@@ -862,6 +862,9 @@ def mean_projector(states: np.ndarray) -> np.ndarray:
     """Mean of |psi><psi| over the rows of states, shape (M, dim); each row is
     normalized first, so the mean has unit trace for unrenormalized runs too."""
     norms = np.sqrt(np.einsum("mi,mi->m", states.conj(), states).real)
+    bad = norms[~np.isfinite(norms)]
+    if bad.size:
+        raise NumericalError(f"final-state norm is not finite: {bad[0]}")
     if np.any(norms < ZERO_NORM_FLOOR):
         raise NumericalError(f"final-state norm collapsed to {float(np.min(norms)):.3e}")
     states = states / norms[:, None]

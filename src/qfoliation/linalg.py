@@ -28,10 +28,15 @@ ZERO_NORM_FLOOR = 1e-12
 
 def as_complex(values) -> np.ndarray:
     """Coerce to a fresh complex128 array, rejecting NaN/Inf entries."""
-    arr = np.array(values, dtype=np.complex128)
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    return require_finite(np.array(values, dtype=np.complex128))
+
+
+def require_finite(m) -> np.ndarray:
+    """m as an array of its own dtype; ValidationError if an entry is NaN or infinite."""
+    m = np.asarray(m)
+    if not np.all(np.isfinite(m)):
         raise ValidationError("matrix/vector entries must be finite")
-    return arr
+    return m
 
 
 def hermiticity_defect(m: np.ndarray):
@@ -120,16 +125,16 @@ def density_from_state(psi: np.ndarray) -> np.ndarray:
 
 def expectation(a: np.ndarray, rho: np.ndarray) -> float:
     """Re tr(a rho) for Hermitian a; the imaginary part must be negligible."""
-    a = require_square(np.asarray(a))
-    rho = require_square(np.asarray(rho))
+    a = require_square(require_finite(a))
+    rho = require_square(require_finite(rho))
     require_same_dim(a, rho)
     return _real_part(complex(np.trace(a @ rho)))
 
 
 def state_expectation(a: np.ndarray, psi: np.ndarray) -> float:
     """Re <psi|a|psi> for a normalized state vector."""
-    a = require_square(np.asarray(a))
-    psi = np.asarray(psi)
+    a = require_square(require_finite(a))
+    psi = require_finite(psi)
     require_same_dim(a, psi)
     return _real_part(complex(np.vdot(psi, a @ psi)))
 
@@ -147,8 +152,8 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray):
     A float for two matrices; for stacks, shape (..., d, d), which broadcast
     against each other, the array of distances from one stacked eigvalsh.
     """
-    rho1 = _require_square_stack(np.asarray(rho1))
-    rho2 = _require_square_stack(np.asarray(rho2))
+    rho1 = _require_square_stack(require_finite(rho1))
+    rho2 = _require_square_stack(require_finite(rho2))
     require_same_dim(rho1, rho2)
     w = np.linalg.eigvalsh(rho1 - rho2)
     dist = 0.5 * np.abs(w).sum(axis=-1)
@@ -157,7 +162,7 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray):
 
 def purity(rho: np.ndarray) -> float:
     """tr(rho^2)."""
-    rho = np.asarray(rho)
+    rho = require_finite(rho)
     return float(np.trace(rho @ rho).real)
 
 

@@ -1047,3 +1047,11 @@ def test_mean_projector_refuses_a_zero_row():
     states = np.array([PLUS_STATE, [0.0, 0.0]], dtype=complex)
     with pytest.raises(NumericalError, match=r"^final-state norm collapsed to 0\.000e\+00$"):
         mean_projector(states)
+
+
+@pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (np.inf, "inf")], ids=["nan", "inf"])
+def test_mean_projector_refuses_a_non_finite_row(bad, shown):
+    # before the division, which would warn (an error under the test settings)
+    states = np.array([PLUS_STATE, [bad, 0.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(NumericalError, match=f"^final-state norm is not finite: {shown}$"):
+        mean_projector(states)

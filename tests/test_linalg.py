@@ -205,6 +205,23 @@ def test_trace_distance_bounded_by_one():
         assert trace_distance(random_density(rng, 3), random_density(rng, 3)) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("call", [
+    lambda bad: trace_distance(np.diag([bad, 0.0]), np.eye(2) / 2),
+    lambda bad: trace_distance(np.eye(2) / 2, np.diag([bad, 0.0])),
+    lambda bad: expectation(SZ, np.diag([bad, 0.0])),
+    lambda bad: expectation(np.diag([bad, 0.0]), PLUS),
+    lambda bad: state_expectation(SZ, np.array([bad, 0.0])),
+    lambda bad: state_expectation(np.diag([bad, 0.0]), np.array([1.0, 0.0])),
+    lambda bad: purity(np.diag([bad, 0.0])),
+], ids=["trace_distance-first", "trace_distance-second", "expectation-rho", "expectation-a",
+        "state_expectation-psi", "state_expectation-a", "purity"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "-inf", "nan-imag"])
+def test_measures_refuse_non_finite_entries(call, bad):
+    with pytest.raises(ValidationError, match="^matrix/vector entries must be finite$"):
+        call(bad)
+
+
 # -- validate_density -------------------------------------------------------------
 
 def test_validate_accepts_superposition_projector():
