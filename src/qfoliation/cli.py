@@ -3,9 +3,9 @@
 One structured config document describes a run; flags only point at the
 config and override seed, output path and format. Reports embed the fully
 resolved configuration (defaults filled) so every output file is
-self-describing and reproducible. No environment variable is read, but a
-CLI process starts OpenBLAS with one thread unless the user chose a count
-(`launch.one_blas_thread`).
+self-describing and reproducible. No environment variable configures a
+run; a CLI process only has OpenBLAS start one thread unless the user chose
+a count (`launch.one_blas_thread`).
 
 Exit status: 0 success, 1 configuration/validation failure, 2 numerical
 invariant breach, 130 interrupted (Ctrl-C).
