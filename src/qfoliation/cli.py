@@ -1,11 +1,12 @@
 """Command-line front end: JSON configuration in, CSV/JSON reports out.
 
 One structured config document describes a run; flags only point at the
-config and override seed, output path and format. Reports embed the fully
-resolved configuration (defaults filled) so every output file is
-self-describing and reproducible. No environment variable configures a
-run; a CLI process only has OpenBLAS start one thread unless the user chose
-a count (`launch.one_blas_thread`).
+config and override seed, output path and format. A command is parsed, runs
+one `scenarios` call and is written; the physics is in `scenarios`. Reports
+embed the fully resolved configuration (defaults filled) so every output
+file is self-describing and reproducible. No environment variable configures
+a run; a CLI process only has OpenBLAS start one thread unless the user
+chose a count (`launch.one_blas_thread`).
 
 Exit status: 0 success, 1 configuration/validation failure, 2 numerical
 invariant breach, 130 interrupted (Ctrl-C).
@@ -31,15 +32,9 @@ if __name__ == "__main__":  # python -m qfoliation.cli, before numpy loads
 import numpy as np
 
 from . import scenarios
-from .dynamics import (
-    LINDBLAD_METHODS,
-    GeneratorSet,
-    TrajectoryConfig,
-    lindblad_exact_twolevel,
-    lindblad_propagate,
-)
+from .dynamics import LINDBLAD_METHODS, GeneratorSet
 from .errors import NumericalError, ValidationError, log_warnings
-from .linalg import density_from_state, trace_distance, validate_state
+from .linalg import validate_state
 
 log = logging.getLogger("qfoliation")
 
@@ -173,6 +168,11 @@ def _convert(key: str, spec: Key, val, known: dict):
         raise ValidationError(f"config key {key!r} must be a boolean, got {val!r}")
     elif spec.kind == "path" and (not isinstance(val, str) or not val or "\0" in val):
         raise ValidationError(f"config key {key!r} must be a non-empty string without NUL")
+    elif spec.kind == "path":
+        try:
+            os.fsencode(val)  # json.loads passes a lone surrogate, which no file name holds
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"config key {key!r} is not a file name: {exc}") from exc
     elif spec.kind == "matrix":
         val = matrix_to_pairs(matrix_from_config(val, key, spec.dim))
     elif spec.kind == "vector":
@@ -402,37 +402,23 @@ def _run_consistency(cfg: RunConfig) -> dict:
 
 def _run_lindblad(cfg: RunConfig) -> dict:
     params = cfg.params
-    gamma, span, samples = params["gamma"], params["span"], params["samples"]
+    span, samples = params["span"], params["samples"]
     if samples > MAX_LINDBLAD_SAMPLES:
         raise ValidationError(f"samples = {samples} offsets exceeds the work ceiling "
                               f"of {MAX_LINDBLAD_SAMPLES:.0e}")
     if not math.isfinite(span * samples):  # each offset is formed as (span * i) / samples
         raise ValidationError(f"span * samples = {span:.6g} * {samples} is not finite")
-    rho0 = _matrix_param(params, "rho0", scenarios.initial_state())
-    offsets = span * np.arange(1, samples + 1) / samples
-    rhos = lindblad_propagate(rho0, scenarios.dephasing_model(gamma), offsets,
-                              params["method"], params["step"])
-    refs = lindblad_exact_twolevel(rho0, gamma, offsets)
-    # np.hypot is the scalar abs() of each entry, bit for bit; numpy's
-    # vectorized complex abs can differ from it in the last bit
-    columns = {
-        "a": offsets,
-        "offdiag_numeric": np.hypot(rhos[:, 0, 1].real, rhos[:, 0, 1].imag),
-        "offdiag_exact": np.hypot(refs[:, 0, 1].real, refs[:, 0, 1].imag),
-        "abs_error": np.abs(rhos - refs).max(axis=(-2, -1)),
-        "trace_distance": trace_distance(rhos, refs),
-    }
-    return {"points": columns, "rho_final": _report_matrix(rhos[-1])}
+    columns, rho_final = scenarios.lindblad_scan(
+        _matrix_param(params, "rho0", scenarios.initial_state()), params["gamma"], span, samples,
+        params["method"], params["step"])
+    return {"points": columns, "rho_final": _report_matrix(rho_final)}
 
 
 def _run_qsd_ensemble(cfg: RunConfig) -> dict:
     params = cfg.params
-    psi0 = _state_param(params)
-    gen = scenarios.dephasing_model(params["gamma"])
-    plan = TrajectoryConfig.covering(params["span"], params["step"], cfg.seed, params["renormalize"])
-    rho_ref = lindblad_propagate(density_from_state(psi0) if "psi0" in params
-                                 else scenarios.initial_state(), gen, params["span"])
-    outcome, rho = scenarios.run_qsd(psi0, gen, plan, params["n_traj"], rho_ref)
+    outcome, rho, rho_ref = scenarios.run_qsd(
+        params["gamma"], params["span"], params["step"], cfg.seed, params["n_traj"],
+        params["renormalize"], _state_param(params) if "psi0" in params else None)
     results = {key: getattr(outcome, key) for key in
                ("expectation", "trace_distance_to_lindblad", "step", "steps")}
     return {**results, "rho_ensemble": _report_matrix(rho), "rho_lindblad": _report_matrix(rho_ref)}
@@ -559,7 +545,7 @@ def run(cfg: RunConfig) -> int:
         chunks = _csv_chunks if cfg.format == "csv" else _json_chunks
         with log_warnings(log):
             _write_report(cfg.output_path, chunks(cfg, _RUNNERS[cfg.command](cfg)))
-    except ValueError as exc:
+    except ValidationError as exc:
         log.error("validation failure: %s", exc)
         return 1
     except MemoryError as exc:
@@ -603,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
                 text = fh.read()
             cfg = parse_config(text, command=args.command, seed=args.seed, format=args.format,
                                output_path=args.out)
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, UnicodeError) as exc:
             print(f"qfoliation: cannot read config: {exc}", file=sys.stderr)
             return 1
         except MemoryError:

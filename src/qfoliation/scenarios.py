@@ -14,7 +14,8 @@ producing an order-one disagreement about a single event
 fixed a0. The initial state commutes with the measured observable, so the
 first-order boost response tr([A, K] rho0) vanishes for every Hermitian K:
 a nonzero boost generator changes the discrepancy only at second order in
-beta.
+beta. The `lindblad` and `qsd-ensemble` commands run `lindblad_scan` and
+`run_qsd`, the unraveling that the counter-example's QSD check shares.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from .dynamics import (
     TrajectoryConfig,
     boost_transport,
     decohering_coupling,
-    ensemble_density,
+    ensemble_final_states,
+    lindblad_exact_twolevel,
     lindblad_propagate,
+    mean_projector,
 )
 from .errors import NumericalError, ValidationError, warn
 from .foliation import (
@@ -46,6 +49,7 @@ from .foliation import (
 from .linalg import (
     TOL,
     as_complex,
+    density_from_state,
     expectation,
     expm_generator,
     purity,
@@ -167,14 +171,43 @@ def dephasing_model(gamma: float, k_x: np.ndarray | None = None) -> GeneratorSet
     return GeneratorSet(H=h, K=h if k_x is None else k_x, Ls=(decohering_coupling(gamma),))
 
 
-def run_qsd(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj: int,
-            rho_ref: np.ndarray) -> tuple[QsdOutcome, np.ndarray]:
-    """The outcome and ensemble density of n_traj trajectories, checked against rho_ref."""
-    rho = ensemble_density(psi0, gen, cfg, n_traj)
-    outcome = QsdOutcome(n_traj=n_traj, seed=cfg.seed, step=cfg.step, steps=cfg.steps,
+def lindblad_scan(rho0: np.ndarray, gamma: float, span: float, samples: int, method: str,
+                  step: float | None) -> tuple[dict, np.ndarray]:
+    """The dephasing model's Lindblad evolution of rho0 against the closed form at the offsets
+    span*i/samples, i = 1 ... samples: the five report columns, and the last density."""
+    offsets = span * np.arange(1, samples + 1) / samples
+    rhos = lindblad_propagate(rho0, dephasing_model(gamma), offsets, method, step)
+    refs = lindblad_exact_twolevel(rho0, gamma, offsets)
+    # np.hypot is the scalar abs() of each entry, bit for bit; numpy's
+    # vectorized complex abs can differ from it in the last bit
+    columns = {
+        "a": offsets,
+        "offdiag_numeric": np.hypot(rhos[:, 0, 1].real, rhos[:, 0, 1].imag),
+        "offdiag_exact": np.hypot(refs[:, 0, 1].real, refs[:, 0, 1].imag),
+        "abs_error": np.abs(rhos - refs).max(axis=(-2, -1)),
+        "trace_distance": trace_distance(rhos, refs),
+    }
+    return columns, rhos[-1]
+
+
+def run_qsd(gamma: float, span: float, step: float, seed: int, n_traj: int,
+            renormalize: bool = True, psi0: np.ndarray | None = None,
+            rho_ref: np.ndarray | None = None) -> tuple[QsdOutcome, np.ndarray, np.ndarray]:
+    """The dephasing model's unraveling over span in steps of about step: the outcome and
+    ensemble density of n_traj trajectories from psi0 (initial_state_vector() if None),
+    and rho_ref, the Lindblad density they are checked against (propagated if None)."""
+    gen = dephasing_model(gamma)
+    cfg = TrajectoryConfig.covering(span, step, seed, renormalize)
+    if rho_ref is None:  # after the plan, so that a span with no finite step count is refused first
+        rho_ref = lindblad_propagate(initial_state() if psi0 is None else density_from_state(psi0),
+                                     gen, span)
+    finals = ensemble_final_states(initial_state_vector() if psi0 is None else psi0, gen, cfg,
+                                   n_traj)
+    rho = mean_projector(finals)
+    outcome = QsdOutcome(n_traj=n_traj, seed=seed, step=cfg.step, steps=cfg.steps,
                          expectation=expectation(spin_observable(), rho),
                          trace_distance_to_lindblad=trace_distance(rho, rho_ref))
-    return outcome, rho
+    return outcome, rho, rho_ref
 
 
 def run_counterexample(
@@ -213,8 +246,7 @@ def run_counterexample(
     if p.qsd is not None:
         # at a0 = 0 no step is taken and the report gives step 1.0, whatever gamma
         step = p.qsd.step or (0.01 / p.gamma if p.gamma > 0.0 and a0 > 0.0 else a0 or 1.0)
-        cfg = TrajectoryConfig.covering(a0, step, p.qsd.seed)
-        qsd_outcome, _ = run_qsd(initial_state_vector(), gen, cfg, p.qsd.n_traj, rho_r)
+        qsd_outcome = run_qsd(p.gamma, a0, step, p.qsd.seed, p.qsd.n_traj, rho_ref=rho_r)[0]
 
     return CounterexampleReport(
         params=p,

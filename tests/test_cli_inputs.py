@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qfoliation import cli, dynamics, rng
+from qfoliation import cli, dynamics, rng, scenarios
 from qfoliation.cli import main, parse_config
 from qfoliation.dynamics import lindblad_propagate
 from qfoliation.linalg import trace_distance
@@ -54,6 +54,27 @@ def test_output_path_is_a_directory_exits_1_and_leaves_no_temp_file(tmp_path, ca
     assert str(target) in err
     assert target.is_dir() and not any(target.iterdir())
     assert sorted(os.listdir(tmp_path)) == ["config.json", "reports"]
+
+
+@pytest.mark.parametrize("name", ["a\ud800b", "report\udfff.csv"], ids=["ud800", "udfff"])
+def test_output_path_with_a_lone_surrogate_exits_1_before_the_run(tmp_path, capsys, monkeypatch,
+                                                                  name):
+    # json.loads passes a lone surrogate that no file name can hold
+    monkeypatch.setattr(scenarios, "lindblad_propagate", _started)
+    doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0},
+           "output_path": str(tmp_path / name)}
+    status, err, _ = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert err.startswith("qfoliation: config key 'output_path' is not a file name: ")
+    assert "surrogates not allowed" in err and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_config_path_that_names_no_file_exits_1(tmp_path, capsys):
+    assert main(["lindblad", "--config", str(tmp_path / "config\ud800.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qfoliation: cannot read config: ") and "surrogates not allowed" in err
+    assert os.listdir(tmp_path) == []
 
 
 # -- negative beta ---------------------------------------------------------------------
@@ -235,8 +256,12 @@ def test_exact_propagator_overflow_exits_2(tmp_path, capsys, gamma, span):
          "params": {"beta": 0.5, "ell": 1e300, "gamma": 1.0, "method": "rk4", "step": 1e-300}},
         {"command": "qsd-ensemble",
          "params": {"gamma": 1.0, "span": 1e300, "step": 1e-300, "n_traj": 1}},
+        # the default step 0.01/gamma: the plan is refused before the Lindblad
+        # reference, whose propagation would overflow (lindblad exits 2 at this
+        # gamma and span)
+        {"command": "qsd-ensemble", "params": {"gamma": 1e300, "span": 1e10, "n_traj": 1}},
     ],
-    ids=["lindblad-rk4", "counterexample-rk4", "qsd-ensemble"],
+    ids=["lindblad-rk4", "counterexample-rk4", "qsd-ensemble", "qsd-ensemble-before-reference"],
 )
 def test_non_finite_step_count_exits_1(tmp_path, capsys, doc):
     status, err, out = run_doc(tmp_path, doc, capsys)
@@ -578,7 +603,7 @@ def test_run_over_its_work_ceiling_exits_1_before_it_starts(tmp_path, capsys, mo
     # that far was not refused
     monkeypatch.setattr(rng, "stream_keys", _started)
     monkeypatch.setattr(rng, "wiener_block", _started)
-    monkeypatch.setattr(cli, "lindblad_exact_twolevel", _started)
+    monkeypatch.setattr(scenarios, "lindblad_exact_twolevel", _started)
     status, err, out = run_doc(tmp_path, doc, capsys)
     assert status == 1
     assert "validation failure" in err and product in err and "exceeds the work ceiling" in err
@@ -587,7 +612,7 @@ def test_run_over_its_work_ceiling_exits_1_before_it_starts(tmp_path, capsys, mo
 
 def test_lindblad_whose_last_offset_overflows_exits_1_before_any_offset(tmp_path, capsys,
                                                                         monkeypatch):
-    monkeypatch.setattr(cli, "lindblad_propagate", _started)
+    monkeypatch.setattr(scenarios, "lindblad_propagate", _started)
     doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1e308, "samples": 2}}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -656,7 +681,7 @@ def test_non_finite_value_late_in_the_report_exits_2_and_leaves_nothing(tmp_path
         written.append(os.path.getsize(path))
         os_unlink(path)
 
-    monkeypatch.setattr(cli, "trace_distance", late_nan)
+    monkeypatch.setattr(scenarios, "trace_distance", late_nan)
     monkeypatch.setattr(os, "unlink", unlink)
     doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 3.0, "samples": 400},
            "format": fmt}

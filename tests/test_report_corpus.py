@@ -14,6 +14,8 @@ noise) with
 
 which prints, for each case whose text changed, the largest absolute and
 relative change among its numbers, and the number of unchanged cases.
+`--record PATH` writes the reports to PATH instead, in the same layout, and
+compares them with what PATH held (`test_byte_identity.py` uses it).
 """
 
 import json
@@ -88,8 +90,8 @@ def change(old: str, new: str) -> str:
     return f"{len(pairs)} numbers, largest change {worst_abs:.3g} absolute, {worst_rel:.3g} relative"
 
 
-def record(workdir: Path) -> None:
-    previous = json.loads(REPORTS.read_text(encoding="utf-8")) if REPORTS.exists() else {}
+def record(workdir: Path, path: Path = REPORTS) -> None:
+    previous = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     reports, unchanged = {}, 0
     for case in CASES:
         case_dir = workdir / case.replace("/", "-")
@@ -101,14 +103,14 @@ def record(workdir: Path) -> None:
             unchanged += 1
         else:
             print(f"{case}: {change(previous[case], reports[case])}")
-    REPORTS.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"recorded {len(reports)} reports in {REPORTS}, {unchanged} unchanged")
+    path.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(reports)} reports in {path}, {unchanged} unchanged")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit(f"usage: python {sys.argv[0]} --record")
+    if sys.argv[1:2] != ["--record"] or len(sys.argv) > 3:
+        sys.exit(f"usage: python {sys.argv[0]} --record [PATH]")
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        record(Path(tmp))
+        record(Path(tmp), Path(sys.argv[2]).resolve() if len(sys.argv) == 3 else REPORTS)

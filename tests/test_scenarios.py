@@ -5,11 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qfoliation import scenarios
 from qfoliation.dynamics import (
     GeneratorSet,
     TrajectoryConfig,
     ensemble_density,
     ensemble_final_states,
+    lindblad_exact_twolevel,
+    lindblad_propagate,
+    mean_projector,
     qsd_trajectory,
 )
 from qfoliation.errors import ValidationError
@@ -17,6 +21,7 @@ from qfoliation.linalg import (
     density_from_state,
     expectation,
     purity,
+    trace_distance,
     validate_density,
 )
 from qfoliation.scenarios import (
@@ -27,7 +32,9 @@ from qfoliation.scenarios import (
     dissipative_consistency,
     initial_state,
     initial_state_vector,
+    lindblad_scan,
     run_counterexample,
+    run_qsd,
     spin_observable,
     sweep_velocity,
 )
@@ -221,6 +228,81 @@ def test_counterexample_qsd_branch():
     bound = 5.0 / math.sqrt(400)
     assert abs(report.qsd.expectation - report.expectation_R) <= bound
     assert report.qsd.trace_distance_to_lindblad <= bound
+
+
+# -- the lindblad and qsd-ensemble runs --------------------------------------------------
+
+@pytest.mark.parametrize("method, step, tol", [("exact", None, 1e-14), ("rk4", 1e-3, 1e-10)])
+def test_lindblad_scan_follows_the_closed_form(method, step, tol):
+    rho0 = density_from_state(np.array([0.6, 0.8j]))
+    columns, rho_final = lindblad_scan(rho0, 2.0, 1.5, 3, method, step)
+    assert list(columns) == ["a", "offdiag_numeric", "offdiag_exact", "abs_error",
+                             "trace_distance"]
+    np.testing.assert_array_equal(columns["a"], [0.5, 1.0, 1.5])
+    refs = lindblad_exact_twolevel(rho0, 2.0, columns["a"])
+    np.testing.assert_array_equal(columns["offdiag_exact"], np.hypot(refs[:, 0, 1].real,
+                                                                     refs[:, 0, 1].imag))
+    np.testing.assert_allclose(columns["offdiag_exact"], 0.48 * np.exp(-columns["a"]), rtol=1e-14)
+    np.testing.assert_allclose(columns["offdiag_numeric"], columns["offdiag_exact"], rtol=0, atol=tol)
+    assert np.all(columns["abs_error"] <= tol) and np.all(columns["trace_distance"] <= 2 * tol)
+    np.testing.assert_allclose(rho_final, refs[-1], rtol=0, atol=tol)
+    assert columns["abs_error"][-1] == np.abs(rho_final - refs[-1]).max()
+    assert columns["offdiag_numeric"][-1] == abs(rho_final[0, 1])
+
+
+def _plain_ensemble(psi0, gamma, span, step, seed, n_traj):
+    plan = TrajectoryConfig.covering(span, step, seed)
+    return mean_projector(ensemble_final_states(psi0, dephasing_model(gamma), plan, n_traj))
+
+
+def test_run_qsd_checks_against_a_given_reference_as_given(monkeypatch):
+    def not_propagated(*args, **kwargs):
+        raise AssertionError("run_qsd propagated a reference it was given")
+
+    monkeypatch.setattr(scenarios, "lindblad_propagate", not_propagated)
+    ref = np.diag([0.75, 0.25]).astype(complex)
+    outcome, rho, rho_ref = run_qsd(1.0, 0.5, 0.05, 7, 20, rho_ref=ref)
+    assert rho_ref is ref
+    np.testing.assert_array_equal(rho, _plain_ensemble(initial_state_vector(), 1.0, 0.5, 0.05, 7, 20))
+    assert outcome.trace_distance_to_lindblad == trace_distance(rho, ref)
+    assert outcome.expectation == expectation(spin_observable(), rho)
+    plan = TrajectoryConfig.covering(0.5, 0.05)
+    assert (outcome.n_traj, outcome.seed, outcome.step, outcome.steps) == (20, 7, plan.step,
+                                                                           plan.steps)
+
+
+@pytest.mark.filterwarnings("ignore:gamma")
+def test_rk4_counterexample_checks_its_ensemble_against_its_rk4_density():
+    p = CounterexampleParams(beta=0.01, ell=50.0, gamma=1.0, method="rk4", step=0.1,
+                             qsd=QsdSettings(n_traj=50, seed=3))
+    report = run_counterexample(p)
+    rho_exact = run_counterexample(replace(p, method="exact", step=None)).rho_R
+    rho = _plain_ensemble(initial_state_vector(), 1.0, report.a0, 0.01, 3, 50)
+    assert report.qsd.trace_distance_to_lindblad == trace_distance(rho, report.rho_R)
+    # the check would see the exact density in place of the rk4 one
+    assert trace_distance(rho, rho_exact) != trace_distance(rho, report.rho_R)
+
+
+@pytest.mark.parametrize("psi0", [None, initial_state_vector(), np.array([0.6, 0.8j])],
+                         ids=["none", "initial_state_vector", "other"])
+def test_run_qsd_propagates_its_reference_from_psi0_when_given_none(monkeypatch, psi0):
+    starts = []
+
+    def recording(rho0, *args):
+        starts.append(rho0)
+        return lindblad_propagate(rho0, *args)
+
+    monkeypatch.setattr(scenarios, "lindblad_propagate", recording)
+    outcome, rho, rho_ref = run_qsd(1.0, 0.5, 0.05, 7, 20, psi0=psi0)
+    # initial_state() exactly when psi0 is None: |psi0><psi0| of the same state
+    # differs from it in the last bit
+    rho0 = initial_state() if psi0 is None else density_from_state(psi0)
+    assert len(starts) == 1
+    np.testing.assert_array_equal(starts[0], rho0)
+    np.testing.assert_array_equal(rho_ref, lindblad_propagate(rho0, dephasing_model(1.0), 0.5))
+    start = initial_state_vector() if psi0 is None else psi0
+    np.testing.assert_array_equal(rho, _plain_ensemble(start, 1.0, 0.5, 0.05, 7, 20))
+    assert outcome.trace_distance_to_lindblad == trace_distance(rho, rho_ref)
 
 
 # -- unitary consistency ---------------------------------------------------------------
