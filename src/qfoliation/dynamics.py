@@ -212,7 +212,9 @@ class TrajectoryConfig:
 
     @classmethod
     def covering(cls, span: float, step: float, seed: int = 0, renormalize: bool = True):
-        """The `_fixed_steps(span, step)` plan; a zero span takes zero steps of step."""
+        """The `_fixed_steps(span, step)` plan; a zero span takes no step, a negative one fails."""
+        if span < 0.0:
+            raise ValidationError(f"span must be non-negative, got {span:.6g}")
         h, n = _fixed_steps(span, step) if span != 0.0 else (step, 0)
         return cls(step=h, steps=n, seed=seed, renormalize=renormalize)
 

@@ -175,6 +175,8 @@ def lindblad_scan(rho0: np.ndarray, gamma: float, span: float, samples: int, met
                   step: float | None) -> tuple[dict, np.ndarray]:
     """The dephasing model's Lindblad evolution of rho0 against the closed form at the offsets
     span*i/samples, i = 1 ... samples: the five report columns, and the last density."""
+    if require_integer(samples, "samples") < 1:
+        raise ValidationError(f"samples must be >= 1, got {samples}")
     offsets = span * np.arange(1, samples + 1) / samples
     rhos = lindblad_propagate(rho0, dephasing_model(gamma), offsets, method, step)
     refs = lindblad_exact_twolevel(rho0, gamma, offsets)

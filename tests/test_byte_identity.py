@@ -9,12 +9,14 @@ and its bytes must equal those of the plain run on the same host:
   with two OpenBLAS threads, and with numpy's AVX-512 loops disabled (where
   the host has them). The plain recording runs one OpenBLAS thread, as a CLI
   process starts;
-* the two split configs of the CI file, a qsd-ensemble of 10^4 trajectories
-  and the headline counterexample, run by `python -m qfoliation.cli` with
-  all CPUs and pinned to one through `os.sched_setaffinity` in the child
-  (where the host has two CPUs or more).
+* two split configs, a qsd-ensemble of 10^4 trajectories and the headline
+  counterexample, run by `python -m qfoliation.cli` with all CPUs and pinned
+  to one through `os.sched_setaffinity` in the child (where the host has two
+  CPUs or more).
 
-The CI file keeps its own steps for each of these.
+CI runs these in its Tier-1 step. Its one corpus step ties the plain
+recording to the committed bytes: it records into `tests/data/` and fails
+on any diff.
 """
 
 import json

@@ -3,7 +3,8 @@
 `cli.main` runs in-process on generated documents for every command, with
 known and unknown keys, wrong types (bool, string, list, null, NaN/inf,
 an int too large for a float), finite values at the float limit and
-output paths that cannot be written.
+output paths that cannot be written, one of them holding a lone surrogate,
+which no file name can hold.
 Each run must return 0, or 1 with a message, or 2 naming the breached
 invariant; a failed run must leave no report and no temporary file behind.
 
@@ -64,7 +65,7 @@ NEAR_LIMIT = [1e308, -1.7e308, 5e-324, [[[0.5, 0], [1.7e308, 0]], [[1.7e308, 0],
 # malformed matrices, vectors and qsd blocks.
 BAD = [
     -1, -0.25, 0, 1.5, math.nan, math.inf, -math.inf, 10**400,
-    True, "1", "", [], [1.0, "a"], {}, None,
+    True, "1", "", "a\ud800b", [], [1.0, "a"], {}, None,
     [[[0, 0], [0, 1]], [[0, 0], [0, 0]]],          # [[0, i], [0, 0]]: not Hermitian
     [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],          # [[0, 1], [0, 0]]: not Hermitian
     [[[0.5, 0], [0.6, 0]], [[0.6, 0], [0.5, 0]]],  # Hermitian, not positive
@@ -129,7 +130,8 @@ def runs(draw):
             doc.pop(key, None)
     if draw(st.sampled_from([False] * 9 + [True])):
         doc["extra"] = 1
-    out = draw(st.sampled_from(["report"] * 12 + ["missing/report", "dir", "", "a\0b", 5]))
+    out = draw(st.sampled_from(["report"] * 12
+                               + ["missing/report", "dir", "", "a\0b", "a\ud800b", 5]))
     argv = []
     if draw(st.booleans()):
         argv += ["--seed", str(draw(st.sampled_from([0, 3, -2])))]
@@ -171,6 +173,8 @@ def run_cleanly(command, doc, out, extra_argv=()):
     return status, message, report
 
 
+# derandomize: tier-1 draws the same 400 documents on every run, so a failure
+# it shows is seen again on the next run and on every host
 @settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(runs())

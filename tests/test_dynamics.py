@@ -122,7 +122,7 @@ def test_trajectory_config_refuses_an_infinite_step(step):
 
 
 def test_trajectory_config_covering_keeps_the_fixed_step_plan():
-    for span in (0.0, 1e-3, 0.7, 1.0, 1.75, 2.0, 30.0, 1e6):
+    for span in (-0.0, 0.0, 1e-3, 0.7, 1.0, 1.75, 2.0, 30.0, 1e6):
         for step in (1e-3, 0.01, 0.04, 0.1, 0.3, 1.0, 7.0, 100.0):
             # the plan each caller wrote out before: a zero span takes no step
             steps = max(1, math.ceil(span / step)) if span else 0
@@ -137,6 +137,12 @@ def test_fixed_step_plan_refuses_a_non_finite_step_count():
         TrajectoryConfig.covering(1e300, 1e-300)
     with pytest.raises(ValidationError, match="no finite step count"):
         lindblad_propagate(PLUS_RHO, decoherence_model(1.0), 1e300, method="rk4", step=1e-300)
+
+
+def test_fixed_step_plan_refuses_a_negative_span():
+    # the message of the Lindblad path (`dynamics._offsets`), not one step of h = -1
+    with pytest.raises(ValidationError, match="^span must be non-negative, got -1$"):
+        TrajectoryConfig.covering(-1.0, 0.01)
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0, math.nan])

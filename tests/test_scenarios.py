@@ -250,6 +250,26 @@ def test_lindblad_scan_follows_the_closed_form(method, step, tol):
     assert columns["offdiag_numeric"][-1] == abs(rho_final[0, 1])
 
 
+@pytest.mark.parametrize("samples, message", [
+    (0, "^samples must be >= 1, got 0$"),
+    (-1, "^samples must be >= 1, got -1$"),
+    (2.5, "^samples must be an integer, got 2.5$"),
+], ids=["0", "-1", "2.5"])
+def test_lindblad_scan_refuses_samples_that_are_not_a_positive_integer(samples, message,
+                                                                      monkeypatch):
+    def not_propagated(*args, **kwargs):
+        raise AssertionError("lindblad_scan propagated before it checked samples")
+
+    monkeypatch.setattr(scenarios, "lindblad_propagate", not_propagated)
+    with pytest.raises(ValidationError, match=message):
+        lindblad_scan(initial_state(), 1.0, 1.0, samples, "exact", None)
+
+
+def test_run_qsd_refuses_a_negative_span_by_name():
+    with pytest.raises(ValidationError, match="^span must be non-negative, got -1$"):
+        scenarios.run_qsd(1.0, -1.0, 0.01, 0, 10)
+
+
 def _plain_ensemble(psi0, gamma, span, step, seed, n_traj):
     plan = TrajectoryConfig.covering(span, step, seed)
     return mean_projector(ensemble_final_states(psi0, dephasing_model(gamma), plan, n_traj))
