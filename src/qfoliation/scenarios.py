@@ -16,6 +16,11 @@ first-order boost response tr([A, K] rho0) vanishes for every Hermitian K:
 a nonzero boost generator changes the discrepancy only at second order in
 beta. The `lindblad` and `qsd-ensemble` commands run `lindblad_scan` and
 `run_qsd`, the unraveling that the counter-example's QSD check shares.
+
+Each scenario refuses its whole input before its first propagation, a
+library caller's too: `lindblad_scan` owns the lindblad work ceiling and the
+refusal of a `span * samples` that overflows, `run_qsd` runs its ensemble
+before its reference, and a sweep refuses every beta before it runs one.
 """
 
 from __future__ import annotations
@@ -65,6 +70,12 @@ from .linalg import (
 STRONG_REDUCTION_THRESHOLD = 10.0
 
 _COMMUTATOR_TOL = 1e-10
+
+# work ceiling of one lindblad run, in time: about 10 us per offset at span
+# 30 (10^6 offsets, CSV report included, on a 2-vCPU host), but 0.7 ms at
+# span 1e300 as Pade squarings grow with log2(gamma*span), so 12 min at 10^6
+# (the report is streamed: ~0.26 KiB of memory per offset)
+MAX_LINDBLAD_SAMPLES = 10**6
 
 
 def spin_observable() -> np.ndarray:
@@ -177,6 +188,13 @@ def lindblad_scan(rho0: np.ndarray, gamma: float, span: float, samples: int, met
     span*i/samples, i = 1 ... samples: the five report columns, and the last density."""
     if require_integer(samples, "samples") < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
+    if samples > MAX_LINDBLAD_SAMPLES:
+        raise ValidationError(f"samples = {samples} offsets exceeds the work ceiling "
+                              f"of {MAX_LINDBLAD_SAMPLES:.0e}")
+    if not 0.0 <= span < math.inf:
+        raise ValidationError(f"span must be non-negative, got {span:.6g}")
+    if not math.isfinite(float(span) * samples):  # each offset is formed as (span * i) / samples
+        raise ValidationError(f"span * samples = {span:.6g} * {samples} is not finite")
     offsets = span * np.arange(1, samples + 1) / samples
     rhos = lindblad_propagate(rho0, dephasing_model(gamma), offsets, method, step)
     refs = lindblad_exact_twolevel(rho0, gamma, offsets)
@@ -200,11 +218,11 @@ def run_qsd(gamma: float, span: float, step: float, seed: int, n_traj: int,
     and rho_ref, the Lindblad density they are checked against (propagated if None)."""
     gen = dephasing_model(gamma)
     cfg = TrajectoryConfig.covering(span, step, seed, renormalize)
-    if rho_ref is None:  # after the plan, so that a span with no finite step count is refused first
-        rho_ref = lindblad_propagate(initial_state() if psi0 is None else density_from_state(psi0),
-                                     gen, span)
     finals = ensemble_final_states(initial_state_vector() if psi0 is None else psi0, gen, cfg,
                                    n_traj)
+    if rho_ref is None:  # after the ensemble, which refuses psi0, n_traj and the work first
+        rho_ref = lindblad_propagate(initial_state() if psi0 is None else density_from_state(psi0),
+                                     gen, span)
     rho = mean_projector(finals)
     outcome = QsdOutcome(n_traj=n_traj, seed=seed, step=cfg.step, steps=cfg.steps,
                          expectation=expectation(spin_observable(), rho),
@@ -338,18 +356,16 @@ def sweep_velocity(
     discrepancy, only at second order in beta, because rho0 commutes with
     the measured observable (for K = SY/2 the shift is cos(atanh beta) - 1).
     beta = 0 (of either sign) runs as +0.0 at the given ell, where a0 = 0
-    and both observers coincide. Each beta passes the CounterexampleParams
-    checks.
+    and both observers coincide. Every beta's CounterexampleParams and
+    coincidence offset are checked before the first beta runs.
     """
     if not betas:
         raise ValidationError("betas must be non-empty")
     a0 = coincidence_offset(p.ell, p.beta, p.c)
     if k_correction is not None:
         k_correction = as_complex(k_correction)
-    return [
-        run_counterexample(
-            replace(p, beta=0.0) if beta == 0.0 else replace(p, beta=beta, ell=a0 * p.c / beta),
-            k_correction,
-        )
-        for beta in betas
-    ]
+    runs = [replace(p, beta=0.0) if beta == 0.0 else replace(p, beta=beta, ell=a0 * p.c / beta)
+            for beta in betas]
+    for q in runs:
+        coincidence_offset(q.ell, q.beta, q.c)
+    return [run_counterexample(q, k_correction) for q in runs]

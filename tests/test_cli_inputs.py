@@ -312,6 +312,19 @@ def test_non_finite_coincidence_offset_exits_1(tmp_path, capsys, doc):
     assert not os.path.exists(out)
 
 
+def test_sweep_refuses_every_beta_before_it_runs_one(tmp_path, capsys, monkeypatch):
+    # beta = 0.01 is fine; 1e-320 rescales ell to a0*c/beta = inf
+    calls, expm = [], dynamics._expm
+    monkeypatch.setattr(dynamics, "_expm", lambda *args: calls.append(args) or expm(*args))
+    doc = {"command": "sweep",
+           "params": {"beta": 0.01, "ell": 3000, "gamma": 1.0, "betas": [0.01, 1e-320]}}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert "validation failure: coincidence offset" in err and "not finite" in err
+    assert calls == []
+    assert not os.path.exists(out)
+
+
 def test_finite_coincidence_offset_whose_exponent_overflows_exits_2(tmp_path, capsys):
     doc = {"command": "counterexample",
            "params": {"beta": 0.5, "ell": 2.0, "gamma": 1e300, "c": 1e-10}}  # a0 = 1e10

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qfoliation import scenarios
+from qfoliation import dynamics, rng, scenarios
 from qfoliation.dynamics import (
     GeneratorSet,
     TrajectoryConfig,
@@ -268,6 +268,40 @@ def test_lindblad_scan_refuses_samples_that_are_not_a_positive_integer(samples, 
 def test_run_qsd_refuses_a_negative_span_by_name():
     with pytest.raises(ValidationError, match="^span must be non-negative, got -1$"):
         scenarios.run_qsd(1.0, -1.0, 0.01, 0, 10)
+
+
+def _propagated(*args, **kwargs):
+    raise AssertionError("the scenario propagated before it refused its input")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lindblad_scan(initial_state(), 1.0, 1.0, 10**6 + 1, "exact", None),
+     r"^samples = 1000001 offsets exceeds the work ceiling of 1e\+06$"),
+    # pyproject's error::RuntimeWarning filter fails a leaked overflow warning
+    (lambda: lindblad_scan(initial_state(), 1.0, 1e308, 10, "exact", None),
+     r"^span \* samples = 1e\+308 \* 10 is not finite$"),
+    (lambda: lindblad_scan(initial_state(), 1.0, -1.0, 2, "exact", None),
+     "^span must be non-negative, got -1$"),
+    (lambda: sweep_velocity(HEADLINE, [0.01, 1e-320]),
+     r"^coincidence offset a0 = inf\*9.99989e-321/1 is not finite$"),
+    (lambda: sweep_velocity(HEADLINE, [0.01, 1.5]), r"^\|beta\| = 1.5 >= 1$"),
+    (lambda: sweep_velocity(HEADLINE, [0.01, -0.01]), "^beta must be non-negative"),
+    (lambda: run_qsd(1.0, 1.0, 0.01, 0, 10, psi0=np.zeros(2)), "^state norm 0 deviates"),
+    (lambda: run_qsd(1.0, 1.0, 0.01, 0, 0), "^need at least one trajectory, got 0$"),
+    (lambda: run_qsd(1.0, 30.0, 0.01, 0, 10**9),
+     r"^n_traj \* steps = 1000000000 \* 3000 = 3e\+12 trajectory-steps exceeds"),
+], ids=["lindblad-samples", "lindblad-span-times-samples", "lindblad-negative-span",
+        "sweep-offset", "sweep-beta-1.5", "sweep-negative-beta", "qsd-zero-psi0",
+        "qsd-no-trajectory", "qsd-work"])
+def test_each_scenario_refuses_its_whole_input_before_its_first_propagation(call, message,
+                                                                           monkeypatch):
+    # an exact or rk4 propagator, or the stream keys of a QSD ensemble, is
+    # the first work of every scenario
+    monkeypatch.setattr(dynamics, "_expm", _propagated)
+    monkeypatch.setattr(dynamics, "_rk4_propagator", _propagated)
+    monkeypatch.setattr(rng, "stream_keys", _propagated)
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def _plain_ensemble(psi0, gamma, span, step, seed, n_traj):
