@@ -2,7 +2,8 @@
 
 One structured config document describes a run; flags only point at the
 config and override seed, output path and format. A command is parsed, runs
-one `scenarios` call and is written; the physics is in `scenarios`. Reports
+one `scenarios` call and is written; the physics and every range check are
+in `scenarios`, which refuses a range after the `seed:` line. Reports
 embed the fully resolved configuration (defaults filled) so every output
 file is self-describing and reproducible. No environment variable configures
 a run; a CLI process only has OpenBLAS start one thread unless the user
@@ -32,9 +33,8 @@ if __name__ == "__main__":  # python -m qfoliation.cli, before numpy loads
 import numpy as np
 
 from . import scenarios
-from .dynamics import LINDBLAD_METHODS, GeneratorSet
+from .dynamics import GeneratorSet
 from .errors import NumericalError, ValidationError, log_warnings
-from .linalg import validate_state
 
 log = logging.getLogger("qfoliation")
 
@@ -62,10 +62,10 @@ _OMIT = object()
 
 @dataclass(frozen=True)
 class Key:
-    """One config key: its kind, its default and, if no dataclass checks it, its lower bound.
+    """One config key: its kind, its default and, if no scenario refuses it, its lower bound.
 
     kind is number, int, choice, bool, path, matrix, vector, betas, qsd,
-    or any (passed on as given, for a key a dataclass checks). default is
+    or any (passed on as given, for a key a scenario checks). default is
     _REQUIRED, _OMIT (absent from the resolved params), a constant, or a
     function of the keys resolved before it. A key given as null counts as
     not given.
@@ -76,7 +76,6 @@ class Key:
     choices: tuple = ()
     ge: float | None = None
     gt: float | None = None
-    dim: int | None = None
 
 
 def _rk4_step(r: dict) -> float | None:
@@ -107,7 +106,7 @@ _QSD_KEYS = {
 }
 _SCHEMA = {
     "counterexample": {**_OFFSET_KEYS, "qsd": Key("qsd", _OMIT)},
-    "sweep": {**_OFFSET_KEYS, "betas": Key("betas"), "k_correction": Key("matrix", _OMIT, dim=2)},
+    "sweep": {**_OFFSET_KEYS, "betas": Key("betas"), "k_correction": Key("matrix", _OMIT)},
     "consistency": {
         **_OFFSET_KEYS,
         "gamma": Key("number", 0.0),
@@ -117,24 +116,24 @@ _SCHEMA = {
         "psi0": Key("vector", _OMIT),
     },
     "lindblad": {
-        "gamma": Key("number", ge=0),
-        "span": Key("number", ge=0),
-        "method": Key("choice", "exact", choices=LINDBLAD_METHODS),
-        "step": Key("number", _rk4_step, gt=0),
-        "samples": Key("int", 1, ge=1),
-        "rho0": Key("matrix", _OMIT, dim=2),
+        "gamma": Key("number"),
+        "span": Key("number"),
+        "method": Key("any", "exact"),
+        "step": Key("number", _rk4_step),
+        "samples": Key("int", 1),
+        "rho0": Key("matrix", _OMIT),
     },
     "qsd-ensemble": {
-        "gamma": Key("number", ge=0),
-        "span": Key("number", gt=0),
-        "n_traj": Key("int", ge=1),
-        "step": Key("number", _ensemble_step, gt=0),
+        "gamma": Key("number"),
+        "span": Key("number", gt=0),  # run_qsd takes the zero span of a beta = 0 counterexample
+        "n_traj": Key("int"),
+        "step": Key("number", _ensemble_step),
         "renormalize": Key("bool", True),
         "psi0": Key("vector", _OMIT),
     },
 }
 _TOP_LEVEL_KEYS = {
-    "seed": Key("int", 0, ge=0),
+    "seed": Key("int", 0, ge=0),  # the CLI's own key, printed before any run
     "format": Key("choice", "csv", choices=("csv", "json")),
     "log_level": Key("choice", "info", choices=tuple(_LOG_LEVELS)),
     "output_path": Key("path", lambda r: f"{r['command']}_report.{r['format']}"),
@@ -167,7 +166,7 @@ def _convert(key: str, spec: Key, val, known: dict):
         except UnicodeEncodeError as exc:
             raise ValidationError(f"config key {key!r} is not a file name: {exc}") from exc
     elif spec.kind == "matrix":
-        val = matrix_to_pairs(matrix_from_config(val, key, spec.dim))
+        val = matrix_to_pairs(matrix_from_config(val, key))
     elif spec.kind == "vector":
         val = matrix_to_pairs(_complex_array(val, key, ndim=1))
     elif spec.kind == "betas":
@@ -224,12 +223,9 @@ def _complex_array(obj, key: str, ndim: int) -> np.ndarray:
     return out
 
 
-def matrix_from_config(obj, key: str, dim: int | None = None) -> np.ndarray:
+def matrix_from_config(obj, key: str) -> np.ndarray:
     """Decode a complex matrix given as row-major [re, im] pairs."""
-    m = _complex_array(obj, key, ndim=2)
-    if dim is not None and m.shape[0] != dim:
-        raise ValidationError(f"config key {key!r} must have dimension {dim}, got {m.shape[0]}")
-    return m
+    return _complex_array(obj, key, ndim=2)
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
@@ -245,35 +241,17 @@ def _counterexample_params(params: dict) -> scenarios.CounterexampleParams:
     )
 
 
-def _check_consistency(params: dict) -> None:
-    if params["gamma"] == 0.0:
-        # the unitary check takes either sign of beta; the dataclass checks the rest
-        params = {**params, "beta": abs(params["beta"])}
-    else:
-        ignored = [key for key in ("h", "k", "observable", "psi0") if key in params]
-        if ignored:
-            raise ValidationError(f"config key(s) {ignored} apply only to the unitary check "
-                                  "(gamma = 0); the dissipative run would ignore them")
-    _counterexample_params(params)
-
-
-# range checks that the parameter dataclasses own; sweep_velocity refuses the betas
-_CHECKS = {
-    "counterexample": _counterexample_params,
-    "sweep": _counterexample_params,
-    "consistency": _check_consistency,
-}
-
-
 def parse_config(text: str, command: str | None = None, *, seed: int | None = None,
                  format: str | None = None, output_path: str | None = None) -> RunConfig:
-    """Parse and validate a JSON configuration document.
+    """Decode a JSON configuration document.
 
     The document has top-level keys command, params, and optional
     output_path, format, seed, log_level. seed, format and output_path,
     when not None, replace the document's keys of those names before any
     default is filled (the CLI flags). Defaults are filled so the returned
-    config is fully resolved; unknown keys anywhere are errors.
+    config is fully resolved; unknown keys anywhere are errors. It checks
+    types, finiteness and shapes, but of the ranges only a negative seed and
+    a qsd-ensemble span <= 0: the scenario that `run` calls refuses the rest.
     """
     try:
         doc = json.loads(text)
@@ -301,8 +279,11 @@ def parse_config(text: str, command: str | None = None, *, seed: int | None = No
     top.update({key: val for key, val in flags.items() if val is not None})
     top = _resolve(_TOP_LEVEL_KEYS, top, "config document", {"command": cfg_command})
     params = _resolve(_SCHEMA[cfg_command], doc.get("params", {}), "'params'", top)
-    if cfg_command in _CHECKS:
-        _CHECKS[cfg_command](params)
+    if cfg_command == "consistency" and params["gamma"] != 0.0:
+        ignored = [key for key in ("h", "k", "observable", "psi0") if key in params]
+        if ignored:
+            raise ValidationError(f"config key(s) {ignored} apply only to the unitary check "
+                                  "(gamma = 0); the dissipative run would ignore them")
     return RunConfig(command=cfg_command, params=params, **top)
 
 
@@ -342,7 +323,7 @@ def _matrix_param(params: dict, key: str, default):
 
 def _state_param(params: dict) -> np.ndarray:
     if "psi0" in params:
-        return validate_state(_complex_array(params["psi0"], "psi0", ndim=1))
+        return _complex_array(params["psi0"], "psi0", ndim=1)
     return scenarios.initial_state_vector()
 
 
@@ -373,9 +354,11 @@ def _plane(plane) -> dict:
 
 def _run_consistency(cfg: RunConfig) -> dict:
     params = cfg.params
-    if params["gamma"] > 0.0:
+    if params["gamma"] != 0.0:
         report = scenarios.dissipative_consistency(_counterexample_params(params))
     else:
+        # the unitary check takes either sign of beta, and leaves method and step unused
+        _counterexample_params({**params, "beta": abs(params["beta"])})
         h = _matrix_param(params, "h", np.zeros((2, 2), dtype=np.complex128))
         k = _matrix_param(params, "k", np.zeros_like(h))
         a_op = _matrix_param(params, "observable", scenarios.spin_observable())
@@ -491,7 +474,7 @@ def _json_chunks(cfg: RunConfig, results: dict):
                    "format": cfg.format, "output_path": cfg.output_path},
         "results": {**results, "points": []} if points else results,
     }
-    _refuse_non_finite(doc)  # the points are checked by the table walk
+    _refuse_non_finite(doc["results"])  # a decoded config is finite; the table walk checks points
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     head, mark, tail = text.partition('"points": [')
     yield head + mark

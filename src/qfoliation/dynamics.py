@@ -222,6 +222,19 @@ class TrajectoryConfig:
     def span(self) -> float:
         return self.step * self.steps
 
+    def check_work(self, n_traj: int) -> None:
+        """Refuse n_traj trajectories of this plan beyond MAX_TRAJECTORY_STEPS (see there)."""
+        steps = max(self.steps, 1)  # a run of zero steps still holds its n_traj states
+        if max(n_traj, MIN_STEP_TRAJECTORIES) * steps > MAX_TRAJECTORY_STEPS:  # exact Python ints
+            work = n_traj * steps
+            total = f"{work:.3g}" if work < 1e300 else "over 1e+300"
+            floor = (f", counted at {MIN_STEP_TRAJECTORIES} trajectories a step,"
+                     if n_traj < MIN_STEP_TRAJECTORIES else "")
+            raise ValidationError(
+                f"n_traj * steps = {n_traj} * {steps} = {total} trajectory-steps{floor} "
+                f"exceeds the work ceiling of {MAX_TRAJECTORY_STEPS:.0e}"
+            )
+
 
 def _fixed_steps(span: float, step: float) -> tuple[float, int]:
     """(h, n): the least n >= 1 not below span/step, and h = span/n."""
@@ -647,8 +660,7 @@ def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj:
 
     Row m runs on stream (cfg.seed, first + m) and is bit-identical whatever
     the other rows are. Before anything of the run's size is allocated, the
-    call refuses more than MAX_TRAJECTORY_STEPS trajectory-steps, counting
-    at least one step and MIN_STEP_TRAJECTORIES trajectories a step. The
+    call refuses the plan's work (`TrajectoryConfig.check_work`). The
     final states of a large enough ensemble run in one contiguous block of
     rows per CPU (`_qsd_split`, see _MIN_BLOCK_TRAJECTORIES); everything
     else runs `_qsd_block` in this process.
@@ -658,18 +670,9 @@ def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj:
         raise ValidationError(f"need at least one trajectory, got {n_traj}")
     psi0 = validate_state(psi0)
     require_same_dim(psi0, gen.H)
-    steps = max(cfg.steps, 1)  # a run of zero steps still holds its n_traj states
-    if max(n_traj, MIN_STEP_TRAJECTORIES) * steps > MAX_TRAJECTORY_STEPS:  # exact Python ints
-        work = n_traj * steps
-        total = f"{work:.3g}" if work < 1e300 else "over 1e+300"
-        floor = (f", counted at {MIN_STEP_TRAJECTORIES} trajectories a step,"
-                 if n_traj < MIN_STEP_TRAJECTORIES else "")
-        raise ValidationError(
-            f"n_traj * steps = {n_traj} * {steps} = {total} trajectory-steps{floor} "
-            f"exceeds the work ceiling of {MAX_TRAJECTORY_STEPS:.0e}"
-        )
+    cfg.check_work(n_traj)
     norms = coupling_norms(gen)
-    if norms and cfg.step * max(norms) > QSD_STEP_SAFETY:
+    if cfg.steps and norms and cfg.step * max(norms) > QSD_STEP_SAFETY:  # no step, no error
         warn(f"step*max||L^dag L|| = {cfg.step * max(norms):.3g} exceeds {QSD_STEP_SAFETY}; "
              "stochastic integration error may dominate")
     ops = _qsd_ops(gen, cfg.step)

@@ -18,9 +18,10 @@ beta. The `lindblad` and `qsd-ensemble` commands run `lindblad_scan` and
 `run_qsd`, the unraveling that the counter-example's QSD check shares.
 
 Each scenario refuses its whole input before its first propagation, a
-library caller's too: `lindblad_scan` owns the lindblad work ceiling and the
-refusal of a `span * samples` that overflows, `run_qsd` runs its ensemble
-before its reference, and a sweep refuses every beta before it runs one.
+library caller's too; the CLI only decodes. `lindblad_scan` owns the lindblad
+work ceiling and the refusal of a `span * samples` that overflows, `run_qsd`
+runs its ensemble before its reference, a counter-example refuses its QSD work
+before its R branch, and a sweep refuses every beta before it runs one.
 """
 
 from __future__ import annotations
@@ -195,6 +196,8 @@ def lindblad_scan(rho0: np.ndarray, gamma: float, span: float, samples: int, met
         raise ValidationError(f"span must be non-negative, got {span:.6g}")
     if not math.isfinite(float(span) * samples):  # each offset is formed as (span * i) / samples
         raise ValidationError(f"span * samples = {span:.6g} * {samples} is not finite")
+    if step is not None and not 0.0 < step < math.inf:
+        raise ValidationError(f"step must be positive, got {step:.6g}")
     offsets = span * np.arange(1, samples + 1) / samples
     rhos = lindblad_propagate(rho0, dephasing_model(gamma), offsets, method, step)
     refs = lindblad_exact_twolevel(rho0, gamma, offsets)
@@ -230,6 +233,14 @@ def run_qsd(gamma: float, span: float, step: float, seed: int, n_traj: int,
     return outcome, rho, rho_ref
 
 
+def _qsd_step(p: CounterexampleParams, a0: float) -> float:
+    """The step that p's QSD run over a0 is given, once the work of its plan is refused."""
+    # at a0 = 0 no step is taken and the report gives step 1.0, whatever gamma
+    step = p.qsd.step or (0.01 / p.gamma if p.gamma > 0.0 and a0 > 0.0 else a0 or 1.0)
+    TrajectoryConfig.covering(a0, step).check_work(p.qsd.n_traj)
+    return step
+
+
 def run_counterexample(
     p: CounterexampleParams, k_correction: np.ndarray | None = None
 ) -> CounterexampleReport:
@@ -241,10 +252,11 @@ def run_counterexample(
     set, the unraveling ensemble is run against the R branch as well.
     """
     a0 = coincidence_offset(p.ell, p.beta, p.c)
+    gen = dephasing_model(p.gamma, k_correction)  # refuses k_correction before any warning
+    qsd_step = None if p.qsd is None else _qsd_step(p, a0)
     if 0.0 < p.gamma * a0 < STRONG_REDUCTION_THRESHOLD:
         warn(f"gamma*a0 = {p.gamma * a0:.3g} < {STRONG_REDUCTION_THRESHOLD}: "
              "reduction is incomplete at the coincidence event")
-    gen = dephasing_model(p.gamma, k_correction)
     rho0 = initial_state()
     a_op = spin_observable()
 
@@ -264,9 +276,7 @@ def run_counterexample(
 
     qsd_outcome = None
     if p.qsd is not None:
-        # at a0 = 0 no step is taken and the report gives step 1.0, whatever gamma
-        step = p.qsd.step or (0.01 / p.gamma if p.gamma > 0.0 and a0 > 0.0 else a0 or 1.0)
-        qsd_outcome = run_qsd(p.gamma, a0, step, p.qsd.seed, p.qsd.n_traj, rho_ref=rho_r)[0]
+        qsd_outcome = run_qsd(p.gamma, a0, qsd_step, p.qsd.seed, p.qsd.n_traj, rho_ref=rho_r)[0]
 
     return CounterexampleReport(
         params=p,
@@ -356,8 +366,8 @@ def sweep_velocity(
     discrepancy, only at second order in beta, because rho0 commutes with
     the measured observable (for K = SY/2 the shift is cos(atanh beta) - 1).
     beta = 0 (of either sign) runs as +0.0 at the given ell, where a0 = 0
-    and both observers coincide. Every beta's CounterexampleParams and
-    coincidence offset are checked before the first beta runs.
+    and both observers coincide. Every beta's CounterexampleParams,
+    coincidence offset and QSD work are checked before the first beta runs.
     """
     if not betas:
         raise ValidationError("betas must be non-empty")
@@ -367,5 +377,7 @@ def sweep_velocity(
     runs = [replace(p, beta=0.0) if beta == 0.0 else replace(p, beta=beta, ell=a0 * p.c / beta)
             for beta in betas]
     for q in runs:
-        coincidence_offset(q.ell, q.beta, q.c)
+        offset = coincidence_offset(q.ell, q.beta, q.c)
+        if q.qsd is not None:
+            _qsd_step(q, offset)
     return [run_counterexample(q, k_correction) for q in runs]

@@ -46,12 +46,18 @@ def test_parse_minimal_counterexample_fills_defaults():
     assert cfg.params["ell"] * cfg.params["beta"] == pytest.approx(30.0)
 
 
-def test_parse_rejects_superluminal_beta():
+def test_superluminal_beta_is_parsed_then_refused_by_the_run(tmp_path, capsys):
+    # the scenario refuses a range, after the seed line and before any work
     text = json.dumps(
-        {"command": "counterexample", "params": {"beta": 1.5, "ell": 10, "gamma": 1}}
+        {"command": "counterexample", "params": {"beta": 1.5, "ell": 10, "gamma": 1},
+         "output_path": str(tmp_path / "r.csv")}
     )
-    with pytest.raises(ValidationError, match="beta"):
-        parse_config(text)
+    cfg = parse_config(text)
+    assert run(cfg) == 1
+    out, err = capsys.readouterr()
+    assert out == "seed: 0\n"
+    assert re.search("beta", err)
+    assert os.listdir(tmp_path) == []
 
 
 def test_parse_rejects_empty_document():
@@ -156,8 +162,6 @@ def test_matrix_codec_rejects_ragged_and_nonfinite():
         matrix_from_config([[1, 2], [3]], "k")
     with pytest.raises(ValidationError):
         matrix_from_config([[[0, 0], [0, float("nan")]], [[0, 0], [0, 0]]], "k")
-    with pytest.raises(ValidationError, match="dimension 2"):
-        matrix_from_config(matrix_to_pairs(np.eye(3)), "k", dim=2)
 
 
 # -- number formatting -------------------------------------------------------------

@@ -648,18 +648,8 @@ COUNTEREXAMPLE = {"beta": 0.01, "ell": 3000, "gamma": 1.0}
         ("sweep", {**COUNTEREXAMPLE, "betas": []}, "config key 'betas' must be a non-empty list"),
         ("sweep", {**COUNTEREXAMPLE, "betas": 0.1}, "config key 'betas' must be a non-empty list"),
         ("qsd-ensemble", {**QSD, "span": 0}, "config key 'span' must be > 0"),
-        ("qsd-ensemble", {**QSD, "step": 0}, "config key 'step' must be > 0"),
-        ("lindblad", {"gamma": 1.0, "span": 1.0, "step": 0}, "config key 'step' must be > 0"),
-        ("counterexample", {**COUNTEREXAMPLE, "qsd": {"n_traj": 2, "seed": -1}},
-         "qsd seed must be non-negative"),
-        ("counterexample", {**COUNTEREXAMPLE, "qsd": {"n_traj": 2, "step": 0}},
-         "qsd step must be positive"),
-        ("counterexample", {**COUNTEREXAMPLE, "step": 0}, "step must be positive"),
-        ("counterexample", {**COUNTEREXAMPLE, "c": 0}, "c must be positive"),
     ],
-    ids=["renormalize-not-bool", "betas-empty", "betas-not-list", "qsd-ensemble-span-0",
-         "qsd-ensemble-step-0", "lindblad-step-0", "counterexample-qsd-seed",
-         "counterexample-qsd-step", "counterexample-step", "counterexample-c"],
+    ids=["renormalize-not-bool", "betas-empty", "betas-not-list", "qsd-ensemble-span-0"],
 )
 def test_refused_config_exits_1_with_its_message(tmp_path, capsys, command, params, message):
     status, err, out = run_doc(tmp_path, {"command": command, "params": params}, capsys)
@@ -667,6 +657,72 @@ def test_refused_config_exits_1_with_its_message(tmp_path, capsys, command, para
     assert err.startswith(f"qfoliation: {message}") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not os.path.exists(out)
+
+
+LINDBLAD_PARAMS = {"gamma": 1.0, "span": 1.0}
+RHO0_DIM_3 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
+
+
+# Parsing only decodes: each range is refused by the scenario that the
+# command runs, with the scenario's message, after the seed line
+@pytest.mark.parametrize(
+    "command, params, message",
+    [
+        ("lindblad", {**LINDBLAD_PARAMS, "gamma": -1}, "gamma must be non-negative, got -1"),
+        ("lindblad", {**LINDBLAD_PARAMS, "span": -1}, "span must be non-negative, got -1"),
+        ("lindblad", {**LINDBLAD_PARAMS, "samples": 0}, "samples must be >= 1, got 0"),
+        ("lindblad", {**LINDBLAD_PARAMS, "method": "x"},
+         "unknown method 'x', expected 'exact' or 'rk4'"),
+        ("lindblad", {**LINDBLAD_PARAMS, "step": 0}, "step must be positive, got 0"),
+        ("lindblad", {**LINDBLAD_PARAMS, "rho0": RHO0_DIM_3}, "dimension mismatch: (3, 3) vs (2, 2)"),
+        ("qsd-ensemble", {**QSD, "gamma": -1}, "gamma must be non-negative, got -1"),
+        ("qsd-ensemble", {**QSD, "n_traj": 0}, "need at least one trajectory, got 0"),
+        ("qsd-ensemble", {**QSD, "step": 0}, "step must be positive, got 0"),
+        # gamma*a0 = 3, whose "reduction is incomplete" warning comes after the refusal
+        ("sweep", {"beta": 0.01, "ell": 300, "gamma": 1.0, "betas": [0.001],
+                   "k_correction": EYE3}, "K shape (3, 3) != H shape (2, 2)"),
+        ("counterexample", {**COUNTEREXAMPLE, "beta": 1.5}, "|beta| = 1.5 >= 1"),
+        ("counterexample", {**COUNTEREXAMPLE, "c": 0}, "c must be positive, got 0"),
+        ("counterexample", {**COUNTEREXAMPLE, "step": 0}, "step must be positive, got 0"),
+        ("counterexample", {**COUNTEREXAMPLE, "qsd": {"n_traj": 2, "seed": -1}},
+         "qsd seed must be non-negative, got -1"),
+        ("counterexample", {**COUNTEREXAMPLE, "qsd": {"n_traj": 2, "step": 0}},
+         "qsd step must be positive, got 0"),
+        ("consistency", {**COUNTEREXAMPLE, "gamma": -1}, "gamma must be non-negative, got -1"),
+        # the unitary check uses neither method nor step, but a bad one is still refused
+        ("consistency", {"beta": 0.2, "ell": 40.0, "gamma": 0, "method": "x"},
+         "method must be 'exact' or 'rk4', got 'x'"),
+    ],
+    ids=["lindblad-gamma", "lindblad-span", "lindblad-samples-0", "lindblad-method",
+         "lindblad-step-0", "lindblad-rho0-dim-3", "qsd-ensemble-gamma", "qsd-ensemble-n_traj-0",
+         "qsd-ensemble-step-0", "sweep-k_correction-dim-3", "counterexample-beta-1.5",
+         "counterexample-c", "counterexample-step", "counterexample-qsd-seed",
+         "counterexample-qsd-step", "consistency-gamma", "unitary-consistency-method"],
+)
+def test_range_is_refused_by_its_scenario_after_the_seed_line(tmp_path, capsys, monkeypatch,
+                                                              command, params, message):
+    for module, name in ((dynamics, "_expm"), (dynamics, "_rk4_propagator"),
+                         (rng, "stream_keys")):
+        monkeypatch.setattr(module, name, _started)
+    out = tmp_path / "report.csv"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"command": command, "params": params,
+                                    "output_path": str(out)}), encoding="utf-8")
+    assert main([command, "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "seed: 0\n"
+    assert captured.err == f"ERROR validation failure: {message}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_zero_step_counterexample_logs_no_coarse_step_warning(tmp_path, capsys):
+    # at beta = 0 the QSD run takes no step, whatever the default step of 1.0
+    doc = {"command": "counterexample",
+           "params": {"beta": 0.0, "ell": 3000, "gamma": 1.0, "qsd": {"n_traj": 10}}}
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 0, err
+    assert not [line for line in err.splitlines() if line.startswith("WARNING")]
+    assert os.path.exists(out)
 
 
 def test_config_that_is_not_an_object_exits_1(tmp_path, capsys):

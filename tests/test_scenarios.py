@@ -290,9 +290,18 @@ def _propagated(*args, **kwargs):
     (lambda: run_qsd(1.0, 1.0, 0.01, 0, 0), "^need at least one trajectory, got 0$"),
     (lambda: run_qsd(1.0, 30.0, 0.01, 0, 10**9),
      r"^n_traj \* steps = 1000000000 \* 3000 = 3e\+12 trajectory-steps exceeds"),
+    (lambda: lindblad_scan(initial_state(), 1.0, 1.0, 2, "exact", 0.0),
+     "^step must be positive, got 0$"),
+    (lambda: run_counterexample(replace(HEADLINE, qsd=QsdSettings(n_traj=4 * 10**6, seed=0))),
+     r"^n_traj \* steps = 4000000 \* 3000 = 1.2e\+10 trajectory-steps exceeds"),
+    # beta = 0 takes no QSD step; the QSD work of beta = 0.01 is refused before it runs
+    (lambda: sweep_velocity(replace(HEADLINE, qsd=QsdSettings(n_traj=4 * 10**6, seed=0)),
+                            [0.0, 0.01]),
+     r"^n_traj \* steps = 4000000 \* 3000 = 1.2e\+10 trajectory-steps exceeds"),
 ], ids=["lindblad-samples", "lindblad-span-times-samples", "lindblad-negative-span",
         "sweep-offset", "sweep-beta-1.5", "sweep-negative-beta", "qsd-zero-psi0",
-        "qsd-no-trajectory", "qsd-work"])
+        "qsd-no-trajectory", "qsd-work", "lindblad-step-0", "counterexample-qsd-work",
+        "sweep-qsd-work"])
 def test_each_scenario_refuses_its_whole_input_before_its_first_propagation(call, message,
                                                                            monkeypatch):
     # an exact or rk4 propagator, or the stream keys of a QSD ensemble, is
