@@ -642,19 +642,28 @@ COUNTEREXAMPLE = {"beta": 0.01, "ell": 3000, "gamma": 1.0}
 
 
 @pytest.mark.parametrize(
-    "command, params, message",
+    "command, params, line",
     [
-        ("qsd-ensemble", {**QSD, "renormalize": 1}, "config key 'renormalize' must be a boolean"),
-        ("sweep", {**COUNTEREXAMPLE, "betas": []}, "config key 'betas' must be a non-empty list"),
-        ("sweep", {**COUNTEREXAMPLE, "betas": 0.1}, "config key 'betas' must be a non-empty list"),
-        ("qsd-ensemble", {**QSD, "span": 0}, "config key 'span' must be > 0"),
+        ("qsd-ensemble", {**QSD, "renormalize": 1},
+         "qfoliation: config key 'renormalize' must be a boolean"),
+        ("sweep", {**COUNTEREXAMPLE, "betas": []},
+         "qfoliation: config key 'betas' must be a non-empty list"),
+        ("sweep", {**COUNTEREXAMPLE, "betas": 0.1},
+         "qfoliation: config key 'betas' must be a non-empty list"),
+        ("qsd-ensemble", {**QSD, "span": 0}, "qfoliation: config key 'span' must be > 0"),
+        # a range of the nested qsd block is refused by the run, as in the table below
+        ("counterexample", {**COUNTEREXAMPLE, "qsd": {"n_traj": 2, "seed": -1}},
+         "ERROR validation failure: qsd seed must be non-negative, got -1"),
+        ("counterexample", {**COUNTEREXAMPLE, "qsd": {"n_traj": 2, "step": 0}},
+         "ERROR validation failure: qsd step must be positive, got 0"),
     ],
-    ids=["renormalize-not-bool", "betas-empty", "betas-not-list", "qsd-ensemble-span-0"],
+    ids=["renormalize-not-bool", "betas-empty", "betas-not-list", "qsd-ensemble-span-0",
+         "counterexample-qsd-seed", "counterexample-qsd-step"],
 )
-def test_refused_config_exits_1_with_its_message(tmp_path, capsys, command, params, message):
+def test_refused_config_exits_1_with_its_message(tmp_path, capsys, command, params, line):
     status, err, out = run_doc(tmp_path, {"command": command, "params": params}, capsys)
     assert status == 1
-    assert err.startswith(f"qfoliation: {message}") and err.count("\n") == 1
+    assert err.startswith(line) and err.count("\n") == 1
     assert "Traceback" not in err
     assert not os.path.exists(out)
 
