@@ -44,31 +44,31 @@ The increments are the two-point ones of `rng` (the simplified weak Euler
 scheme), so a `qsd_trajectory` path is a weak-scheme path, not a strong
 approximation of a QSD path: only ensemble means and other expectations
 converge, at weak order 1, and those are all any report reads.
-One plain loop (`_qsd_block`, run by `_qsd_run`) advances every
-trajectory under one np.errstate context per run; `qsd_trajectory` has it
-record the path and `ensemble_final_states` takes the final batch. The batch is held as
+A run is refused and counted by `plan_qsd`, then run from the plan by
+`run_qsd_plan`: one plain loop (`_qsd_block`) advances every trajectory
+under one np.errstate context; `qsd_trajectory` records the path and
+`ensemble_final_states` takes the final batch. The batch is held as
 columns, shape (dim, M), so component i of every trajectory is one
-contiguous row. The drift terms linear in psi are folded
-into one matrix G = 1 + step*(-iH - sum_k L_k^dag L_k / 2). Once per run
-(`_StepPlan`) the step is laid out as a flat list of ufunc calls over
-preallocated buffers, in which every term that only scales psi_i (G's
-diagonal, the <L_k> terms and each row of L_k whose only entry is
-diagonal) is folded into one factor per row, applied to the whole batch in
-one call. The noise of several steps is drawn in one `rng.wiener_block`
-call, whose fixed cost would otherwise dominate a small batch's step.
-Every operation is an elementwise numpy ufunc, and none is an in-place
-complex product (whose rounding depends on the length), so a trajectory's
-arithmetic, and its result to the last bit, does not depend on the batch
-it runs in.
+contiguous row. The drift terms linear in psi are folded into one matrix
+G = 1 + step*(-iH - sum_k L_k^dag L_k / 2). Once per run (`_StepPlan`) the
+step is laid out as a flat list of ufunc calls over preallocated buffers,
+in which every term that only scales psi_i (G's diagonal, the <L_k> terms
+and each row of L_k whose only entry is diagonal) is folded into one factor
+per row, applied to the whole batch in one call. The noise of several steps
+is drawn in one `rng.wiener_block` call, whose fixed cost would otherwise
+dominate a small batch's step. Every operation is an elementwise numpy
+ufunc, and none is an in-place complex product (whose rounding depends on
+the length), so a trajectory's arithmetic, and its result to the last bit,
+does not depend on the batch it runs in.
 
 A large final-state ensemble (not a recorded path) runs on every CPU the
 process may use: `_qsd_split` cuts its rows into one contiguous block per
-CPU, forks a child for each block but the first, and runs the first
-itself; each child runs the same step loop (`_qsd_block`) on its streams
-and sends its rows back, pickled, through its own pipe. A row's noise is a
-pure function of its stream and its arithmetic does not depend on its
-batch, so neither does any bit of the result depend on the split: the
-final states, and every report made from them, are the same for any
+planned worker, forks a child for each block but the first, and runs the
+first itself; each child runs the same step loop (`_qsd_block`) on its
+streams and sends its rows back, pickled, through its own pipe. A row's
+noise is a pure function of its stream and its arithmetic does not depend
+on its batch, so neither does any bit of the result depend on the split:
+the final states, and every report made from them, are the same for any
 number of workers. Errors behave as in one process (see `_qsd_split`).
 """
 
@@ -79,6 +79,7 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,12 +137,10 @@ _NOISE_BLOCK_ENTRIES = 2**14
 # 179 -> 136, 800 x 3000 155 -> 127, 600 x 3000 138 -> 115, 10^3 x 2000
 # 121 -> 96, 10^3 x 1000 60 -> 52, 10^4 x 100 49 -> 32, 10^4 x 200 93 ->
 # 55, 10^4 x 3000 1379 -> 657 and 200 x 20000 637 -> 623, as a step of up
-# to about 250 trajectories costs its fixed 20 us whatever its size. In
-# earlier sessions, blocks of 300 or 400 trajectories lost or tied, blocks
-# of 500 won in every one. Run as CLI processes, 10^4 x 100 took 50 -> 38 ms
-# in main(), lower in 19 of 21 pairs, but spawn to exit it was lower in
-# only 13, so the work minimum stays where a block's work hides the fork.
-# A CPU idle for a few seconds first gives two blocks little or nothing.
+# to about 250 trajectories costs its fixed 20 us whatever its size; blocks
+# of 300-400 lost or tied. As CLI processes, 10^4 x 100 was lower spawn to
+# exit in only 13 of 21 pairs, so the work minimum stays where a block's
+# work hides the fork. A CPU idle for a few seconds first gains little.
 _MIN_BLOCK_TRAJECTORIES = 500
 _MIN_BLOCK_WORK = 10**6
 
@@ -652,43 +651,53 @@ def _check_norms(worst: float, peak: float) -> None:
         raise NumericalError(f"trajectory norm is {peak}")
 
 
-def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj: int,
-             first: int = 0, record: bool = False) -> np.ndarray:
-    """Run n_traj trajectories from psi0 on noise streams first, first + 1, ...;
-    returns the final states, shape (n_traj, dim), or with `record` the
-    path, shape (steps + 1, n_traj, dim).
+# what the step loop of a QSD run reads, refused and counted by `plan_qsd`;
+# workers is its number of blocks of rows, each run by a process of its own
+QsdPlan = NamedTuple("QsdPlan", [("cfg", TrajectoryConfig), ("psi0", np.ndarray), ("first", int),
+                                 ("n_traj", int), ("workers", int)])
 
-    Row m runs on stream (cfg.seed, first + m) and is bit-identical whatever
-    the other rows are. Before anything of the run's size is allocated, the
-    call refuses the plan's work (`TrajectoryConfig.check_work`). The
-    final states of a large enough ensemble run in one contiguous block of
-    rows per CPU (`_qsd_split`, see _MIN_BLOCK_TRAJECTORIES); everything
-    else runs `_qsd_block` in this process.
-    """
+
+def plan_qsd(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj: int,
+             first: int = 0) -> QsdPlan:
+    """Plan n_traj trajectories from psi0 on streams first, first + 1, ...: refuse every input,
+    the work (`TrajectoryConfig.check_work`) before anything of the run's size is allocated,
+    and give a large enough ensemble one block of rows per CPU (`_qsd_split`)."""
     n_traj, first = require_integer(n_traj, "n_traj"), require_integer(first, "stream")
     if n_traj < 1:
         raise ValidationError(f"need at least one trajectory, got {n_traj}")
     psi0 = validate_state(psi0)
     require_same_dim(psi0, gen.H)
     cfg.check_work(n_traj)
-    norms = coupling_norms(gen)
+    workers = min(_cpu_count(), n_traj // _MIN_BLOCK_TRAJECTORIES,
+                  n_traj * cfg.steps // _MIN_BLOCK_WORK)
+    return QsdPlan(cfg, psi0, first, n_traj, max(workers, 1))
+
+
+def run_qsd_plan(gen: GeneratorSet, plan: QsdPlan, record: bool = False) -> np.ndarray:
+    """The final states of a plan of gen, shape (n_traj, dim), or with `record` the
+    path, shape (steps + 1, n_traj, dim). Row m runs on stream (cfg.seed, first + m)
+    and is bit-identical whatever the other rows are."""
+    cfg, norms = plan.cfg, coupling_norms(gen)
     if cfg.steps and norms and cfg.step * max(norms) > QSD_STEP_SAFETY:  # no step, no error
         warn(f"step*max||L^dag L|| = {cfg.step * max(norms):.3g} exceeds {QSD_STEP_SAFETY}; "
              "stochastic integration error may dominate")
-    ops = _qsd_ops(gen, cfg.step)
-    workers = min(_cpu_count(), n_traj // _MIN_BLOCK_TRAJECTORIES,
-                  n_traj * cfg.steps // _MIN_BLOCK_WORK)
+    ops = _qsd_ops(gen, cfg.step)  # not planned: G's overflow warning follows the one above
     # a fork copies only the calling thread, and with it every lock that
     # another thread holds, which no thread of the child would release
-    if record or workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return _qsd_block(psi0, ops, cfg, first, n_traj, record)
-    return _qsd_split(psi0, ops, cfg, first, n_traj, workers)
+    if record or plan.workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _qsd_block(plan, ops, record)
+    return _qsd_split(plan, ops)
 
 
-def _qsd_block(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, n_traj: int,
-               record: bool = False) -> np.ndarray:
-    """The step loop of `_qsd_run` over streams first ... first + n_traj - 1,
-    with the same result.
+def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj: int,
+             first: int = 0, record: bool = False) -> np.ndarray:
+    """`run_qsd_plan` of `plan_qsd(psi0, gen, cfg, n_traj, first)`."""
+    return run_qsd_plan(gen, plan_qsd(psi0, gen, cfg, n_traj, first), record)
+
+
+def _qsd_block(plan: QsdPlan, ops: tuple, record: bool = False) -> np.ndarray:
+    """The step loop of `run_qsd_plan` over the plan's rows in this process,
+    given ops = `_qsd_ops(gen, cfg.step)`.
 
     With K channels, one `rng.wiener_block` call draws the noise of max(1,
     _NOISE_BLOCK_ENTRIES // (M*K)) consecutive steps, whose bits do not
@@ -696,26 +705,26 @@ def _qsd_block(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, 
     with the attribute `refused` = (step index, least norm, greatest norm),
     which `_qsd_split` merges across blocks.
     """
-    k = len(ops[1])
-    keys = rng.stream_keys(cfg.seed, range(first, first + n_traj))
+    cfg, psi0, n_traj, k = plan.cfg, plan.psi0, plan.n_traj, len(ops[1])
+    keys = rng.stream_keys(cfg.seed, range(plan.first, plan.first + n_traj))
     outs = np.empty((2, psi0.shape[0], n_traj), dtype=np.complex128)
     cols = outs[1]
     cols[...] = psi0[:, None]
     if record:
         path = np.empty((cfg.steps + 1, n_traj, psi0.shape[0]), dtype=np.complex128)
         path[0] = cols.T
-    plan = _StepPlan(ops, outs, cfg.renormalize)
+    kernel = _StepPlan(ops, outs, cfg.renormalize)
     block = max(1, _NOISE_BLOCK_ENTRIES // max(1, n_traj * k))
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused per step
             for start in range(0, cfg.steps, block):
                 noise = rng.wiener_block(keys, start, min(block, cfg.steps - start), k, cfg.step)
                 for s, dxi in enumerate(noise, start):
-                    cols = plan.step(s, dxi)
+                    cols = kernel.step(s, dxi)
                     if record:
                         path[s + 1] = cols.T
     except NumericalError as exc:  # only _check_norms raises one here
-        exc.refused = (s, float(plan.norms.min()), float(plan.norms.max()))
+        exc.refused = (s, float(kernel.norms.min()), float(kernel.norms.max()))
         raise
     return path if record else cols.T
 
@@ -728,9 +737,8 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _qsd_split(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, n_traj: int,
-               workers: int) -> np.ndarray:
-    """`_qsd_block`'s final states of n_traj trajectories, computed in
+def _qsd_split(plan: QsdPlan, ops: tuple) -> np.ndarray:
+    """`_qsd_block`'s final states of the plan's rows, computed in its
     `workers` contiguous blocks of rows at once: the first in this process,
     each other in a forked child that sends its rows, or its exception,
     pickled through its own pipe.
@@ -745,7 +753,7 @@ def _qsd_split(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, 
     """
     import signal
 
-    bounds = [n_traj * w // workers for w in range(workers + 1)]
+    bounds = [plan.n_traj * w // plan.workers for w in range(plan.workers + 1)]
     children = []  # (pid, read end of its pipe) of each child not yet reaped
     blocks = []  # each block's final states or error, in row order
     try:
@@ -762,7 +770,7 @@ def _qsd_split(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, 
                     # default warning filters ignore it.
                     pid = os.fork()
                     if pid == 0:
-                        _qsd_child(write, psi0, ops, cfg, first + lo, hi - lo)
+                        _qsd_child(write, plan._replace(first=plan.first + lo, n_traj=hi - lo), ops)
                 except BaseException:
                     pipe.close()
                     raise
@@ -774,7 +782,7 @@ def _qsd_split(psi0: np.ndarray, ops: tuple, cfg: TrajectoryConfig, first: int, 
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         try:
-            blocks.append(_qsd_block(psi0, ops, cfg, first, bounds[1]))
+            blocks.append(_qsd_block(plan._replace(n_traj=bounds[1]), ops))
         except NumericalError as exc:
             blocks.append(exc)
         while children:

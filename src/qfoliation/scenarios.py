@@ -17,11 +17,11 @@ a nonzero boost generator changes the discrepancy only at second order in
 beta. The `lindblad` and `qsd-ensemble` commands run `lindblad_scan` and
 `run_qsd`, the unraveling that the counter-example's QSD check shares.
 
-Each scenario refuses its whole input before its first propagation, a
-library caller's too; the CLI only decodes. `lindblad_scan` owns the lindblad
-work ceiling and the refusal of a `span * samples` that overflows, `run_qsd`
-runs its ensemble before its reference, a counter-example refuses its QSD work
-before its R branch, and a sweep refuses every beta before it runs one.
+Each scenario plans, then runs: it refuses its whole input, a library caller's
+too, before its first propagation; the CLI only decodes. `lindblad_scan` owns
+the lindblad work ceiling and the refusal of a `span * samples` that overflows,
+`run_qsd` runs its plan before its reference, a counter-example's plan (a0, model,
+QSD plan) refuses its QSD work once, and a sweep plans every beta before it runs one.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ from .dynamics import (
     TrajectoryConfig,
     boost_transport,
     decohering_coupling,
-    ensemble_final_states,
     lindblad_exact_twolevel,
     lindblad_propagate,
     mean_projector,
+    plan_qsd,
+    run_qsd_plan,
 )
 from .errors import NumericalError, ValidationError, warn
 from .foliation import (
@@ -221,29 +222,38 @@ def run_qsd(gamma: float, span: float, step: float, seed: int, n_traj: int,
     and rho_ref, the Lindblad density they are checked against (propagated if None)."""
     gen = dephasing_model(gamma)
     cfg = TrajectoryConfig.covering(span, step, seed, renormalize)
-    finals = ensemble_final_states(initial_state_vector() if psi0 is None else psi0, gen, cfg,
-                                   n_traj)
-    if rho_ref is None:  # after the ensemble, which refuses psi0, n_traj and the work first
+    plan = plan_qsd(initial_state_vector() if psi0 is None else psi0, gen, cfg, n_traj)
+    return _run_qsd(gen, plan, span, psi0, rho_ref)
+
+
+def _run_qsd(gen: GeneratorSet, plan, span: float, psi0: np.ndarray | None = None,
+             rho_ref: np.ndarray | None = None) -> tuple[QsdOutcome, np.ndarray, np.ndarray]:
+    """The ensemble half of `run_qsd`, which runs from its `plan_qsd` plan."""
+    finals = run_qsd_plan(gen, plan)
+    if rho_ref is None:  # after the ensemble: its warning and errors come first
         rho_ref = lindblad_propagate(initial_state() if psi0 is None else density_from_state(psi0),
                                      gen, span)
     rho = mean_projector(finals)
-    outcome = QsdOutcome(n_traj=n_traj, seed=seed, step=cfg.step, steps=cfg.steps,
-                         expectation=expectation(spin_observable(), rho),
+    outcome = QsdOutcome(n_traj=plan.n_traj, seed=plan.cfg.seed, step=plan.cfg.step,
+                         steps=plan.cfg.steps, expectation=expectation(spin_observable(), rho),
                          trace_distance_to_lindblad=trace_distance(rho, rho_ref))
     return outcome, rho, rho_ref
 
 
-def _qsd_step(p: CounterexampleParams, a0: float) -> float:
-    """The step that p's QSD run over a0 is given, once the work of its plan is refused."""
+def _plan_counterexample(p: CounterexampleParams, k_correction: np.ndarray | None):
+    """(a0, model, QSD plan or None) of p: every refusal of a counter-example's run."""
+    a0 = coincidence_offset(p.ell, p.beta, p.c)
+    gen = dephasing_model(p.gamma, k_correction)  # refuses k_correction before any warning
+    if p.qsd is None:
+        return a0, gen, None
     # at a0 = 0 no step is taken and the report gives step 1.0, whatever gamma
     step = p.qsd.step or (0.01 / p.gamma if p.gamma > 0.0 and a0 > 0.0 else a0 or 1.0)
-    TrajectoryConfig.covering(a0, step).check_work(p.qsd.n_traj)
-    return step
+    cfg = TrajectoryConfig.covering(a0, step, p.qsd.seed)
+    return a0, gen, plan_qsd(initial_state_vector(), gen, cfg, p.qsd.n_traj)
 
 
-def run_counterexample(
-    p: CounterexampleParams, k_correction: np.ndarray | None = None
-) -> CounterexampleReport:
+def run_counterexample(p: CounterexampleParams,
+                       k_correction: np.ndarray | None = None) -> CounterexampleReport:
     """Evolve both observers' branches to the coincidence event and compare.
 
     R branch: decohering evolution over the offset a0 = ell*beta/c. M branch:
@@ -251,45 +261,31 @@ def run_counterexample(
     boost generator). The discrepancy is signed, M minus R. When p.qsd is
     set, the unraveling ensemble is run against the R branch as well.
     """
-    a0 = coincidence_offset(p.ell, p.beta, p.c)
-    gen = dephasing_model(p.gamma, k_correction)  # refuses k_correction before any warning
-    qsd_step = None if p.qsd is None else _qsd_step(p, a0)
+    return _run_counterexample(p, *_plan_counterexample(p, k_correction))
+
+
+def _run_counterexample(p: CounterexampleParams, a0: float, gen: GeneratorSet, qsd_plan):
+    """`run_counterexample` of p from its `_plan_counterexample` plan."""
     if 0.0 < p.gamma * a0 < STRONG_REDUCTION_THRESHOLD:
         warn(f"gamma*a0 = {p.gamma * a0:.3g} < {STRONG_REDUCTION_THRESHOLD}: "
              "reduction is incomplete at the coincidence event")
-    rho0 = initial_state()
-    a_op = spin_observable()
-
+    rho0, a_op = initial_state(), spin_observable()
     rho_r = lindblad_propagate(rho0, gen, a0, method=p.method, step=p.step)
     rho_m = boost_transport(rho0, gen, p.beta)
 
     if purity(rho_r) > purity(rho0) + 1e-12:
-        raise NumericalError(
-            f"purity increased along the R branch: {purity(rho0):.12g} -> {purity(rho_r):.12g}"
-        )
+        raise NumericalError("purity increased along the R branch: "
+                             f"{purity(rho0):.12g} -> {purity(rho_r):.12g}")
 
-    exp_r = expectation(a_op, rho_r)
-    exp_m = expectation(a_op, rho_m)
+    exp_r, exp_m = expectation(a_op, rho_r), expectation(a_op, rho_m)
     for name, val in (("expectation_R", exp_r), ("expectation_M", exp_m)):
         if not -1.0 - TOL <= val <= 1.0 + TOL:
             raise NumericalError(f"{name} = {val} outside [-1, 1]")
 
-    qsd_outcome = None
-    if p.qsd is not None:
-        qsd_outcome = run_qsd(p.gamma, a0, qsd_step, p.qsd.seed, p.qsd.n_traj, rho_ref=rho_r)[0]
-
-    return CounterexampleReport(
-        params=p,
-        a0=a0,
-        expectation_R=exp_r,
-        expectation_M=exp_m,
-        discrepancy=exp_m - exp_r,
-        offdiag_final=float(abs(rho_r[0, 1])),
-        rho_initial=rho0,
-        rho_R=rho_r,
-        rho_M=rho_m,
-        qsd=qsd_outcome,
-    )
+    qsd = None if qsd_plan is None else _run_qsd(gen, qsd_plan, a0, rho_ref=rho_r)[0]
+    return CounterexampleReport(params=p, a0=a0, expectation_R=exp_r, expectation_M=exp_m,
+                                discrepancy=exp_m - exp_r, offdiag_final=float(abs(rho_r[0, 1])),
+                                rho_initial=rho0, rho_R=rho_r, rho_M=rho_m, qsd=qsd)
 
 
 def _at_coincidence(deviation: float, path_order_difference: float, ell: float, beta: float,
@@ -353,11 +349,8 @@ def dissipative_consistency(p: CounterexampleParams) -> ConsistencyReport:
     return _at_coincidence(abs(report.discrepancy), 0.0, p.ell, p.beta, p.c, dissipative=True)
 
 
-def sweep_velocity(
-    p: CounterexampleParams,
-    betas: list[float],
-    k_correction: np.ndarray | None = None,
-) -> list[CounterexampleReport]:
+def sweep_velocity(p: CounterexampleParams, betas: list[float],
+                   k_correction: np.ndarray | None = None) -> list[CounterexampleReport]:
     """Counter-example reports versus velocity at constant a0, one per beta.
 
     Each beta gets ell rescaled to a0/beta so the coincidence offset stays
@@ -366,8 +359,8 @@ def sweep_velocity(
     discrepancy, only at second order in beta, because rho0 commutes with
     the measured observable (for K = SY/2 the shift is cos(atanh beta) - 1).
     beta = 0 (of either sign) runs as +0.0 at the given ell, where a0 = 0
-    and both observers coincide. Every beta's CounterexampleParams,
-    coincidence offset and QSD work are checked before the first beta runs.
+    and both observers coincide. Every beta is planned (`_plan_counterexample`)
+    before the first beta runs.
     """
     if not betas:
         raise ValidationError("betas must be non-empty")
@@ -376,8 +369,5 @@ def sweep_velocity(
         k_correction = as_complex(k_correction)
     runs = [replace(p, beta=0.0) if beta == 0.0 else replace(p, beta=beta, ell=a0 * p.c / beta)
             for beta in betas]
-    for q in runs:
-        offset = coincidence_offset(q.ell, q.beta, q.c)
-        if q.qsd is not None:
-            _qsd_step(q, offset)
-    return [run_counterexample(q, k_correction) for q in runs]
+    plans = [_plan_counterexample(q, k_correction) for q in runs]
+    return [_run_counterexample(q, *plan) for q, plan in zip(runs, plans)]

@@ -1,7 +1,8 @@
 """Checks that only the tests use: hyperplane construction, event membership,
 the conjugate transpose, the per-trajectory noise, step-kernel and CSV-cell
-references, the writing of a resolved config and the strict reading of a
-report's config, kept out of the package's public surface."""
+references, the counter-example's closed form, the writing of a resolved
+config and the strict reading of a report's config, kept out of the package's
+public surface."""
 
 import json
 import math
@@ -84,6 +85,44 @@ def qsd_step(
     plan = _StepPlan(_qsd_ops(gen, step), outs, renormalize)
     with np.errstate(over="ignore", invalid="ignore"):  # as the ensembles run the kernel
         return plan.step(0, dxi[:, None])[:, 0]
+
+
+def counterexample_closed_form(beta: float, ell: float, gamma: float, c: float, k: np.ndarray,
+                               method: str, step: float | None = None) -> dict:
+    """Every field of the dephasing counter-example (H = 0, L = sqrt(gamma)|0><0|,
+    rho0 = (1 + sigma_x)/2, boost generator k) from its closed form, with no
+    package function and no matrix exponential.
+
+    a0 = ell*beta/c. The R branch keeps the populations at 1/2, and its
+    coherence obeys one scalar linear ODE, d rho_01/da = -gamma/2 rho_01, so
+    it is exp(-gamma*a0/2)/2 for `exact`, and for `rk4` P(-gamma*h/2)^n / 2
+    exactly, with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 and n = max(1,
+    ceiling of a0/step) steps of h = a0/n. The M branch is U rho0 U^dag with
+    U = exp(-i theta k), theta = atanh(beta), by Rodrigues' formula: for
+    k = k0 + n.sigma, U = exp(-i theta k0) (cos(theta|n|) - i sin(theta|n|) n.sigma/|n|).
+    """
+    a0 = ell * beta / c
+    if method == "rk4" and gamma > 0.0:
+        n = max(1, math.ceil(a0 / step))
+        x = -0.5 * gamma * (a0 / n)
+        coherence = 0.5 * (1.0 + x + x**2 / 2.0 + x**3 / 6.0 + x**4 / 24.0) ** n
+    else:
+        coherence = 0.5 * math.exp(-0.5 * gamma * a0)
+    rho_r = np.array([[0.5, coherence], [coherence, 0.5]], dtype=complex)
+    k = np.asarray(k, dtype=complex)
+    k0 = (k[0, 0] + k[1, 1]).real / 2.0
+    axis = [k[1, 0].real, k[1, 0].imag, (k[0, 0] - k[1, 1]).real / 2.0]
+    theta, length = math.atanh(beta), math.sqrt(sum(v * v for v in axis))
+    n_sigma = np.array([[axis[2], axis[0] - 1j * axis[1]], [axis[0] + 1j * axis[1], -axis[2]]])
+    rotation = np.eye(2) * math.cos(theta * length)
+    if length > 0.0:
+        rotation = rotation - 1j * math.sin(theta * length) / length * n_sigma
+    u = np.exp(-1j * theta * k0) * rotation
+    rho0 = np.full((2, 2), 0.5, dtype=complex)
+    rho_m = u @ rho0 @ u.conj().T
+    exp_r, exp_m = 2.0 * coherence, (rho_m[0, 1] + rho_m[1, 0]).real
+    return {"a0": a0, "expectation_R": exp_r, "expectation_M": exp_m, "discrepancy": exp_m - exp_r,
+            "offdiag_final": coherence, "rho_initial": rho0, "rho_R": rho_r, "rho_M": rho_m}
 
 
 def cell_reference(value) -> str:

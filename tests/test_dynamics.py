@@ -274,6 +274,20 @@ def test_lindblad_rk4_is_the_runge_kutta_polynomial():
     assert abs(expected - 0.5 * math.exp(-0.5 * gamma * span)) > 1e-8
 
 
+def test_lindblad_rk4_refuses_a_density_that_is_not_positive_inside_the_step_bound():
+    # a driven, damped three-level ladder (H = a + a^dag, L = a) from its
+    # ground state: one rk4 step at 0.9 of the step bound, 2||H|| + 2||L^dag L||,
+    # gives a density whose smallest eigenvalue is -2.5e-5, which the 1e-6
+    # positivity check refuses; exact evolution stays positive
+    a = np.diag([1.0, math.sqrt(2.0)], 1)
+    gen = GeneratorSet(H=a + a.T, Ls=(a,))
+    step = 0.9 / (2.0 * math.sqrt(3.0) + 2.0 * 2.0)
+    ground = np.diag([1.0, 0.0, 0.0])
+    with pytest.raises(NumericalError, match=r"^smallest eigenvalue -2\.47\de-05 below -1\.0e-06$"):
+        lindblad_propagate(ground, gen, step, method="rk4", step=step)
+    assert np.linalg.eigvalsh(lindblad_propagate(ground, gen, step)).min() > -1e-15
+
+
 def test_lindblad_rk4_step_too_large():
     gen = decoherence_model(10.0)
     with pytest.raises(ValidationError, match="reduce step"):

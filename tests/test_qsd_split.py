@@ -104,11 +104,12 @@ def test_a_worker_makes_no_blas_or_lapack_call():
 
 def test_large_ensembles_split_and_small_ones_do_not(monkeypatch):
     calls = []
-    monkeypatch.setattr(dynamics, "_qsd_split", lambda *args: calls.append(args[-1]))
+    monkeypatch.setattr(dynamics, "_qsd_split", lambda plan, ops: calls.append(plan.workers))
     monkeypatch.setattr(dynamics, "_qsd_block", lambda *args: calls.append(1))
     gen = dephasing_model(1.0)
     cases = [  # CPUs, trajectories, steps: blocks
         ((8, 10**4, 3000), 8),  # the ensemble-large workload
+        ((8, 3 * 10**3, 1000), 3),  # at most one block per _MIN_BLOCK_WORK trajectory-steps
         ((2, 10**4, 3000), 2),
         ((2, 10**3, 3000), 2),  # the headline QSD block
         ((8, 10**3, 3000), 2),  # at least _MIN_BLOCK_TRAJECTORIES a block
@@ -122,6 +123,16 @@ def test_large_ensembles_split_and_small_ones_do_not(monkeypatch):
         monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
         ensemble_final_states(PLUS_STATE, gen, TrajectoryConfig(step=0.01, steps=steps), n_traj)
     assert calls == [blocks for _, blocks in cases]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_split_forks_one_child_for_each_planned_worker_but_the_first(forks, workers):
+    split, pids = forks
+    split(workers)
+    gen = dephasing_model(1.0)
+    plan = dynamics.plan_qsd(PLUS_STATE, gen, TrajectoryConfig(0.02, 10), 31)
+    dynamics.run_qsd_plan(gen, plan)
+    assert plan.workers == workers and len(pids) == plan.workers - 1
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -212,9 +223,9 @@ def test_the_earliest_refused_step_wins_and_its_least_norm_is_merged(monkeypatch
     # stand-in blocks refuse steps 4, 3 and 3; the merged least norm of step 3 is reported
     refusals = {0: (4, 0.0, 1.0), 2: (3, 1e-200, 1.0), 4: (3, 1e-250, 2.0)}
 
-    def refusing(psi0, ops, cfg, first, n_traj, record=False):
+    def refusing(plan, ops, record=False):
         exc = NumericalError("stand-in")
-        exc.refused = refusals[first]
+        exc.refused = refusals[plan.first]
         raise exc
 
     monkeypatch.setattr(dynamics, "_qsd_block", refusing)

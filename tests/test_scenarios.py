@@ -161,13 +161,45 @@ def test_counterexample_beta_zero_observers_coincide():
     assert abs(report.discrepancy) <= 1e-9
 
 
+WEAK = CounterexampleParams(beta=0.001, ell=3000.0, gamma=1.0)  # gamma*a0 = 3: it warns
+COARSE = TrajectoryConfig(step=0.1, steps=1)  # on dephasing_model(4), step*||L^dag L|| = 0.4
+
+
 def test_counterexample_warns_on_weak_reduction():
     with pytest.warns(UserWarning, match="reduction is incomplete"):
         run_counterexample(CounterexampleParams(beta=0.001, ell=3000.0, gamma=1.0))
+    # a0 = 1 exactly, so gamma*a0 = gamma: 3 and 7 are below the bound of 10
+    for gamma in (3.0, 7.0):
+        with pytest.warns(UserWarning, match=rf"^gamma\*a0 = {gamma:g} < 10.0: reduction"):
+            run_counterexample(CounterexampleParams(beta=0.5, ell=2.0, gamma=gamma))
 
 
-WEAK = CounterexampleParams(beta=0.001, ell=3000.0, gamma=1.0)  # gamma*a0 = 3: it warns
-COARSE = TrajectoryConfig(step=0.1, steps=1)  # on dephasing_model(4), step*||L^dag L|| = 0.4
+@pytest.mark.parametrize("gamma", [0.0, 10.0])
+def test_counterexample_does_not_warn_without_decay_or_at_the_strict_bound(gamma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_counterexample(CounterexampleParams(beta=0.5, ell=2.0, gamma=gamma))
+    assert report.a0 * gamma == gamma
+
+
+@pytest.mark.filterwarnings("ignore:gamma")
+@pytest.mark.parametrize("call, runs", [
+    (lambda qsd: [run_counterexample(replace(WEAK, qsd=qsd))], 1),
+    (lambda qsd: sweep_velocity(replace(WEAK, qsd=qsd), [0.002, 0.001, 0.0]), 3),
+], ids=["counterexample", "sweep"])
+def test_each_qsd_run_checks_its_work_once(monkeypatch, call, runs):
+    # the plan is the one place that refuses the work: once per QSD run, and a
+    # sweep plans each beta once
+    checked, check_work = [], TrajectoryConfig.check_work
+
+    def counting(cfg, n_traj):
+        checked.append((cfg.steps, n_traj))
+        return check_work(cfg, n_traj)
+
+    monkeypatch.setattr(TrajectoryConfig, "check_work", counting)
+    reports = call(QsdSettings(n_traj=5, seed=1))
+    assert len(checked) == runs == len(reports)
+    assert checked[0] == (300, 5)
 
 
 @pytest.mark.parametrize("call", [
