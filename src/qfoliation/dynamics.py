@@ -44,8 +44,9 @@ The increments are the two-point ones of `rng` (the simplified weak Euler
 scheme), so a `qsd_trajectory` path is a weak-scheme path, not a strong
 approximation of a QSD path: only ensemble means and other expectations
 converge, at weak order 1, and those are all any report reads.
-A run is refused and counted by `plan_qsd`, then run from the plan by
-`run_qsd_plan`: one plain loop (`_qsd_block`) advances every trajectory
+A run is refused and counted by `plan_qsd`, whose plan also holds the
+step's operators, then run from the plan alone by `run_qsd_plan`, which
+needs nothing else: one plain loop (`_qsd_block`) advances every trajectory
 under one np.errstate context; `qsd_trajectory` records the path and
 `ensemble_final_states` takes the final batch. The batch is held as
 columns, shape (dim, M), so component i of every trajectory is one
@@ -651,17 +652,20 @@ def _check_norms(worst: float, peak: float) -> None:
         raise NumericalError(f"trajectory norm is {peak}")
 
 
-# what the step loop of a QSD run reads, refused and counted by `plan_qsd`;
-# workers is its number of blocks of rows, each run by a process of its own
+# all that a QSD run reads, refused and counted by `plan_qsd`, so `run_qsd_plan` needs
+# nothing else: workers blocks of rows, each run by a process of its own, the step's
+# operators `_qsd_ops` and coarse = step*max||L_k^dag L_k|| (0.0 without a step or channel)
 QsdPlan = NamedTuple("QsdPlan", [("cfg", TrajectoryConfig), ("psi0", np.ndarray), ("first", int),
-                                 ("n_traj", int), ("workers", int)])
+                                 ("n_traj", int), ("workers", int), ("ops", tuple),
+                                 ("coarse", float)])
 
 
 def plan_qsd(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj: int,
              first: int = 0) -> QsdPlan:
     """Plan n_traj trajectories from psi0 on streams first, first + 1, ...: refuse every input,
     the work (`TrajectoryConfig.check_work`) before anything of the run's size is allocated,
-    and give a large enough ensemble one block of rows per CPU (`_qsd_split`)."""
+    give a large enough ensemble one block of rows per CPU (`_qsd_split`), and form the step's
+    operators, all that the run needs of gen."""
     n_traj, first = require_integer(n_traj, "n_traj"), require_integer(first, "stream")
     if n_traj < 1:
         raise ValidationError(f"need at least one trajectory, got {n_traj}")
@@ -670,34 +674,29 @@ def plan_qsd(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj:
     cfg.check_work(n_traj)
     workers = min(_cpu_count(), n_traj // _MIN_BLOCK_TRAJECTORIES,
                   n_traj * cfg.steps // _MIN_BLOCK_WORK)
-    return QsdPlan(cfg, psi0, first, n_traj, max(workers, 1))
+    norms = coupling_norms(gen)
+    coarse = cfg.step * max(norms) if cfg.steps and norms else 0.0  # no step, no error
+    with np.errstate(over="ignore", invalid="ignore"):  # a G that overflows is refused per step
+        ops = _qsd_ops(gen, cfg.step)
+    return QsdPlan(cfg, psi0, first, n_traj, max(workers, 1), ops, coarse)
 
 
-def run_qsd_plan(gen: GeneratorSet, plan: QsdPlan, record: bool = False) -> np.ndarray:
-    """The final states of a plan of gen, shape (n_traj, dim), or with `record` the
-    path, shape (steps + 1, n_traj, dim). Row m runs on stream (cfg.seed, first + m)
-    and is bit-identical whatever the other rows are."""
-    cfg, norms = plan.cfg, coupling_norms(gen)
-    if cfg.steps and norms and cfg.step * max(norms) > QSD_STEP_SAFETY:  # no step, no error
-        warn(f"step*max||L^dag L|| = {cfg.step * max(norms):.3g} exceeds {QSD_STEP_SAFETY}; "
+def run_qsd_plan(plan: QsdPlan, record: bool = False) -> np.ndarray:
+    """The final states of a plan, shape (n_traj, dim), or with `record` the path,
+    shape (steps + 1, n_traj, dim), from the plan alone. Row m runs on stream
+    (cfg.seed, first + m) and is bit-identical whatever the other rows are."""
+    if plan.coarse > QSD_STEP_SAFETY:
+        warn(f"step*max||L^dag L|| = {plan.coarse:.3g} exceeds {QSD_STEP_SAFETY}; "
              "stochastic integration error may dominate")
-    ops = _qsd_ops(gen, cfg.step)  # not planned: G's overflow warning follows the one above
     # a fork copies only the calling thread, and with it every lock that
     # another thread holds, which no thread of the child would release
     if record or plan.workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return _qsd_block(plan, ops, record)
-    return _qsd_split(plan, ops)
+        return _qsd_block(plan, record)
+    return _qsd_split(plan)
 
 
-def _qsd_run(psi0: np.ndarray, gen: GeneratorSet, cfg: TrajectoryConfig, n_traj: int,
-             first: int = 0, record: bool = False) -> np.ndarray:
-    """`run_qsd_plan` of `plan_qsd(psi0, gen, cfg, n_traj, first)`."""
-    return run_qsd_plan(gen, plan_qsd(psi0, gen, cfg, n_traj, first), record)
-
-
-def _qsd_block(plan: QsdPlan, ops: tuple, record: bool = False) -> np.ndarray:
-    """The step loop of `run_qsd_plan` over the plan's rows in this process,
-    given ops = `_qsd_ops(gen, cfg.step)`.
+def _qsd_block(plan: QsdPlan, record: bool = False) -> np.ndarray:
+    """The step loop of `run_qsd_plan` over the plan's rows in this process.
 
     With K channels, one `rng.wiener_block` call draws the noise of max(1,
     _NOISE_BLOCK_ENTRIES // (M*K)) consecutive steps, whose bits do not
@@ -705,7 +704,7 @@ def _qsd_block(plan: QsdPlan, ops: tuple, record: bool = False) -> np.ndarray:
     with the attribute `refused` = (step index, least norm, greatest norm),
     which `_qsd_split` merges across blocks.
     """
-    cfg, psi0, n_traj, k = plan.cfg, plan.psi0, plan.n_traj, len(ops[1])
+    cfg, psi0, n_traj, k = plan.cfg, plan.psi0, plan.n_traj, len(plan.ops[1])
     keys = rng.stream_keys(cfg.seed, range(plan.first, plan.first + n_traj))
     outs = np.empty((2, psi0.shape[0], n_traj), dtype=np.complex128)
     cols = outs[1]
@@ -713,7 +712,7 @@ def _qsd_block(plan: QsdPlan, ops: tuple, record: bool = False) -> np.ndarray:
     if record:
         path = np.empty((cfg.steps + 1, n_traj, psi0.shape[0]), dtype=np.complex128)
         path[0] = cols.T
-    kernel = _StepPlan(ops, outs, cfg.renormalize)
+    kernel = _StepPlan(plan.ops, outs, cfg.renormalize)
     block = max(1, _NOISE_BLOCK_ENTRIES // max(1, n_traj * k))
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused per step
@@ -737,7 +736,7 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _qsd_split(plan: QsdPlan, ops: tuple) -> np.ndarray:
+def _qsd_split(plan: QsdPlan) -> np.ndarray:
     """`_qsd_block`'s final states of the plan's rows, computed in its
     `workers` contiguous blocks of rows at once: the first in this process,
     each other in a forked child that sends its rows, or its exception,
@@ -764,13 +763,13 @@ def _qsd_split(plan: QsdPlan, ops: tuple) -> np.ndarray:
                 pipe = open(read, "rb")
                 try:
                     # a child makes no BLAS or LAPACK call (G is built with @
-                    # in _qsd_ops, before the fork), so no lock held by the
+                    # in plan_qsd, before the fork), so no lock held by the
                     # parent's OpenBLAS threads can stall it. Python 3.12's fork
                     # DeprecationWarning is attributed to this module, so the
                     # default warning filters ignore it.
                     pid = os.fork()
                     if pid == 0:
-                        _qsd_child(write, plan._replace(first=plan.first + lo, n_traj=hi - lo), ops)
+                        _qsd_child(write, plan._replace(first=plan.first + lo, n_traj=hi - lo))
                 except BaseException:
                     pipe.close()
                     raise
@@ -782,7 +781,7 @@ def _qsd_split(plan: QsdPlan, ops: tuple) -> np.ndarray:
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         try:
-            blocks.append(_qsd_block(plan._replace(n_traj=bounds[1]), ops))
+            blocks.append(_qsd_block(plan._replace(n_traj=bounds[1])))
         except NumericalError as exc:
             blocks.append(exc)
         while children:
@@ -813,15 +812,15 @@ def _qsd_split(plan: QsdPlan, ops: tuple) -> np.ndarray:
     return np.concatenate([b.T for b in blocks], axis=1).T  # laid out as one block's cols.T
 
 
-def _qsd_child(fd: int, *block) -> None:
+def _qsd_child(fd: int, plan: QsdPlan) -> None:
     """A forked worker of `_qsd_split`: sends the final states of
-    `_qsd_block(*block)`, or any exception it raises, pickled through the
+    `_qsd_block(plan)`, or any exception it raises, pickled through the
     pipe fd. It never returns: it leaves through os._exit, which runs no
     atexit handler and flushes no stdio inherited from the parent."""
     code = 1
     try:
         try:
-            result = _qsd_block(*block)
+            result = _qsd_block(plan)
         except BaseException as exc:
             result = exc
         payload = pickle.dumps(result)
@@ -843,7 +842,7 @@ def qsd_trajectory(
     Deterministic given (cfg.seed, stream): the noise at every step is a
     pure function of those, so identical seeds give bit-identical paths.
     """
-    return _qsd_run(psi0, gen, cfg, 1, stream, record=True)[:, 0]
+    return run_qsd_plan(plan_qsd(psi0, gen, cfg, 1, stream), record=True)[:, 0]
 
 
 def ensemble_final_states(
@@ -858,7 +857,7 @@ def ensemble_final_states(
     to qsd_trajectory(..., stream=m) finals regardless of batch size, which
     also makes the ensemble independent of any execution schedule.
     """
-    return _qsd_run(psi0, gen, cfg, n_traj)
+    return run_qsd_plan(plan_qsd(psi0, gen, cfg, n_traj))
 
 
 def ensemble_density(

@@ -215,29 +215,28 @@ def lindblad_scan(rho0: np.ndarray, gamma: float, span: float, samples: int, met
 
 
 def run_qsd(gamma: float, span: float, step: float, seed: int, n_traj: int,
-            renormalize: bool = True, psi0: np.ndarray | None = None,
-            rho_ref: np.ndarray | None = None) -> tuple[QsdOutcome, np.ndarray, np.ndarray]:
+            renormalize: bool = True,
+            psi0: np.ndarray | None = None) -> tuple[QsdOutcome, np.ndarray, np.ndarray]:
     """The dephasing model's unraveling over span in steps of about step: the outcome and
     ensemble density of n_traj trajectories from psi0 (initial_state_vector() if None),
-    and rho_ref, the Lindblad density they are checked against (propagated if None)."""
+    and the Lindblad density they are checked against."""
     gen = dephasing_model(gamma)
     cfg = TrajectoryConfig.covering(span, step, seed, renormalize)
     plan = plan_qsd(initial_state_vector() if psi0 is None else psi0, gen, cfg, n_traj)
-    return _run_qsd(gen, plan, span, psi0, rho_ref)
+    finals = run_qsd_plan(plan)  # before the reference: its warning and errors come first
+    rho_ref = lindblad_propagate(initial_state() if psi0 is None else density_from_state(psi0),
+                                 gen, span)
+    return (*_qsd_outcome(plan, finals, rho_ref), rho_ref)
 
 
-def _run_qsd(gen: GeneratorSet, plan, span: float, psi0: np.ndarray | None = None,
-             rho_ref: np.ndarray | None = None) -> tuple[QsdOutcome, np.ndarray, np.ndarray]:
-    """The ensemble half of `run_qsd`, which runs from its `plan_qsd` plan."""
-    finals = run_qsd_plan(gen, plan)
-    if rho_ref is None:  # after the ensemble: its warning and errors come first
-        rho_ref = lindblad_propagate(initial_state() if psi0 is None else density_from_state(psi0),
-                                     gen, span)
+def _qsd_outcome(plan, finals: np.ndarray, rho_ref: np.ndarray) -> tuple[QsdOutcome, np.ndarray]:
+    """The outcome and ensemble density of a `plan_qsd` plan's final states, checked
+    against the Lindblad density rho_ref."""
     rho = mean_projector(finals)
     outcome = QsdOutcome(n_traj=plan.n_traj, seed=plan.cfg.seed, step=plan.cfg.step,
                          steps=plan.cfg.steps, expectation=expectation(spin_observable(), rho),
                          trace_distance_to_lindblad=trace_distance(rho, rho_ref))
-    return outcome, rho, rho_ref
+    return outcome, rho
 
 
 def _plan_counterexample(p: CounterexampleParams, k_correction: np.ndarray | None):
@@ -282,7 +281,7 @@ def _run_counterexample(p: CounterexampleParams, a0: float, gen: GeneratorSet, q
         if not -1.0 - TOL <= val <= 1.0 + TOL:
             raise NumericalError(f"{name} = {val} outside [-1, 1]")
 
-    qsd = None if qsd_plan is None else _run_qsd(gen, qsd_plan, a0, rho_ref=rho_r)[0]
+    qsd = None if qsd_plan is None else _qsd_outcome(qsd_plan, run_qsd_plan(qsd_plan), rho_r)[0]
     return CounterexampleReport(params=p, a0=a0, expectation_R=exp_r, expectation_M=exp_m,
                                 discrepancy=exp_m - exp_r, offdiag_final=float(abs(rho_r[0, 1])),
                                 rho_initial=rho0, rho_R=rho_r, rho_M=rho_m, qsd=qsd)

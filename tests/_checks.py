@@ -1,8 +1,8 @@
 """Checks that only the tests use: hyperplane construction, event membership,
 the conjugate transpose, the per-trajectory noise, step-kernel and CSV-cell
-references, the counter-example's closed form, the writing of a resolved
-config and the strict reading of a report's config, kept out of the package's
-public surface."""
+references, the counter-example's closed form and its beta^2 boost response,
+the random test matrices, the writing of a resolved config and the strict
+reading of a report's config, kept out of the package's public surface."""
 
 import json
 import math
@@ -16,6 +16,24 @@ from qfoliation.errors import NumericalError, ValidationError
 from qfoliation.foliation import FourVector, Hyperplane
 from qfoliation.linalg import as_complex
 from qfoliation.rng import stream_keys, wiener_block
+
+
+def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex normal entries: the real parts drawn first, then the imaginary parts."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """The Hermitian part of a `random_complex` dim x dim matrix."""
+    m = random_complex(rng, (dim, dim))
+    return 0.5 * (m + m.conj().T)
+
+
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """M M^dag over its trace, for a `random_complex` dim x dim M: full rank."""
+    m = random_complex(rng, (dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
 
 
 def make_hyperplane(n_raw: FourVector, a: float) -> Hyperplane:
@@ -109,9 +127,7 @@ def counterexample_closed_form(beta: float, ell: float, gamma: float, c: float, 
     else:
         coherence = 0.5 * math.exp(-0.5 * gamma * a0)
     rho_r = np.array([[0.5, coherence], [coherence, 0.5]], dtype=complex)
-    k = np.asarray(k, dtype=complex)
-    k0 = (k[0, 0] + k[1, 1]).real / 2.0
-    axis = [k[1, 0].real, k[1, 0].imag, (k[0, 0] - k[1, 1]).real / 2.0]
+    k0, axis = pauli_coefficients(k)
     theta, length = math.atanh(beta), math.sqrt(sum(v * v for v in axis))
     n_sigma = np.array([[axis[2], axis[0] - 1j * axis[1]], [axis[0] + 1j * axis[1], -axis[2]]])
     rotation = np.eye(2) * math.cos(theta * length)
@@ -123,6 +139,25 @@ def counterexample_closed_form(beta: float, ell: float, gamma: float, c: float, 
     exp_r, exp_m = 2.0 * coherence, (rho_m[0, 1] + rho_m[1, 0]).real
     return {"a0": a0, "expectation_R": exp_r, "expectation_M": exp_m, "discrepancy": exp_m - exp_r,
             "offdiag_final": coherence, "rho_initial": rho0, "rho_R": rho_r, "rho_M": rho_m}
+
+
+def pauli_coefficients(k: np.ndarray) -> tuple[float, list[float]]:
+    """(k0, [kx, ky, kz]) of a Hermitian 2x2 k = k0 + kx sigma_x + ky sigma_y + kz sigma_z."""
+    k = np.asarray(k, dtype=complex)
+    return (k[0, 0] + k[1, 1]).real / 2.0, [k[1, 0].real, k[1, 0].imag,
+                                            (k[0, 0] - k[1, 1]).real / 2.0]
+
+
+def boost_response_coefficient(k: np.ndarray) -> float:
+    """The beta^2 coefficient of 1 - expectation_M for the boost generator k,
+    from Rodrigues' formula: U = exp(-i theta k) turns the Bloch vector x of
+    rho0 by 2 theta|n| about n = (kx, ky, kz), so
+        1 - <sigma_x>_M = (1 - kx^2/|n|^2)(1 - cos(2 theta|n|))
+                        = 2(ky^2 + kz^2) theta^2 + O(theta^4),
+    and theta = atanh(beta) = beta + O(beta^3). For k = sigma_y/2 this is
+    1 - cos(atanh(beta)), to which the coefficient 1/2 belongs."""
+    _, (_, ky, kz) = pauli_coefficients(k)
+    return 2.0 * (ky * ky + kz * kz)
 
 
 def cell_reference(value) -> str:

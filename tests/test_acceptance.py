@@ -51,7 +51,16 @@ from qfoliation.scenarios import (
     spin_observable,
     sweep_velocity,
 )
-from _checks import contains_event, dagger, make_hyperplane, serialize_config, wiener_increments
+from _checks import (
+    contains_event,
+    dagger,
+    make_hyperplane,
+    random_complex,
+    random_density,
+    random_hermitian,
+    serialize_config,
+    wiener_increments,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -66,21 +75,6 @@ def report_line(number: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {number} {name}: {status}{suffix}")
-
-
-def random_complex(rng, shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-def random_hermitian(rng, dim):
-    m = random_complex(rng, (dim, dim))
-    return 0.5 * (m + m.conj().T)
-
-
-def random_density(rng, dim):
-    m = random_complex(rng, (dim, dim))
-    rho = m @ m.conj().T
-    return rho / np.trace(rho).real
 
 
 def random_state(rng, dim):

@@ -347,6 +347,21 @@ def test_unrenormalized_ensemble_whose_norm_overflows_exits_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_ensemble_whose_drift_matrix_overflows_exits_2_with_two_lines(tmp_path, capsys):
+    # G = 1 + step*(-iH - gamma/2 |0><0|) overflows as it is planned; the
+    # step refuses the NaN norm, and numpy's overflow warning never shows
+    doc = {"command": "qsd-ensemble",
+           "params": {"gamma": 1e300, "span": 1e10, "step": 1e10, "n_traj": 2}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 2 and not os.path.exists(out)
+    assert err == ("WARNING step*max||L^dag L|| = inf exceeds 0.1; stochastic integration "
+                   "error may dominate\n"
+                   "ERROR numerical invariant breach: trajectory norm is nan\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def _unallocatable(*args, **kwargs):
     # 1 EiB is more than any address space holds, so the allocation fails at
     # once without touching memory

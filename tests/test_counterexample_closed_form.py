@@ -4,19 +4,21 @@ and of each `sweep_velocity` point against the closed form of
 
 Draws cover beta in [0, 0.99), ell, gamma, c, the method and its step, and a
 boost generator K that is zero, sigma_y/2 or a random Hermitian 2x2. A draw
-that the scenario refuses must raise ValidationError and nothing else.
+that the scenario refuses must raise ValidationError and nothing else. For
+random Hermitian K the boost response 1 - expectation_M is second order in
+beta, with the beta^2 coefficient of `_checks.boost_response_coefficient`.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfoliation.errors import ValidationError
 from qfoliation.scenarios import CounterexampleParams, run_counterexample, sweep_velocity
-from _checks import counterexample_closed_form
+from _checks import boost_response_coefficient, counterexample_closed_form, pauli_coefficients
 
 PAULI = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
          np.diag([1.0, -1.0])]
@@ -89,3 +91,35 @@ def test_counterexample_and_sweep_match_the_closed_form(d):
     assert len(points) == len(d["betas"])
     for point, beta, ell in zip(points, d["betas"], ells):
         assert_matches_closed_form(point, beta, ell, d)
+
+
+def test_sigma_y_half_boost_response_is_one_minus_cos_atanh_beta():
+    k = PAULI[2] / 2
+    assert boost_response_coefficient(k) == 0.5
+    for beta in (0.5, 0.02, 0.01, 0.005):
+        e_m = counterexample_closed_form(beta, 1.0, 0.0, 1.0, k, "exact")["expectation_M"]
+        assert e_m - 1.0 == pytest.approx(math.cos(math.atanh(beta)) - 1.0, rel=0.0, abs=1e-15)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.tuples(*[st.floats(-2.0, 2.0)] * 4))
+def test_boost_response_is_second_order_in_beta_for_every_hermitian_k(coefs):
+    # K = k0 + n.sigma with ky^2 + kz^2 >= 0.01, so that 1 - expectation_M is
+    # at least 5e-7 at beta = 0.005 and its rounding below 1e-9 relative.
+    # Expanding (1 - kx^2/|n|^2)(1 - cos(2|n| atanh beta)):
+    #   f(beta)/f(beta/2) = 4 (1 + beta^2 (2 - |n|^2)/4 + O(beta^4)),
+    #   f(beta)/beta^2 = c2 (1 + beta^2 (2 - |n|^2)/3 + O(beta^4)),
+    # so each is held to twice the largest beta^2 term, |2 - |n|^2| <= 2 + |n|^2;
+    # at |n|^2 = 12, 4 +- 0.011 for the ratio at beta = 0.02
+    k = sum(coef * pauli for coef, pauli in zip(coefs, PAULI)).astype(complex)
+    _, n = pauli_coefficients(k)
+    assume(n[1] ** 2 + n[2] ** 2 >= 0.01)
+    size = 2.0 + sum(v * v for v in n)
+    betas = [0.02, 0.01, 0.005]
+    # a0 = 30 at every beta, so gamma*a0 is past the weak-reduction bound
+    points = sweep_velocity(CounterexampleParams(beta=0.01, ell=3000.0, gamma=1.0), betas, k)
+    f = [1.0 - point.expectation_M for point in points]
+    for beta, big, small in zip(betas, f, f[1:]):
+        assert abs(big / small / 4.0 - 1.0) <= beta**2 * size / 2.0
+    c2 = boost_response_coefficient(k)
+    assert abs(f[-1] / betas[-1] ** 2 / c2 - 1.0) <= 2.0 * betas[-1] ** 2 * size / 3.0

@@ -23,7 +23,9 @@ from qfoliation.dynamics import (
     lindblad_propagate,
     liouvillian,
     mean_projector,
+    plan_qsd,
     qsd_trajectory,
+    run_qsd_plan,
 )
 from qfoliation.errors import NumericalError, ValidationError
 from qfoliation.linalg import (
@@ -35,7 +37,7 @@ from qfoliation.linalg import (
 )
 from qfoliation.rng import stream_keys, wiener_block
 from qfoliation.scenarios import QsdSettings, dephasing_model, initial_state
-from _checks import qsd_step, wiener_increments
+from _checks import qsd_step, random_complex, random_density, random_hermitian, wiener_increments
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -50,21 +52,12 @@ def decoherence_model(gamma=1.0):
 
 
 def random_model(rng, dim, n_ls=1, hermitian_ls=False):
-    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = 0.5 * (h + h.conj().T)
+    h = random_hermitian(rng, dim)
     ls = []
     for _ in range(n_ls):
-        lk = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        if hermitian_ls:
-            lk = 0.5 * (lk + lk.conj().T)
+        lk = random_hermitian(rng, dim) if hermitian_ls else random_complex(rng, (dim, dim))
         ls.append(0.5 * lk)
     return GeneratorSet(H=h, Ls=tuple(ls))
-
-
-def random_density(rng, dim):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m @ m.conj().T
-    return rho / np.trace(rho).real
 
 
 # -- GeneratorSet ---------------------------------------------------------------
@@ -853,11 +846,11 @@ def test_batch_rows_are_their_streams_run_alone_bitwise_at_every_batch_size(gen)
     # (steps, 0, M) noise blocks.
     cfg = TrajectoryConfig(step=0.02, steps=200, seed=5)
     sizes = (1, 2, 3, 5, 8, 17, 1000, 1001)
-    largest = dynamics._qsd_run(PLUS_STATE, gen, cfg, sizes[-1])
+    largest = run_qsd_plan(plan_qsd(PLUS_STATE, gen, cfg, sizes[-1]))
     for m in sizes[:-1]:
-        np.testing.assert_array_equal(dynamics._qsd_run(PLUS_STATE, gen, cfg, m), largest[:m])
+        np.testing.assert_array_equal(run_qsd_plan(plan_qsd(PLUS_STATE, gen, cfg, m)), largest[:m])
     for stream in [*range(17), *range(500, 517), *range(984, 1001)]:
-        alone = dynamics._qsd_run(PLUS_STATE, gen, cfg, 1, first=stream)
+        alone = run_qsd_plan(plan_qsd(PLUS_STATE, gen, cfg, 1, first=stream))
         np.testing.assert_array_equal(alone[0], largest[stream])
 
 
@@ -900,7 +893,7 @@ def test_ensemble_noise_blocks_match_the_per_row_reference(monkeypatch):
     rows = (0, 1, 1234, m - 1)
     refs = {row: PLUS_STATE.astype(complex) for row in rows}
     noise = {row: wiener_increments(seed, row, 10, 2, step) for row in rows}
-    for s, batch in enumerate(dynamics._qsd_run(PLUS_STATE, gen, cfg, m, record=True)):
+    for s, batch in enumerate(run_qsd_plan(plan_qsd(PLUS_STATE, gen, cfg, m), record=True)):
         for row in rows:
             if s:
                 refs[row] = qsd_step(refs[row], gen, noise[row][s - 1], step)

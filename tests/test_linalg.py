@@ -17,26 +17,11 @@ from qfoliation.linalg import (
     validate_density,
     validate_state,
 )
-from _checks import dagger
+from _checks import dagger, random_complex, random_density, random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)  # projector onto (1,1)/sqrt(2)
-
-
-def random_complex(rng, shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-def random_hermitian(rng, dim):
-    m = random_complex(rng, (dim, dim))
-    return 0.5 * (m + m.conj().T)
-
-
-def random_density(rng, dim):
-    m = random_complex(rng, (dim, dim))
-    rho = m @ m.conj().T
-    return rho / np.trace(rho).real
 
 
 # -- dagger -------------------------------------------------------------------

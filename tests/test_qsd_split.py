@@ -104,7 +104,7 @@ def test_a_worker_makes_no_blas_or_lapack_call():
 
 def test_large_ensembles_split_and_small_ones_do_not(monkeypatch):
     calls = []
-    monkeypatch.setattr(dynamics, "_qsd_split", lambda plan, ops: calls.append(plan.workers))
+    monkeypatch.setattr(dynamics, "_qsd_split", lambda plan: calls.append(plan.workers))
     monkeypatch.setattr(dynamics, "_qsd_block", lambda *args: calls.append(1))
     gen = dephasing_model(1.0)
     cases = [  # CPUs, trajectories, steps: blocks
@@ -131,7 +131,7 @@ def test_a_split_forks_one_child_for_each_planned_worker_but_the_first(forks, wo
     split(workers)
     gen = dephasing_model(1.0)
     plan = dynamics.plan_qsd(PLUS_STATE, gen, TrajectoryConfig(0.02, 10), 31)
-    dynamics.run_qsd_plan(gen, plan)
+    dynamics.run_qsd_plan(plan)
     assert plan.workers == workers and len(pids) == plan.workers - 1
 
 
@@ -209,12 +209,12 @@ def test_blocks_refused_at_one_step_are_checked_on_their_merged_norms(forks):
     # stream 14 (second block) NaN; one process sees NaN, as np.max does
     gen, cfg = dephasing_model(100.0), TrajectoryConfig(step=0.05, steps=4000, renormalize=False)
     with pytest.raises(NumericalError) as one:
-        dynamics._qsd_run(PLUS_STATE, gen, cfg, 6, first=10)
+        dynamics.run_qsd_plan(dynamics.plan_qsd(PLUS_STATE, gen, cfg, 6, first=10))
     assert str(one.value) == "trajectory norm is nan"
     split, pids = forks
     split(2)
     with pytest.raises(NumericalError) as many:
-        dynamics._qsd_run(PLUS_STATE, gen, cfg, 6, first=10)
+        dynamics.run_qsd_plan(dynamics.plan_qsd(PLUS_STATE, gen, cfg, 6, first=10))
     assert len(pids) == 1
     assert type(many.value) is NumericalError and str(many.value) == str(one.value)
 
@@ -223,7 +223,7 @@ def test_the_earliest_refused_step_wins_and_its_least_norm_is_merged(monkeypatch
     # stand-in blocks refuse steps 4, 3 and 3; the merged least norm of step 3 is reported
     refusals = {0: (4, 0.0, 1.0), 2: (3, 1e-200, 1.0), 4: (3, 1e-250, 2.0)}
 
-    def refusing(plan, ops, record=False):
+    def refusing(plan, record=False):
         exc = NumericalError("stand-in")
         exc.refused = refusals[plan.first]
         raise exc

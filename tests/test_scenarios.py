@@ -350,22 +350,6 @@ def _plain_ensemble(psi0, gamma, span, step, seed, n_traj):
     return mean_projector(ensemble_final_states(psi0, dephasing_model(gamma), plan, n_traj))
 
 
-def test_run_qsd_checks_against_a_given_reference_as_given(monkeypatch):
-    def not_propagated(*args, **kwargs):
-        raise AssertionError("run_qsd propagated a reference it was given")
-
-    monkeypatch.setattr(scenarios, "lindblad_propagate", not_propagated)
-    ref = np.diag([0.75, 0.25]).astype(complex)
-    outcome, rho, rho_ref = run_qsd(1.0, 0.5, 0.05, 7, 20, rho_ref=ref)
-    assert rho_ref is ref
-    np.testing.assert_array_equal(rho, _plain_ensemble(initial_state_vector(), 1.0, 0.5, 0.05, 7, 20))
-    assert outcome.trace_distance_to_lindblad == trace_distance(rho, ref)
-    assert outcome.expectation == expectation(spin_observable(), rho)
-    plan = TrajectoryConfig.covering(0.5, 0.05)
-    assert (outcome.n_traj, outcome.seed, outcome.step, outcome.steps) == (20, 7, plan.step,
-                                                                           plan.steps)
-
-
 @pytest.mark.filterwarnings("ignore:gamma")
 def test_rk4_counterexample_checks_its_ensemble_against_its_rk4_density():
     p = CounterexampleParams(beta=0.01, ell=50.0, gamma=1.0, method="rk4", step=0.1,
@@ -398,6 +382,10 @@ def test_run_qsd_propagates_its_reference_from_psi0_when_given_none(monkeypatch,
     start = initial_state_vector() if psi0 is None else psi0
     np.testing.assert_array_equal(rho, _plain_ensemble(start, 1.0, 0.5, 0.05, 7, 20))
     assert outcome.trace_distance_to_lindblad == trace_distance(rho, rho_ref)
+    assert outcome.expectation == expectation(spin_observable(), rho)
+    plan = TrajectoryConfig.covering(0.5, 0.05)
+    assert (outcome.n_traj, outcome.seed, outcome.step, outcome.steps) == (20, 7, plan.step,
+                                                                           plan.steps)
 
 
 # -- unitary consistency ---------------------------------------------------------------
