@@ -2,12 +2,12 @@
 
 One structured config document describes a run; flags only point at the
 config and override seed, output path and format. A command is parsed, runs
-one `scenarios` call and is written; the physics and every range check are
-in `scenarios`, which refuses a range after the `seed:` line. Reports
-embed the fully resolved configuration (defaults filled) so every output
-file is self-describing and reproducible. No environment variable configures
-a run; a CLI process only has OpenBLAS start one thread unless the user
-chose a count (`launch.one_blas_thread`).
+one `scenarios` call and is written. Parsing only decodes and refuses no range
+but a negative seed; `scenarios` holds the physics, fills each left-out matrix
+or state and refuses every other range, after the `seed:` line. Reports embed
+the fully resolved configuration, so every output file is self-describing and
+reproducible. No environment variable configures a run; a CLI process only has
+OpenBLAS start one thread unless the user chose a count (`launch.one_blas_thread`).
 
 Exit status: 0 success, 1 configuration/validation failure, 2 numerical
 invariant breach, 130 interrupted (Ctrl-C).
@@ -33,7 +33,6 @@ if __name__ == "__main__":  # python -m qfoliation.cli, before numpy loads
 import numpy as np
 
 from . import scenarios
-from .dynamics import GeneratorSet
 from .errors import NumericalError, ValidationError, log_warnings
 
 log = logging.getLogger("qfoliation")
@@ -62,7 +61,7 @@ _OMIT = object()
 
 @dataclass(frozen=True)
 class Key:
-    """One config key: its kind, its default and, if no scenario refuses it, its lower bound.
+    """One config key: its kind, its default and, for the seed, its lower bound.
 
     kind is number, int, choice, bool, path, matrix, vector, betas, qsd,
     or any (passed on as given, for a key a scenario checks). default is
@@ -75,7 +74,6 @@ class Key:
     default: Any = _REQUIRED
     choices: tuple = ()
     ge: float | None = None
-    gt: float | None = None
 
 
 def _rk4_step(r: dict) -> float | None:
@@ -125,7 +123,7 @@ _SCHEMA = {
     },
     "qsd-ensemble": {
         "gamma": Key("number"),
-        "span": Key("number", gt=0),  # run_qsd takes the zero span of a beta = 0 counterexample
+        "span": Key("number"),
         "n_traj": Key("int"),
         "step": Key("number", _ensemble_step),
         "renormalize": Key("bool", True),
@@ -170,15 +168,13 @@ def _convert(key: str, spec: Key, val, known: dict):
     elif spec.kind == "vector":
         val = matrix_to_pairs(_complex_array(val, key, ndim=1))
     elif spec.kind == "betas":
-        if not isinstance(val, list) or not val:
-            raise ValidationError(f"config key {key!r} must be a non-empty list")
+        if not isinstance(val, list):
+            raise ValidationError(f"config key {key!r} must be a list")
         val = [_number(b, key) for b in val]
     elif spec.kind == "qsd":
         val = _resolve(_QSD_KEYS, val, repr(key), known)
     if spec.ge is not None and val < spec.ge:
         raise ValidationError(f"config key {key!r} must be >= {spec.ge}, got {val}")
-    if spec.gt is not None and val <= spec.gt:
-        raise ValidationError(f"config key {key!r} must be > {spec.gt}, got {val}")
     return val
 
 
@@ -250,8 +246,8 @@ def parse_config(text: str, command: str | None = None, *, seed: int | None = No
     when not None, replace the document's keys of those names before any
     default is filled (the CLI flags). Defaults are filled so the returned
     config is fully resolved; unknown keys anywhere are errors. It checks
-    types, finiteness and shapes, but of the ranges only a negative seed and
-    a qsd-ensemble span <= 0: the scenario that `run` calls refuses the rest.
+    types, finiteness and shapes, but of the ranges only a negative seed: the
+    scenario that `run` calls refuses the rest.
     """
     try:
         doc = json.loads(text)
@@ -279,11 +275,6 @@ def parse_config(text: str, command: str | None = None, *, seed: int | None = No
     top.update({key: val for key, val in flags.items() if val is not None})
     top = _resolve(_TOP_LEVEL_KEYS, top, "config document", {"command": cfg_command})
     params = _resolve(_SCHEMA[cfg_command], doc.get("params", {}), "'params'", top)
-    if cfg_command == "consistency" and params["gamma"] != 0.0:
-        ignored = [key for key in ("h", "k", "observable", "psi0") if key in params]
-        if ignored:
-            raise ValidationError(f"config key(s) {ignored} apply only to the unitary check "
-                                  "(gamma = 0); the dissipative run would ignore them")
     return RunConfig(command=cfg_command, params=params, **top)
 
 
@@ -317,14 +308,9 @@ def _report_matrix(m: np.ndarray) -> dict:
     return {"dim": int(m.shape[0]), "entries_row_major": matrix_to_pairs(m)}
 
 
-def _matrix_param(params: dict, key: str, default):
-    return matrix_from_config(params[key], key) if key in params else default
-
-
-def _state_param(params: dict) -> np.ndarray:
-    if "psi0" in params:
-        return _complex_array(params["psi0"], "psi0", ndim=1)
-    return scenarios.initial_state_vector()
+def _matrix_param(params: dict, key: str, ndim: int = 2) -> np.ndarray | None:
+    """The matrix (state at ndim 1) of a given key; None, for the scenario's default, if not."""
+    return _complex_array(params[key], key, ndim) if key in params else None
 
 
 def _run_counterexample(cfg: RunConfig) -> dict:
@@ -340,7 +326,7 @@ def _run_counterexample(cfg: RunConfig) -> dict:
 
 def _run_sweep(cfg: RunConfig) -> dict:
     p, betas = _counterexample_params(cfg.params), cfg.params["betas"]
-    reports = scenarios.sweep_velocity(p, betas, _matrix_param(cfg.params, "k_correction", None))
+    reports = scenarios.sweep_velocity(p, betas, _matrix_param(cfg.params, "k_correction"))
     # each beta as given: a -0.0 runs as +0.0 but keeps its sign in the report
     points = {"beta": betas, "ell": [r.params.ell for r in reports]}
     points.update({key: [getattr(r, key) for r in reports]
@@ -354,18 +340,10 @@ def _plane(plane) -> dict:
 
 def _run_consistency(cfg: RunConfig) -> dict:
     params = cfg.params
-    if params["gamma"] != 0.0:
-        report = scenarios.dissipative_consistency(_counterexample_params(params))
-    else:
-        # the unitary check takes either sign of beta, and leaves method and step unused
-        _counterexample_params({**params, "beta": abs(params["beta"])})
-        h = _matrix_param(params, "h", np.zeros((2, 2), dtype=np.complex128))
-        k = _matrix_param(params, "k", np.zeros_like(h))
-        a_op = _matrix_param(params, "observable", scenarios.spin_observable())
-        gen = GeneratorSet(H=h, K=k, Ls=())
-        report = scenarios.check_unitary_consistency(
-            gen, params["beta"], params["ell"], _state_param(params), a_op, c=params["c"]
-        )
+    report = scenarios.run_consistency(
+        **{key: params[key] for key in _OFFSET_KEYS},
+        **{key: _matrix_param(params, key) for key in ("h", "k", "observable")},
+        psi0=_matrix_param(params, "psi0", ndim=1))
     return {**asdict(report), "plane_rest": _plane(report.plane_rest),
             "plane_moving": _plane(report.plane_moving)}
 
@@ -373,7 +351,7 @@ def _run_consistency(cfg: RunConfig) -> dict:
 def _run_lindblad(cfg: RunConfig) -> dict:
     params = cfg.params
     columns, rho_final = scenarios.lindblad_scan(
-        _matrix_param(params, "rho0", scenarios.initial_state()), params["gamma"], params["span"],
+        _matrix_param(params, "rho0"), params["gamma"], params["span"],
         params["samples"], params["method"], params["step"])
     return {"points": columns, "rho_final": _report_matrix(rho_final)}
 
@@ -382,7 +360,7 @@ def _run_qsd_ensemble(cfg: RunConfig) -> dict:
     params = cfg.params
     outcome, rho, rho_ref = scenarios.run_qsd(
         params["gamma"], params["span"], params["step"], cfg.seed, params["n_traj"],
-        params["renormalize"], _state_param(params) if "psi0" in params else None)
+        params["renormalize"], _matrix_param(params, "psi0", ndim=1))
     results = {key: getattr(outcome, key) for key in
                ("expectation", "trace_distance_to_lindblad", "step", "steps")}
     return {**results, "rho_ensemble": _report_matrix(rho), "rho_lindblad": _report_matrix(rho_ref)}

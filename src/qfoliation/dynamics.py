@@ -212,8 +212,8 @@ class TrajectoryConfig:
 
     @classmethod
     def covering(cls, span: float, step: float, seed: int = 0, renormalize: bool = True):
-        """The `_fixed_steps(span, step)` plan; a zero span takes no step, a negative one fails."""
-        if span < 0.0:
+        """The `_fixed_steps(span, step)` plan; a zero span takes no step, a span not >= 0 fails."""
+        if not span >= 0.0:
             raise ValidationError(f"span must be non-negative, got {span:.6g}")
         h, n = _fixed_steps(span, step) if span != 0.0 else (step, 0)
         return cls(step=h, steps=n, seed=seed, renormalize=renormalize)

@@ -81,7 +81,7 @@ def coincidence_offset(ell: float, beta: float, c: float = SPEED_OF_LIGHT) -> fl
     ValidationError.
     """
     lorentz_gamma(beta)  # rejects |beta| >= 1
-    if ell <= 0.0:
+    if not ell > 0.0:
         raise ValidationError(f"localization distance must be positive, got {ell:.6g}")
     if not 0.0 < c < math.inf:
         raise ValidationError(f"c must be positive and finite, got {c:.6g}")

@@ -14,8 +14,10 @@ producing an order-one disagreement about a single event
 fixed a0. The initial state commutes with the measured observable, so the
 first-order boost response tr([A, K] rho0) vanishes for every Hermitian K:
 a nonzero boost generator changes the discrepancy only at second order in
-beta. The `lindblad` and `qsd-ensemble` commands run `lindblad_scan` and
-`run_qsd`, the unraveling that the counter-example's QSD check shares.
+beta. The `consistency` command runs `run_consistency`: the unitary check at
+gamma = 0, the counter-example's deviation otherwise. The `lindblad` and
+`qsd-ensemble` commands run `lindblad_scan` and `run_qsd`, whose outcome and
+ensemble density (`_qsd_outcome`) the counter-example's QSD check shares.
 
 Each scenario plans, then runs: it refuses its whole input, a library caller's
 too, before its first propagation; the CLI only decodes. `lindblad_scan` owns
@@ -184,10 +186,10 @@ def dephasing_model(gamma: float, k_x: np.ndarray | None = None) -> GeneratorSet
     return GeneratorSet(H=h, K=h if k_x is None else k_x, Ls=(decohering_coupling(gamma),))
 
 
-def lindblad_scan(rho0: np.ndarray, gamma: float, span: float, samples: int, method: str,
+def lindblad_scan(rho0: np.ndarray | None, gamma: float, span: float, samples: int, method: str,
                   step: float | None) -> tuple[dict, np.ndarray]:
-    """The dephasing model's Lindblad evolution of rho0 against the closed form at the offsets
-    span*i/samples, i = 1 ... samples: the five report columns, and the last density."""
+    """The dephasing model's Lindblad evolution of rho0 (initial_state() if None) against the
+    closed form at the offsets span*i/samples (i = 1 ... samples): its columns and last density."""
     if require_integer(samples, "samples") < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     if samples > MAX_LINDBLAD_SAMPLES:
@@ -199,6 +201,7 @@ def lindblad_scan(rho0: np.ndarray, gamma: float, span: float, samples: int, met
         raise ValidationError(f"span * samples = {span:.6g} * {samples} is not finite")
     if step is not None and not 0.0 < step < math.inf:
         raise ValidationError(f"step must be positive, got {step:.6g}")
+    rho0 = initial_state() if rho0 is None else rho0
     offsets = span * np.arange(1, samples + 1) / samples
     rhos = lindblad_propagate(rho0, dephasing_model(gamma), offsets, method, step)
     refs = lindblad_exact_twolevel(rho0, gamma, offsets)
@@ -221,7 +224,9 @@ def run_qsd(gamma: float, span: float, step: float, seed: int, n_traj: int,
     ensemble density of n_traj trajectories from psi0 (initial_state_vector() if None),
     and the Lindblad density they are checked against."""
     gen = dephasing_model(gamma)
-    cfg = TrajectoryConfig.covering(span, step, seed, renormalize)
+    cfg = TrajectoryConfig.covering(span, step, seed, renormalize)  # refuses a negative span
+    if not span > 0.0:
+        raise ValidationError(f"span must be positive, got {span:.6g}")
     plan = plan_qsd(initial_state_vector() if psi0 is None else psi0, gen, cfg, n_traj)
     finals = run_qsd_plan(plan)  # before the reference: its warning and errors come first
     rho_ref = lindblad_propagate(initial_state() if psi0 is None else density_from_state(psi0),
@@ -300,14 +305,8 @@ def _at_coincidence(deviation: float, path_order_difference: float, ell: float, 
     )
 
 
-def check_unitary_consistency(
-    gen: GeneratorSet,
-    beta: float,
-    ell: float,
-    psi0: np.ndarray,
-    a_op: np.ndarray,
-    c: float = SPEED_OF_LIGHT,
-) -> ConsistencyReport:
+def check_unitary_consistency(gen: GeneratorSet, beta: float, ell: float, psi0: np.ndarray,
+                              a_op: np.ndarray, c: float = SPEED_OF_LIGHT) -> ConsistencyReport:
     """Compare the two observers' expectations under purely unitary transport.
 
     The rest branch evolves psi0 along the offset to a0 = ell*beta/c; the
@@ -346,6 +345,29 @@ def dissipative_consistency(p: CounterexampleParams) -> ConsistencyReport:
     """The counter-example pipeline reported as a consistency deviation."""
     report = run_counterexample(p)
     return _at_coincidence(abs(report.discrepancy), 0.0, p.ell, p.beta, p.c, dissipative=True)
+
+
+def run_consistency(beta: float, ell: float, gamma: float, method: str = "exact",
+                    step: float | None = None, c: float = SPEED_OF_LIGHT,
+                    h: np.ndarray | None = None, k: np.ndarray | None = None,
+                    observable: np.ndarray | None = None,
+                    psi0: np.ndarray | None = None) -> ConsistencyReport:
+    """The consistency check: `dissipative_consistency` at gamma != 0, else, at either sign of
+    beta, `check_unitary_consistency` of H = h, K = k (zero if None), psi0 and observable
+    (initial_state_vector(), spin_observable() if None); a bad method or step is refused."""
+    ignored = [key for key, val in dict(h=h, k=k, observable=observable, psi0=psi0).items()
+               if val is not None]
+    if gamma != 0.0 and ignored:
+        raise ValidationError(f"config key(s) {ignored} apply only to the unitary check "
+                              "(gamma = 0); the dissipative run would ignore them")
+    p = CounterexampleParams(beta if gamma != 0.0 else abs(beta), ell, gamma, method, step, c=c)
+    if gamma != 0.0:
+        return dissipative_consistency(p)
+    h = np.zeros((2, 2), dtype=np.complex128) if h is None else h
+    gen = GeneratorSet(H=h, K=np.zeros_like(h) if k is None else k, Ls=())
+    return check_unitary_consistency(
+        gen, beta, ell, initial_state_vector() if psi0 is None else psi0,
+        spin_observable() if observable is None else observable, c=c)
 
 
 def sweep_velocity(p: CounterexampleParams, betas: list[float],

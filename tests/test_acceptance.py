@@ -52,6 +52,11 @@ from qfoliation.scenarios import (
     sweep_velocity,
 )
 from _checks import (
+    PLUS_STATE,
+    SX,
+    SY,
+    SZ,
+    ZERO2,
     contains_event,
     dagger,
     make_hyperplane,
@@ -62,11 +67,6 @@ from _checks import (
     wiener_increments,
 )
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]])
-SZ = np.diag([1.0, -1.0]).astype(complex)
-ZERO2 = np.zeros((2, 2), dtype=complex)
-PLUS_STATE = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
 MASTER_SEED = 20260808
 

@@ -117,12 +117,16 @@ def test_consistency_rejects_non_hermitian_observable(tmp_path, capsys, observab
     assert not os.path.exists(out)
 
 
-def test_dissipative_consistency_rejects_unitary_only_keys():
+def test_dissipative_consistency_rejects_unitary_only_keys(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "_expm", _started)
     doc = {"command": "consistency",
            "params": {"beta": 0.01, "ell": 3000.0, "gamma": 1.0,
                       "h": SIGMA_Z, "observable": SIGMA_Z}}
-    with pytest.raises(ValidationError, match=r"\['h', 'observable'\].*unitary check"):
-        parse_config(json.dumps(doc))
+    status, err, out = run_doc(tmp_path, doc, capsys)
+    assert status == 1
+    assert err == ("ERROR validation failure: config key(s) ['h', 'observable'] apply only to "
+                   "the unitary check (gamma = 0); the dissipative run would ignore them\n")
+    assert not os.path.exists(out)
 
 
 # -- states and densities are inputs ------------------------------------------------------
@@ -662,10 +666,11 @@ COUNTEREXAMPLE = {"beta": 0.01, "ell": 3000, "gamma": 1.0}
         ("qsd-ensemble", {**QSD, "renormalize": 1},
          "qfoliation: config key 'renormalize' must be a boolean"),
         ("sweep", {**COUNTEREXAMPLE, "betas": []},
-         "qfoliation: config key 'betas' must be a non-empty list"),
+         "ERROR validation failure: betas must be non-empty"),
         ("sweep", {**COUNTEREXAMPLE, "betas": 0.1},
-         "qfoliation: config key 'betas' must be a non-empty list"),
-        ("qsd-ensemble", {**QSD, "span": 0}, "qfoliation: config key 'span' must be > 0"),
+         "qfoliation: config key 'betas' must be a list"),
+        ("qsd-ensemble", {**QSD, "span": 0},
+         "ERROR validation failure: span must be positive, got 0"),
         # a range of the nested qsd block is refused by the run, as in the table below
         ("counterexample", {**COUNTEREXAMPLE, "qsd": {"n_traj": 2, "seed": -1}},
          "ERROR validation failure: qsd seed must be non-negative, got -1"),

@@ -37,14 +37,20 @@ from qfoliation.linalg import (
 )
 from qfoliation.rng import stream_keys, wiener_block
 from qfoliation.scenarios import QsdSettings, dephasing_model, initial_state
-from _checks import qsd_step, random_complex, random_density, random_hermitian, wiener_increments
+from _checks import (
+    PLUS_STATE,
+    SX,
+    SY,
+    SZ,
+    ZERO2,
+    qsd_step,
+    random_complex,
+    random_density,
+    random_hermitian,
+    wiener_increments,
+)
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]])
-SZ = np.diag([1.0, -1.0]).astype(complex)
-PLUS_STATE = np.array([1.0, 1.0]) / math.sqrt(2.0)
 PLUS_RHO = np.full((2, 2), 0.5, dtype=complex)
-ZERO2 = np.zeros((2, 2), dtype=complex)
 
 
 def decoherence_model(gamma=1.0):
@@ -100,7 +106,7 @@ def test_trajectory_config_validation():
 @pytest.mark.parametrize(("call", "message"), [
     (lambda: TrajectoryConfig(step=math.nan, steps=3), "^step must be positive, got nan$"),
     (lambda: TrajectoryConfig.covering(1.0, math.nan), "^step must be positive, got nan$"),
-    (lambda: TrajectoryConfig.covering(math.nan, 0.1), "has no finite step count$"),
+    (lambda: TrajectoryConfig.covering(math.nan, 0.1), "^span must be non-negative, got nan$"),
 ], ids=["step", "covering-step", "covering-span"])
 def test_trajectory_config_refuses_nan(call, message):
     with pytest.raises(ValidationError, match=message):

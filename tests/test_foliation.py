@@ -126,6 +126,8 @@ def test_coincidence_offset_rejects_bad_inputs():
         coincidence_offset(10.0, 1.0)
     with pytest.raises(ValueError):
         coincidence_offset(-1.0, 0.5)
+    with pytest.raises(ValidationError, match="^localization distance must be positive, got nan$"):
+        coincidence_offset(math.nan, 0.1)
     for ell, beta, c in ((2.0, 0.5, 1e-320), (math.inf, 1e-10, 1.0), (math.inf, 0.0, 1.0)):
         with pytest.raises(ValidationError, match="coincidence offset .* is not finite"):
             coincidence_offset(ell, beta, c)

@@ -17,10 +17,8 @@ from qfoliation.linalg import (
     validate_density,
     validate_state,
 )
-from _checks import dagger, random_complex, random_density, random_hermitian
+from _checks import SX, SZ, dagger, random_complex, random_density, random_hermitian
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)  # projector onto (1,1)/sqrt(2)
 
 

@@ -6,7 +6,6 @@ import ast
 import errno
 import inspect
 import json
-import math
 import os
 import pickle
 import signal
@@ -27,10 +26,8 @@ from qfoliation.dynamics import (
 )
 from qfoliation.errors import NumericalError
 from qfoliation.scenarios import dephasing_model
+from _checks import PLUS_STATE, SX, SZ
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.diag([1.0, -1.0]).astype(complex)
-PLUS_STATE = np.array([1.0, 1.0]) / math.sqrt(2.0)
 OVERFLOW = {"gamma": 100.0, "span": 200.0, "step": 0.05, "n_traj": 10, "renormalize": False}
 
 

@@ -38,12 +38,7 @@ from qfoliation.scenarios import (
     spin_observable,
     sweep_velocity,
 )
-from _checks import contains_event
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]])
-SZ = np.diag([1.0, -1.0]).astype(complex)
-ZERO2 = np.zeros((2, 2), dtype=complex)
+from _checks import SX, SY, SZ, ZERO2, contains_event
 
 HEADLINE = CounterexampleParams(beta=0.01, ell=3000.0, gamma=1.0)
 
