@@ -21,8 +21,8 @@ _EXPORTS = {name: module for module, names in (
     ("linalg", "density_from_state expectation expm_generator normalize_state trace_distance"
                " validate_density validate_state"),
     ("scenarios", "ConsistencyReport CounterexampleParams CounterexampleReport QsdSettings"
-                  " check_unitary_consistency dissipative_consistency initial_state"
-                  " initial_state_vector run_counterexample spin_observable sweep_velocity"),
+                  " run_consistency initial_state initial_state_vector run_counterexample"
+                  " spin_observable sweep_velocity"),
 ) for name in names.split()}
 
 __all__ = list(_EXPORTS)

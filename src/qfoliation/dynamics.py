@@ -319,10 +319,9 @@ def _expm(l: np.ndarray, a: np.ndarray, norm: float) -> np.ndarray:
     multiplication). Only the stacked solve and the squarings work per
     matrix, so each result is bit for bit the one its offset gives alone.
 
-    For an upper triangular l and s > 0, the diagonal is reset to the exact
-    exp(diag(a_i l) 2^(j-s)) before and after each squaring j, which would
-    amplify its error 2^s-fold (Al-Mohy & Higham, SIMAX 31 (2009) 970,
-    Fragment 2.1), so the last one is exp(a_i l_jj).
+    For an upper triangular l and s > 0, the diagonal is reset once, after the
+    last squaring, to the exact exp(a_i l_jj): the squarings would amplify its
+    error 2^s-fold (Al-Mohy & Higham, SIMAX 31 (2009) 970, Fragment 2.1).
     """
     n = l.shape[0]
     norms = a * norm
@@ -358,11 +357,10 @@ def _expm(l: np.ndarray, a: np.ndarray, norm: float) -> np.ndarray:
             vu += terms[j:j + 2]
         v, u = vu.view(np.complex128).reshape(2, -1, n, n)
         r = np.linalg.solve(v - u, v + u)
-        diag_a = a[sel, None] * diag if tri and squarings else None
-        for j in range(squarings + 1):
-            r = r @ r if j else r
-            if diag_a is not None:
-                r[:, ii, ii] = np.exp((diag_a * 2.0 ** (j - squarings)).view(np.complex128))
+        for _ in range(squarings):
+            r = r @ r
+        if tri and squarings:
+            r[:, ii, ii] = np.exp((a[sel, None] * diag).view(np.complex128))
         out[sel] = r
     return out
 
@@ -407,7 +405,7 @@ def lindblad_propagate(
     rho0 = require_density(rho0, "rho0")
     require_same_dim(rho0, gen.H)
     if method not in LINDBLAD_METHODS:
-        raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'rk4'")
+        raise ValidationError(f"method must be 'exact' or 'rk4', got {method!r}")
     spans = _offsets(span)
     rk4 = method == "rk4" and any(np.any(lk) for lk in gen.Ls)  # no dissipator: exact
     if rk4:

@@ -6,7 +6,7 @@ hyperplanes intersect on the worldline x = ell at the rest-frame offset
 a0 = ell*beta; each observer evolves the shared initial state to their own
 hyperplane and takes an expectation value.
 
-With purely unitary transport both observers agree (`check_unitary_consistency`).
+With purely unitary transport both observers agree (`run_consistency` at gamma = 0).
 Switching on decohering evolution in the offset direction while keeping the
 boost transport unitary makes the R branch decay and the M branch not,
 producing an order-one disagreement about a single event
@@ -23,7 +23,8 @@ Each scenario plans, then runs: it refuses its whole input, a library caller's
 too, before its first propagation; the CLI only decodes. `lindblad_scan` owns
 the lindblad work ceiling and the refusal of a `span * samples` that overflows,
 `run_qsd` runs its plan before its reference, a counter-example's plan (a0, model,
-QSD plan) refuses its QSD work once, and a sweep plans every beta before it runs one.
+QSD plan) refuses its QSD work once, its run warns only after its R branch refuses
+or propagates, and a sweep plans every beta before it runs one.
 """
 
 from __future__ import annotations
@@ -224,9 +225,9 @@ def run_qsd(gamma: float, span: float, step: float, seed: int, n_traj: int,
     ensemble density of n_traj trajectories from psi0 (initial_state_vector() if None),
     and the Lindblad density they are checked against."""
     gen = dephasing_model(gamma)
-    cfg = TrajectoryConfig.covering(span, step, seed, renormalize)  # refuses a negative span
     if not span > 0.0:
         raise ValidationError(f"span must be positive, got {span:.6g}")
+    cfg = TrajectoryConfig.covering(span, step, seed, renormalize)
     plan = plan_qsd(initial_state_vector() if psi0 is None else psi0, gen, cfg, n_traj)
     finals = run_qsd_plan(plan)  # before the reference: its warning and errors come first
     rho_ref = lindblad_propagate(initial_state() if psi0 is None else density_from_state(psi0),
@@ -270,11 +271,11 @@ def run_counterexample(p: CounterexampleParams,
 
 def _run_counterexample(p: CounterexampleParams, a0: float, gen: GeneratorSet, qsd_plan):
     """`run_counterexample` of p from its `_plan_counterexample` plan."""
-    if 0.0 < p.gamma * a0 < STRONG_REDUCTION_THRESHOLD:
-        warn(f"gamma*a0 = {p.gamma * a0:.3g} < {STRONG_REDUCTION_THRESHOLD}: "
-             "reduction is incomplete at the coincidence event")
     rho0, a_op = initial_state(), spin_observable()
     rho_r = lindblad_propagate(rho0, gen, a0, method=p.method, step=p.step)
+    if 0.0 < p.gamma * a0 < STRONG_REDUCTION_THRESHOLD:  # after the R branch's refusals
+        warn(f"gamma*a0 = {p.gamma * a0:.3g} < {STRONG_REDUCTION_THRESHOLD}: "
+             "reduction is incomplete at the coincidence event")
     rho_m = boost_transport(rho0, gen, p.beta)
 
     if purity(rho_r) > purity(rho0) + 1e-12:
@@ -292,82 +293,57 @@ def _run_counterexample(p: CounterexampleParams, a0: float, gen: GeneratorSet, q
                                 rho_initial=rho0, rho_R=rho_r, rho_M=rho_m, qsd=qsd)
 
 
-def _at_coincidence(deviation: float, path_order_difference: float, ell: float, beta: float,
-                    c: float, dissipative: bool) -> ConsistencyReport:
-    """A consistency report at the coincidence event, with both observers' hyperplanes."""
+def run_consistency(beta: float, ell: float, gamma: float, method: str = "exact",
+                    step: float | None = None, c: float = SPEED_OF_LIGHT,
+                    h: np.ndarray | None = None, k: np.ndarray | None = None,
+                    observable: np.ndarray | None = None,
+                    psi0: np.ndarray | None = None) -> ConsistencyReport:
+    """The two observers' deviation at the coincidence event a0 = ell*beta/c: at gamma != 0
+    |discrepancy| of the counter-example; at gamma = 0 (either sign of beta) the rest branch
+    evolves psi0 (initial_state_vector() if None) under H = h (zero if None) to a0, the
+    moving branch boosts psi0 with K = k (zero if None), and both measure the Hermitian
+    observable (spin_observable() if None). Non-commuting (H, K) are refused: their
+    transport is path-ordering dependent, a different effect than observer inconsistency.
+    A bad method or step is refused either way."""
+    ignored = [key for key, val in dict(h=h, k=k, observable=observable, psi0=psi0).items()
+               if val is not None]
+    if gamma != 0.0 and ignored:
+        raise ValidationError(f"{', '.join(ignored)} apply only to the unitary check "
+                              "(gamma = 0); the dissipative run would ignore them")
+    p = CounterexampleParams(beta if gamma != 0.0 else abs(beta), ell, gamma, method, step, c=c)
+    if gamma != 0.0:
+        deviation, path_order_difference = abs(run_counterexample(p).discrepancy), 0.0
+    else:
+        h = np.zeros((2, 2), dtype=np.complex128) if h is None else h
+        gen = GeneratorSet(H=h, K=np.zeros_like(h) if k is None else k)
+        a_op = require_hermitian(spin_observable() if observable is None else observable,
+                                 "observable")
+        psi0 = validate_state(initial_state_vector() if psi0 is None else psi0)
+        require_same_dim(psi0, gen.H)
+        comm = gen.H @ gen.K - gen.K @ gen.H
+        defect = float(np.max(np.abs(comm)))
+        scale = max(1.0, float(np.max(np.abs(gen.H))) * float(np.max(np.abs(gen.K))))
+        if defect > _COMMUTATOR_TOL * scale:
+            raise ValidationError(f"||[H, K]|| = {defect:.3e}: transport would be path-dependent")
+
+        a0 = coincidence_offset(ell, beta, c)
+        u_offset = expm_generator(gen.H, a0)
+        psi_rest = u_offset @ psi0
+        psi_moving = boost_transport(psi0, gen, beta)
+
+        deviation = abs(state_expectation(a_op, psi_rest) - state_expectation(a_op, psi_moving))
+        path_a_then_n = boost_transport(psi_rest, gen, beta)
+        path_n_then_a = u_offset @ psi_moving
+        path_order_difference = float(np.linalg.norm(path_a_then_n - path_n_then_a))
+
     return ConsistencyReport(
         deviation=deviation,
         path_order_difference=path_order_difference,
         event=coincidence_event(ell, beta, c),
         plane_rest=Hyperplane(FourVector(1.0), coincidence_offset(ell, beta, c)),
         plane_moving=Hyperplane(frame_normal(beta), 0.0),
-        dissipative=dissipative,
+        dissipative=gamma != 0.0,
     )
-
-
-def check_unitary_consistency(gen: GeneratorSet, beta: float, ell: float, psi0: np.ndarray,
-                              a_op: np.ndarray, c: float = SPEED_OF_LIGHT) -> ConsistencyReport:
-    """Compare the two observers' expectations under purely unitary transport.
-
-    The rest branch evolves psi0 along the offset to a0 = ell*beta/c; the
-    moving branch boosts psi0 at offset zero. Requires a Hermitian
-    observable, a vanishing dissipator and commuting (H, K_x): for
-    non-commuting generators the transport would be path-ordering
-    dependent, which is a different effect than observer inconsistency, so
-    such inputs are refused.
-    """
-    if any(np.any(lk) for lk in gen.Ls):
-        raise ValidationError("unitary consistency check requires a vanishing dissipator")
-    a_op = require_hermitian(a_op, "observable")
-    psi0 = validate_state(psi0)
-    require_same_dim(psi0, gen.H)
-    k_x = np.zeros_like(gen.H) if gen.K is None else gen.K
-    comm = gen.H @ k_x - k_x @ gen.H
-    defect = float(np.max(np.abs(comm)))
-    scale = max(1.0, float(np.max(np.abs(gen.H))) * float(np.max(np.abs(k_x))))
-    if defect > _COMMUTATOR_TOL * scale:
-        raise ValidationError(f"||[H, K]|| = {defect:.3e}: transport would be path-dependent")
-
-    a0 = coincidence_offset(ell, beta, c)
-    u_offset = expm_generator(gen.H, a0)
-    psi_rest = u_offset @ psi0
-    psi_moving = boost_transport(psi0, gen, beta)
-
-    deviation = abs(state_expectation(a_op, psi_rest) - state_expectation(a_op, psi_moving))
-    path_a_then_n = boost_transport(psi_rest, gen, beta)
-    path_n_then_a = u_offset @ psi_moving
-    path_order_difference = float(np.linalg.norm(path_a_then_n - path_n_then_a))
-
-    return _at_coincidence(deviation, path_order_difference, ell, beta, c, dissipative=False)
-
-
-def dissipative_consistency(p: CounterexampleParams) -> ConsistencyReport:
-    """The counter-example pipeline reported as a consistency deviation."""
-    report = run_counterexample(p)
-    return _at_coincidence(abs(report.discrepancy), 0.0, p.ell, p.beta, p.c, dissipative=True)
-
-
-def run_consistency(beta: float, ell: float, gamma: float, method: str = "exact",
-                    step: float | None = None, c: float = SPEED_OF_LIGHT,
-                    h: np.ndarray | None = None, k: np.ndarray | None = None,
-                    observable: np.ndarray | None = None,
-                    psi0: np.ndarray | None = None) -> ConsistencyReport:
-    """The consistency check: `dissipative_consistency` at gamma != 0, else, at either sign of
-    beta, `check_unitary_consistency` of H = h, K = k (zero if None), psi0 and observable
-    (initial_state_vector(), spin_observable() if None); a bad method or step is refused."""
-    ignored = [key for key, val in dict(h=h, k=k, observable=observable, psi0=psi0).items()
-               if val is not None]
-    if gamma != 0.0 and ignored:
-        raise ValidationError(f"config key(s) {ignored} apply only to the unitary check "
-                              "(gamma = 0); the dissipative run would ignore them")
-    p = CounterexampleParams(beta if gamma != 0.0 else abs(beta), ell, gamma, method, step, c=c)
-    if gamma != 0.0:
-        return dissipative_consistency(p)
-    h = np.zeros((2, 2), dtype=np.complex128) if h is None else h
-    gen = GeneratorSet(H=h, K=np.zeros_like(h) if k is None else k, Ls=())
-    return check_unitary_consistency(
-        gen, beta, ell, initial_state_vector() if psi0 is None else psi0,
-        spin_observable() if observable is None else observable, c=c)
 
 
 def sweep_velocity(p: CounterexampleParams, betas: list[float],

@@ -42,11 +42,10 @@ from qfoliation.linalg import (
 from qfoliation.scenarios import (
     CounterexampleParams,
     QsdSettings,
-    check_unitary_consistency,
     dephasing_model,
-    dissipative_consistency,
     initial_state,
     initial_state_vector,
+    run_consistency,
     run_counterexample,
     spin_observable,
     sweep_velocity,
@@ -185,13 +184,11 @@ def test_criterion_4_observer_consistency():
 
     # commuting-generator configurations, vanishing dissipator
     deviations = []
-    boost_only = GeneratorSet(H=ZERO2, K=SX / 2)
-    rep = check_unitary_consistency(boost_only, 0.3, 50.0, initial_state_vector(), SX)
+    rep = run_consistency(0.3, 50.0, 0.0, h=ZERO2, k=SX / 2, psi0=initial_state_vector(),
+                          observable=SX)
     deviations.append(max(rep.deviation, rep.path_order_difference))
-    offset_only = GeneratorSet(H=SZ, K=ZERO2)
-    rep = check_unitary_consistency(
-        offset_only, 0.2, 40.0, np.array([0.6, 0.8], dtype=complex), SZ
-    )
+    rep = run_consistency(0.2, 40.0, 0.0, h=SZ, k=ZERO2,
+                          psi0=np.array([0.6, 0.8], dtype=complex), observable=SZ)
     deviations.append(max(rep.deviation, rep.path_order_difference))
     rng = np.random.default_rng(41)
     for _ in range(20):
@@ -200,10 +197,10 @@ def test_criterion_4_observer_consistency():
         h = v @ np.diag(rng.normal(size=2)) @ v.conj().T
         k = v @ np.diag(rng.normal(size=2)) @ v.conj().T
         a_op = v @ np.diag(rng.normal(size=2)) @ v.conj().T
-        gen = GeneratorSet(H=0.5 * (h + h.conj().T), K=0.5 * (k + k.conj().T))
-        rep = check_unitary_consistency(
-            gen, float(rng.uniform(0.01, 0.5)), float(rng.uniform(1.0, 100.0)),
-            random_state(rng, 2), 0.5 * (a_op + a_op.conj().T),
+        rep = run_consistency(
+            float(rng.uniform(0.01, 0.5)), float(rng.uniform(1.0, 100.0)), 0.0,
+            h=0.5 * (h + h.conj().T), k=0.5 * (k + k.conj().T), psi0=random_state(rng, 2),
+            observable=0.5 * (a_op + a_op.conj().T),
         )
         deviations.append(max(rep.deviation, rep.path_order_difference))
     unitary_worst = max(deviations)
@@ -213,8 +210,7 @@ def test_criterion_4_observer_consistency():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         for gamma_a0 in (1.0, 5.0, 10.0, 30.0):
-            p = CounterexampleParams(beta=0.01, ell=3000.0, gamma=gamma_a0 / 30.0)
-            rep = dissipative_consistency(p)
+            rep = run_consistency(0.01, 3000.0, gamma_a0 / 30.0)
             expected = 1.0 - math.exp(-0.5 * gamma_a0)
             dissipative_worst = max(dissipative_worst, abs(rep.deviation - expected))
     elapsed = time.perf_counter() - start

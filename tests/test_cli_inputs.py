@@ -124,7 +124,7 @@ def test_dissipative_consistency_rejects_unitary_only_keys(tmp_path, capsys, mon
                       "h": SIGMA_Z, "observable": SIGMA_Z}}
     status, err, out = run_doc(tmp_path, doc, capsys)
     assert status == 1
-    assert err == ("ERROR validation failure: config key(s) ['h', 'observable'] apply only to "
+    assert err == ("ERROR validation failure: h, observable apply only to "
                    "the unitary check (gamma = 0); the dissipative run would ignore them\n")
     assert not os.path.exists(out)
 
@@ -689,6 +689,7 @@ def test_refused_config_exits_1_with_its_message(tmp_path, capsys, command, para
 
 
 LINDBLAD_PARAMS = {"gamma": 1.0, "span": 1.0}
+RK4_COARSE = {"beta": 0.01, "ell": 300, "gamma": 1.0, "method": "rk4", "step": 10.0}
 RHO0_DIM_3 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
 
 
@@ -701,7 +702,7 @@ RHO0_DIM_3 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0
         ("lindblad", {**LINDBLAD_PARAMS, "span": -1}, "span must be non-negative, got -1"),
         ("lindblad", {**LINDBLAD_PARAMS, "samples": 0}, "samples must be >= 1, got 0"),
         ("lindblad", {**LINDBLAD_PARAMS, "method": "x"},
-         "unknown method 'x', expected 'exact' or 'rk4'"),
+         "method must be 'exact' or 'rk4', got 'x'"),
         ("lindblad", {**LINDBLAD_PARAMS, "step": 0}, "step must be positive, got 0"),
         ("lindblad", {**LINDBLAD_PARAMS, "rho0": RHO0_DIM_3}, "dimension mismatch: (3, 3) vs (2, 2)"),
         ("qsd-ensemble", {**QSD, "gamma": -1}, "gamma must be non-negative, got -1"),
@@ -721,12 +722,18 @@ RHO0_DIM_3 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0
         # the unitary check uses neither method nor step, but a bad one is still refused
         ("consistency", {"beta": 0.2, "ell": 40.0, "gamma": 0, "method": "x"},
          "method must be 'exact' or 'rk4', got 'x'"),
+        # gamma*a0 = 3 warns of incomplete reduction only after the R branch refuses its step
+        ("counterexample", RK4_COARSE, "step*||generator|| = 2.000e+01 > 1; "
+         "reduce step below 5.000e-01"),
+        ("sweep", {**RK4_COARSE, "betas": [0.01]}, "step*||generator|| = 2.000e+01 > 1; "
+         "reduce step below 5.000e-01"),
     ],
     ids=["lindblad-gamma", "lindblad-span", "lindblad-samples-0", "lindblad-method",
          "lindblad-step-0", "lindblad-rho0-dim-3", "qsd-ensemble-gamma", "qsd-ensemble-n_traj-0",
          "qsd-ensemble-step-0", "sweep-k_correction-dim-3", "counterexample-beta-1.5",
          "counterexample-c", "counterexample-step", "counterexample-qsd-seed",
-         "counterexample-qsd-step", "consistency-gamma", "unitary-consistency-method"],
+         "counterexample-qsd-step", "consistency-gamma", "unitary-consistency-method",
+         "counterexample-rk4-step", "sweep-rk4-step"],
 )
 def test_range_is_refused_by_its_scenario_after_the_seed_line(tmp_path, capsys, monkeypatch,
                                                               command, params, message):

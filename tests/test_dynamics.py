@@ -244,7 +244,7 @@ def _no_work(*args, **kwargs):
 
 def test_lindblad_many_offsets_checked_once_and_each():
     gen = decoherence_model()
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(ValueError, match="^method must be 'exact' or 'rk4', got 'magic'$"):
         lindblad_propagate(PLUS_RHO, gen, [], method="magic")
     assert lindblad_propagate(PLUS_RHO, gen, []).shape == (0, 2, 2)
     with pytest.raises(ValueError, match="non-negative"):
@@ -498,8 +498,8 @@ def random_triangular(rng, n):
 
 
 def test_expm_upper_triangular_diagonal_is_exact():
-    # with s > 0 squarings, each square's diagonal is reset to exp(2^(j-s) diag(a L)),
-    # so the last one is exp(diag(a L)); 1-norms 10, 40 and 300 take s = 1, 3 and 6
+    # with s > 0 squarings, the diagonal is reset to exp(diag(a L)) after the last one;
+    # 1-norms 10, 40 and 300 take s = 1, 3 and 6
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(43)
     offsets = [40.0, 10.0, 300.0]

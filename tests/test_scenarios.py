@@ -1,13 +1,14 @@
+import ast
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qfoliation import dynamics, rng, scenarios
 from qfoliation.dynamics import (
-    GeneratorSet,
     TrajectoryConfig,
     ensemble_density,
     ensemble_final_states,
@@ -27,12 +28,11 @@ from qfoliation.linalg import (
 from qfoliation.scenarios import (
     CounterexampleParams,
     QsdSettings,
-    check_unitary_consistency,
     dephasing_model,
-    dissipative_consistency,
     initial_state,
     initial_state_vector,
     lindblad_scan,
+    run_consistency,
     run_counterexample,
     run_qsd,
     spin_observable,
@@ -41,6 +41,18 @@ from qfoliation.scenarios import (
 from _checks import SX, SY, SZ, ZERO2, contains_event
 
 HEADLINE = CounterexampleParams(beta=0.01, ell=3000.0, gamma=1.0)
+
+
+# -- the public functions --------------------------------------------------------
+
+def test_public_functions_are_the_scenarios_and_their_fixed_operators():
+    # one function per command's check, with no public helper beside it
+    tree = ast.parse(Path(scenarios.__file__).read_text(encoding="utf-8"))
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert public == {"lindblad_scan", "run_qsd", "run_counterexample", "run_consistency",
+                      "sweep_velocity", "dephasing_model", "spin_observable", "initial_state",
+                      "initial_state_vector"}
 
 
 # -- fixed operators ------------------------------------------------------------
@@ -206,7 +218,8 @@ def test_each_qsd_run_checks_its_work_once(monkeypatch, call, runs):
                  id="ensemble_density"),
     pytest.param(lambda: run_counterexample(WEAK), id="run_counterexample"),
     pytest.param(lambda: sweep_velocity(WEAK, [0.001]), id="sweep_velocity"),
-    pytest.param(lambda: dissipative_consistency(WEAK), id="dissipative_consistency"),
+    pytest.param(lambda: run_consistency(WEAK.beta, WEAK.ell, WEAK.gamma),
+                 id="dissipative_consistency"),
 ])
 def test_warning_names_the_line_that_called_the_package(call):
     with pytest.warns(UserWarning) as record:
@@ -293,8 +306,10 @@ def test_lindblad_scan_refuses_samples_that_are_not_a_positive_integer(samples, 
 
 
 def test_run_qsd_refuses_a_negative_span_by_name():
-    with pytest.raises(ValidationError, match="^span must be non-negative, got -1$"):
-        scenarios.run_qsd(1.0, -1.0, 0.01, 0, 10)
+    # one message for every span that is not positive, zero included
+    for span in (-1.0, math.nan, 0.0):
+        with pytest.raises(ValidationError, match=f"^span must be positive, got {span:.6g}$"):
+            scenarios.run_qsd(1.0, span, 0.01, 0, 10)
 
 
 def _propagated(*args, **kwargs):
@@ -387,68 +402,58 @@ def test_run_qsd_propagates_its_reference_from_psi0_when_given_none(monkeypatch,
 
 def test_unitary_consistency_boost_only():
     # H = 0, K arbitrary, observable commuting with K
-    gen = GeneratorSet(H=ZERO2, K=SX / 2)
-    report = check_unitary_consistency(gen, beta=0.3, ell=50.0, psi0=initial_state_vector(), a_op=SX)
+    report = run_consistency(0.3, 50.0, 0.0, h=ZERO2, k=SX / 2, psi0=initial_state_vector(),
+                             observable=SX)
     assert report.deviation <= 1e-9
     assert report.path_order_difference <= 1e-9
     assert not report.dissipative
 
 
 def test_unitary_consistency_offset_only():
-    gen = GeneratorSet(H=SZ, K=ZERO2)
     psi0 = np.array([0.6, 0.8], dtype=complex)
-    report = check_unitary_consistency(gen, beta=0.2, ell=40.0, psi0=psi0, a_op=SZ)
+    report = run_consistency(0.2, 40.0, 0.0, h=SZ, k=ZERO2, psi0=psi0, observable=SZ)
     assert report.deviation <= 1e-9
     assert report.path_order_difference <= 1e-9
 
 
 def test_unitary_consistency_planes_share_the_event():
-    gen = GeneratorSet(H=SZ, K=ZERO2)
-    report = check_unitary_consistency(
-        gen, beta=0.2, ell=40.0, psi0=initial_state_vector(), a_op=SZ
-    )
+    report = run_consistency(0.2, 40.0, 0.0, h=SZ, k=ZERO2, psi0=initial_state_vector(),
+                             observable=SZ)
     assert contains_event(report.plane_rest, report.event)
     assert contains_event(report.plane_moving, report.event)
 
 
 def test_unitary_consistency_honours_c():
     beta, ell, c = 0.2, 40.0, 3.0
-    gen = GeneratorSet(H=SZ, K=ZERO2)
-    report = check_unitary_consistency(gen, beta, ell, initial_state_vector(), SZ, c=c)
+    report = run_consistency(beta, ell, 0.0, h=SZ, k=ZERO2, psi0=initial_state_vector(),
+                             observable=SZ, c=c)
     assert report.event.t == pytest.approx(ell * beta / c, rel=1e-15)
     assert report.plane_rest.offset == report.event.t
     # gamma * a0 = 26.7, so the dissipative run reduces fully and does not warn
-    dissipative = dissipative_consistency(CounterexampleParams(beta=beta, ell=ell, gamma=10.0, c=c))
+    dissipative = run_consistency(beta, ell, 10.0, c=c)
     assert report.event == dissipative.event
 
 
 def test_unitary_consistency_refuses_non_commuting():
-    gen = GeneratorSet(H=SZ, K=SY / 2)
     with pytest.raises(ValidationError, match=r"^\|\|\[H, K\]\|\| = \S+: transport would be"):
-        check_unitary_consistency(gen, 0.1, 10.0, initial_state_vector(), SX)
+        run_consistency(0.1, 10.0, 0.0, h=SZ, k=SY / 2, psi0=initial_state_vector(), observable=SX)
 
 
 def test_unitary_consistency_refuses_non_hermitian_observable():
-    gen = GeneratorSet(H=SZ, K=ZERO2)
     with pytest.raises(ValidationError, match="observable Hermiticity defect"):
-        check_unitary_consistency(gen, 0.1, 10.0, initial_state_vector(), np.array([[0, 1], [0, 0]]))
-
-
-def test_unitary_consistency_refuses_dissipator():
-    gen = GeneratorSet(H=ZERO2, Ls=(SX,))
-    with pytest.raises(ValidationError, match="dissipator"):
-        check_unitary_consistency(gen, 0.1, 10.0, initial_state_vector(), SX)
+        run_consistency(0.1, 10.0, 0.0, h=SZ, k=ZERO2, psi0=initial_state_vector(),
+                        observable=np.array([[0, 1], [0, 0]]))
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0])
 def test_unitary_consistency_refuses_c_that_is_not_positive(c):
-    gen = GeneratorSet(H=SZ, K=ZERO2)
-    with pytest.raises(ValidationError, match="^c must be positive and finite"):
-        check_unitary_consistency(gen, 0.1, 10.0, initial_state_vector(), SX, c=c)
+    with pytest.raises(ValidationError, match=f"^c must be positive, got {c:.6g}$"):
+        run_consistency(0.1, 10.0, 0.0, h=SZ, k=ZERO2, psi0=initial_state_vector(),
+                        observable=SX, c=c)
 
 
 def test_dissipative_consistency_reports_the_violation():
-    report = dissipative_consistency(HEADLINE)
+    report = run_consistency(HEADLINE.beta, HEADLINE.ell, HEADLINE.gamma)
     assert report.dissipative
     assert report.deviation == pytest.approx(1.0 - math.exp(-15.0), abs=1e-6)
 

@@ -4,6 +4,7 @@ unless the user chose a count."""
 
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -29,9 +30,8 @@ PUBLIC = {
     "linalg": ["density_from_state", "expectation", "expm_generator", "normalize_state",
                "trace_distance", "validate_density", "validate_state"],
     "scenarios": ["ConsistencyReport", "CounterexampleParams", "CounterexampleReport",
-                  "QsdSettings", "check_unitary_consistency", "dissipative_consistency",
-                  "initial_state", "initial_state_vector", "run_counterexample",
-                  "spin_observable", "sweep_velocity"],
+                  "QsdSettings", "run_consistency", "initial_state", "initial_state_vector",
+                  "run_counterexample", "spin_observable", "sweep_velocity"],
 }
 # each before the modules that import it
 SUBMODULES = ["errors", "rng", "foliation", "linalg", "dynamics", "scenarios"]
@@ -93,7 +93,9 @@ def test_readme_library_quickstart_runs(tmp_path):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
     proc = python(block, tmp_path)
-    assert proc.stdout.splitlines()[0] == "1.0"  # expectation_M
+    # expectation_M, expectation_R, discrepancy and the consistency deviation at gamma*a0 = 30
+    closed = [1.0, math.exp(-15.0), 1.0 - math.exp(-15.0), 1.0 - math.exp(-15.0)]
+    assert [float(line) for line in proc.stdout.splitlines()] == pytest.approx(closed, rel=1e-12)
     assert proc.stderr == ""
 
 
