@@ -70,7 +70,10 @@ streams and sends its rows back, pickled, through its own pipe. A row's
 noise is a pure function of its stream and its arithmetic does not depend
 on its batch, so neither does any bit of the result depend on the split:
 the final states, and every report made from them, are the same for any
-number of workers. Errors behave as in one process (see `_qsd_split`).
+number of workers. So a split that fails (a pipe or fork that cannot be
+made, or a block that raises) runs the whole plan again in one process,
+which raises what one process raises, at the cost of the parent's block
+and the one-process run to the failing step (see `_qsd_split`).
 """
 
 from __future__ import annotations
@@ -625,7 +628,12 @@ class _StepPlan:
         for ufunc, args in self.calls[s % 2]:
             ufunc(*args)
         norms = self.norms
-        _check_norms(float(norms.min()), float(norms.max()))
+        # the least norm is NaN if any norm is, and so is the greatest
+        worst, peak = float(norms.min()), float(norms.max())
+        if worst < ZERO_NORM_FLOOR:
+            raise NumericalError(f"trajectory norm collapsed to {worst:.3e} before renormalization")
+        if not math.isfinite(peak):
+            raise NumericalError(f"trajectory norm is {peak}")
         out = self.outs[s % 2]
         if self.renormalize:
             # divide as floats, each norm laid out twice (for the real and the
@@ -641,18 +649,10 @@ class _StepPlan:
         return out
 
 
-def _check_norms(worst: float, peak: float) -> None:
-    """Refuse a step whose least trajectory norm is below ZERO_NORM_FLOOR or
-    whose greatest is not finite; both are NaN if any norm is NaN."""
-    if worst < ZERO_NORM_FLOOR:
-        raise NumericalError(f"trajectory norm collapsed to {worst:.3e} before renormalization")
-    if not math.isfinite(peak):
-        raise NumericalError(f"trajectory norm is {peak}")
-
-
 # all that a QSD run reads, refused and counted by `plan_qsd`, so `run_qsd_plan` needs
-# nothing else: workers blocks of rows, each run by a process of its own, the step's
-# operators `_qsd_ops` and coarse = step*max||L_k^dag L_k|| (0.0 without a step or channel)
+# nothing else: workers blocks of rows, each run by a process of its own (a split that
+# fails runs again as one block), the step's operators `_qsd_ops` and
+# coarse = step*max||L_k^dag L_k|| (0.0 without a step or channel)
 QsdPlan = NamedTuple("QsdPlan", [("cfg", TrajectoryConfig), ("psi0", np.ndarray), ("first", int),
                                  ("n_traj", int), ("workers", int), ("ops", tuple),
                                  ("coarse", float)])
@@ -698,9 +698,8 @@ def _qsd_block(plan: QsdPlan, record: bool = False) -> np.ndarray:
 
     With K channels, one `rng.wiener_block` call draws the noise of max(1,
     _NOISE_BLOCK_ENTRIES // (M*K)) consecutive steps, whose bits do not
-    depend on the block. A step refused by `_check_norms` raises its error
-    with the attribute `refused` = (step index, least norm, greatest norm),
-    which `_qsd_split` merges across blocks.
+    depend on the block. A refused step raises here, in every process alike:
+    a split that fails runs the whole plan again through this one loop.
     """
     cfg, psi0, n_traj, k = plan.cfg, plan.psi0, plan.n_traj, len(plan.ops[1])
     keys = rng.stream_keys(cfg.seed, range(plan.first, plan.first + n_traj))
@@ -712,17 +711,13 @@ def _qsd_block(plan: QsdPlan, record: bool = False) -> np.ndarray:
         path[0] = cols.T
     kernel = _StepPlan(plan.ops, outs, cfg.renormalize)
     block = max(1, _NOISE_BLOCK_ENTRIES // max(1, n_traj * k))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused per step
-            for start in range(0, cfg.steps, block):
-                noise = rng.wiener_block(keys, start, min(block, cfg.steps - start), k, cfg.step)
-                for s, dxi in enumerate(noise, start):
-                    cols = kernel.step(s, dxi)
-                    if record:
-                        path[s + 1] = cols.T
-    except NumericalError as exc:  # only _check_norms raises one here
-        exc.refused = (s, float(kernel.norms.min()), float(kernel.norms.max()))
-        raise
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused per step
+        for start in range(0, cfg.steps, block):
+            noise = rng.wiener_block(keys, start, min(block, cfg.steps - start), k, cfg.step)
+            for s, dxi in enumerate(noise, start):
+                cols = kernel.step(s, dxi)
+                if record:
+                    path[s + 1] = cols.T
     return path if record else cols.T
 
 
@@ -737,13 +732,18 @@ def _cpu_count() -> int:
 def _qsd_split(plan: QsdPlan) -> np.ndarray:
     """`_qsd_block`'s final states of the plan's rows, computed in its
     `workers` contiguous blocks of rows at once: the first in this process,
-    each other in a forked child that sends its rows, or its exception,
-    pickled through its own pipe.
+    each other in a forked child that sends its rows, pickled, through its
+    own pipe.
 
-    After its own block, the parent reaps every child in turn, then raises
-    as one block would: an error other than a refused step first, else the
-    refusal of the earliest step, checked again on the merged norms of every
-    block refused at that step. On any exception of its own, Ctrl-C
+    A split that fails runs again in one process: if a pipe or a fork
+    cannot be made, the parent's own block raises an Exception or a child
+    exits 1, the parent kills and reaps every child and returns
+    `_qsd_block(plan)`, which gives or raises what one process does, since
+    no row's bits depend on the split. A refused run thus costs the parent's
+    block and then the one-process run to the failing step. A child that
+    ends otherwise (a signal, or rows cut short) is not run again, as the
+    out-of-memory killer could end the parent next with no message: the
+    parent raises MemoryError. On any exception of its own, Ctrl-C
     included, the parent kills and reaps every child before it re-raises.
     SIGINT is blocked while the children are forked, so that none is
     missed, and stays blocked in them: Ctrl-C is the parent's to handle.
@@ -752,76 +752,68 @@ def _qsd_split(plan: QsdPlan) -> np.ndarray:
 
     bounds = [plan.n_traj * w // plan.workers for w in range(plan.workers + 1)]
     children = []  # (pid, read end of its pipe) of each child not yet reaped
-    blocks = []  # each block's final states or error, in row order
+    blocks = []  # each block's final states, in row order
+    failed = False
     try:
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                read, write = os.pipe()
-                pipe = open(read, "rb")
-                try:
-                    # a child makes no BLAS or LAPACK call (G is built with @
-                    # in plan_qsd, before the fork), so no lock held by the
-                    # parent's OpenBLAS threads can stall it. Python 3.12's fork
-                    # DeprecationWarning is attributed to this module, so the
-                    # default warning filters ignore it.
-                    pid = os.fork()
-                    if pid == 0:
-                        _qsd_child(write, plan._replace(first=plan.first + lo, n_traj=hi - lo))
-                except BaseException:
-                    pipe.close()
-                    raise
-                finally:
-                    os.close(write)
-                children.append((pid, pipe))
-        except OSError as exc:  # no pipe or process left: as a failed allocation
-            raise MemoryError(f"cannot start a trajectory worker: {exc.strerror or exc}") from exc
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        try:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                    read, write = os.pipe()
+                    pipe = open(read, "rb")
+                    try:
+                        # a child makes no BLAS or LAPACK call (G is built with @
+                        # in plan_qsd, before the fork), so no lock held by the
+                        # parent's OpenBLAS threads can stall it. Python 3.12's fork
+                        # DeprecationWarning is attributed to this module, so the
+                        # default warning filters ignore it.
+                        pid = os.fork()
+                        if pid == 0:
+                            _qsd_child(write, plan._replace(first=plan.first + lo, n_traj=hi - lo))
+                    except BaseException:
+                        pipe.close()
+                        raise
+                    finally:
+                        os.close(write)
+                    children.append((pid, pipe))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             blocks.append(_qsd_block(plan._replace(n_traj=bounds[1])))
-        except NumericalError as exc:
-            blocks.append(exc)
-        while children:
+        except Exception:  # no pipe or process left, or the parent's block failed
+            failed = True
+        while children and not failed:
             pid, pipe = children[0]
             with pipe:
                 payload = pipe.read()
             _, status = os.waitpid(pid, 0)
             children.pop(0)
-            if status or not payload:  # a child killed while it writes sends part of it
+            if os.waitstatus_to_exitcode(status) == 1:  # its block raised
+                failed = True
+            elif status or not payload:  # a child killed while it writes sends part of it
                 raise MemoryError(f"trajectory worker {pid} ended without its result (wait "
                                   f"status {status}), as when the out-of-memory killer ends it")
-            blocks.append(pickle.loads(payload))
-    except BaseException:
+            else:
+                blocks.append(pickle.loads(payload))
+    finally:
         for pid, pipe in children:
             os.kill(pid, signal.SIGKILL)
             pipe.close()
         for pid, _ in children:
             os.waitpid(pid, 0)
-        raise
-    errors = [b for b in blocks if isinstance(b, BaseException)]
-    others = [exc for exc in errors if not hasattr(exc, "refused")]
-    if others:
-        raise others[0]
-    if errors:
-        step = min(exc.refused[0] for exc in errors)
-        at = np.array([exc.refused[1:] for exc in errors if exc.refused[0] == step])
-        _check_norms(float(np.min(at[:, 0])), float(np.max(at[:, 1])))  # raises
+    if failed:
+        return _qsd_block(plan)
     return np.concatenate([b.T for b in blocks], axis=1).T  # laid out as one block's cols.T
 
 
 def _qsd_child(fd: int, plan: QsdPlan) -> None:
     """A forked worker of `_qsd_split`: sends the final states of
-    `_qsd_block(plan)`, or any exception it raises, pickled through the
-    pipe fd. It never returns: it leaves through os._exit, which runs no
-    atexit handler and flushes no stdio inherited from the parent."""
+    `_qsd_block(plan)`, pickled, through the pipe fd, or, if that raises,
+    exits 1 with nothing written, and the parent runs the plan again. It
+    never returns: it leaves through os._exit, which runs no atexit handler
+    and flushes no stdio inherited from the parent."""
     code = 1
     try:
-        try:
-            result = _qsd_block(plan)
-        except BaseException as exc:
-            result = exc
-        payload = pickle.dumps(result)
+        payload = pickle.dumps(_qsd_block(plan))
         with open(fd, "wb") as pipe:
             pipe.write(payload)
         code = 0

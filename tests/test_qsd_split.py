@@ -29,6 +29,7 @@ from qfoliation.scenarios import dephasing_model
 from _checks import PLUS_STATE, SX, SZ
 
 OVERFLOW = {"gamma": 100.0, "span": 200.0, "step": 0.05, "n_traj": 10, "renormalize": False}
+SMALL = {"gamma": 1.0, "span": 2.0, "n_traj": 31}
 
 
 @pytest.fixture
@@ -94,8 +95,7 @@ def test_a_worker_makes_no_blas_or_lapack_call():
     # a forked child may not take a lock that the parent's OpenBLAS threads
     # hold: all it runs is its block's step loop, made of ufuncs and rng
     run_by_a_worker = [dynamics._qsd_child, dynamics._qsd_block, dynamics._StepPlan,
-                       dynamics._sum_of_products, dynamics._check_norms,
-                       rng.stream_keys, rng.wiener_block, rng._mix]
+                       dynamics._sum_of_products, rng.stream_keys, rng.wiener_block, rng._mix]
     assert [use for obj in run_by_a_worker for use in blas_uses(obj)] == []
 
 
@@ -216,25 +216,34 @@ def test_blocks_refused_at_one_step_are_checked_on_their_merged_norms(forks):
     assert type(many.value) is NumericalError and str(many.value) == str(one.value)
 
 
-def test_the_earliest_refused_step_wins_and_its_least_norm_is_merged(monkeypatch, forks):
-    # stand-in blocks refuse steps 4, 3 and 3; the merged least norm of step 3 is reported
-    refusals = {0: (4, 0.0, 1.0), 2: (3, 1e-200, 1.0), 4: (3, 1e-250, 2.0)}
+@pytest.mark.parametrize("failing", [0, 10], ids=["the-parent-block", "one-child-block"])
+def test_a_block_that_raises_runs_the_plan_again_in_one_process(tmp_path, capsys, monkeypatch,
+                                                                forks, failing):
+    # 31 trajectories in blocks of 10 + 10 + 11: the block on streams from
+    # `failing` raises, every other call runs the real step loop
+    status, err, one = run_cli(tmp_path, SMALL, capsys)
+    assert status == 0, err
+    real = dynamics._qsd_block
 
-    def refusing(plan, record=False):
-        exc = NumericalError("stand-in")
-        exc.refused = refusals[plan.first]
-        raise exc
+    def raising(plan, record=False):
+        if plan.first == failing and plan.n_traj == 10:
+            raise NumericalError("stand-in")
+        return real(plan, record)
 
-    monkeypatch.setattr(dynamics, "_qsd_block", refusing)
+    monkeypatch.setattr(dynamics, "_qsd_block", raising)
     split, pids = forks
     split(3)
-    with pytest.raises(NumericalError, match=r"^trajectory norm collapsed to 1\.000e-250 before"):
-        ensemble_final_states(PLUS_STATE, dephasing_model(1.0), TrajectoryConfig(0.01, 10), 6)
+    status, err, many = run_cli(tmp_path, SMALL, capsys)
+    assert status == 0, err
+    assert many == one
     assert len(pids) == 2
+    assert_no_child_left()
 
 
-def test_a_worker_out_of_memory_exits_1_as_one_process_would(tmp_path, capsys, monkeypatch,
-                                                             forks):
+def test_a_worker_out_of_memory_runs_the_plan_again_in_one_process(tmp_path, capsys,
+                                                                   monkeypatch, forks):
+    status, err, one = run_cli(tmp_path, SMALL, capsys)
+    assert status == 0, err
     parent, real = os.getpid(), rng.stream_keys
 
     def failing_in_workers(*args):
@@ -245,11 +254,11 @@ def test_a_worker_out_of_memory_exits_1_as_one_process_would(tmp_path, capsys, m
     monkeypatch.setattr(rng, "stream_keys", failing_in_workers)
     split, pids = forks
     split(2)
-    status, err, report = run_cli(tmp_path, {"gamma": 1.0, "span": 2.0, "n_traj": 31}, capsys)
-    assert status == 1 and report is None
-    assert "input too large to allocate: stand-in" in err
-    assert "Traceback" not in err
+    status, err, report = run_cli(tmp_path, SMALL, capsys)
+    assert status == 0, err
+    assert report == one
     assert len(pids) == 1
+    assert_no_child_left()
 
 
 def test_interrupt_in_the_parent_block_kills_every_worker_and_exits_130(tmp_path, capsys,
@@ -272,24 +281,34 @@ def test_interrupt_in_the_parent_block_kills_every_worker_and_exits_130(tmp_path
     assert len(pids) == 2
 
 
-@pytest.mark.parametrize("started", [0, 1])
-def test_a_worker_that_cannot_be_forked_exits_1(tmp_path, capsys, monkeypatch, forks, started):
-    # with 3 blocks, the fork of the first or of the second child fails
+@pytest.mark.parametrize(("call", "started"), [
+    pytest.param("fork", 0, id="first-fork"),
+    pytest.param("fork", 1, id="second-fork"),
+    pytest.param("pipe", 1, id="second-pipe"),
+])
+def test_a_worker_that_cannot_be_started_runs_the_plan_in_one_process(tmp_path, capsys,
+                                                                      monkeypatch, forks, call,
+                                                                      started):
+    # with 3 blocks, the fork of the first or of the second child fails, or
+    # the pipe of the second, as when no process or file descriptor is left
+    status, err, one = run_cli(tmp_path, SMALL, capsys)
+    assert status == 0, err
     split, pids = forks
     split(3)
-    counting_fork = os.fork
+    real = getattr(os, call)
+    code = errno.EAGAIN if call == "fork" else errno.EMFILE
 
-    def fork():
+    def failing():
         if len(pids) == started:
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return counting_fork()
+            raise OSError(code, os.strerror(code))
+        return real()
 
-    monkeypatch.setattr(os, "fork", fork)
-    status, err, report = run_cli(tmp_path, {"gamma": 1.0, "span": 2.0, "n_traj": 31}, capsys)
-    assert status == 1 and report is None
-    assert "cannot start a trajectory worker" in err
-    assert "cannot write report" not in err and "Traceback" not in err
+    monkeypatch.setattr(os, call, failing)
+    status, err, report = run_cli(tmp_path, SMALL, capsys)
+    assert status == 0, err
+    assert report == one
     assert len(pids) == started
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("sent", [0.0, 0.5])

@@ -8,7 +8,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qfoliation"
 
 # MemoryError: a failed allocation, and the split's mapping of a worker that
-# could not start or ended without its result (CLI exit 1)
+# ended without its result (CLI exit 1); a split that fails otherwise, a
+# worker that could not start included, runs again in one process
 RAISED = {"ValidationError", "NumericalError", "MemoryError"}
 
 
