@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any
 
 if __name__ == "__main__":  # python -m qfoliation.cli, before numpy loads
@@ -231,10 +231,8 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 
 def _counterexample_params(params: dict) -> scenarios.CounterexampleParams:
     qsd = params.get("qsd")
-    return scenarios.CounterexampleParams(
-        **{key: params[key] for key in _OFFSET_KEYS},
-        qsd=None if qsd is None else scenarios.QsdSettings(**qsd),
-    )
+    return scenarios.CounterexampleParams(**{key: params[key] for key in _OFFSET_KEYS},
+                                          qsd=None if qsd is None else scenarios.QsdSettings(**qsd))
 
 
 def parse_config(text: str, command: str | None = None, *, seed: int | None = None,
@@ -308,44 +306,46 @@ def _report_matrix(m: np.ndarray) -> dict:
     return {"dim": int(m.shape[0]), "entries_row_major": matrix_to_pairs(m)}
 
 
+def _plane(plane) -> dict:
+    return {"normal_t": plane.normal.t, "normal_x": plane.normal.x, "offset": plane.offset}
+
+
+def _report_fields(report, omit: tuple = ("params",)) -> dict:
+    """A report's fields in declaration order but those in omit (params, which the config
+    echoes) and None: arrays by `_report_matrix`, planes by `_plane`, other reports as dicts."""
+    values = {f.name: getattr(report, f.name) for f in fields(report) if f.name not in omit}
+    return {key: _report_matrix(val) if isinstance(val, np.ndarray)
+            else _plane(val) if isinstance(val, scenarios.Hyperplane)
+            else _report_fields(val) if is_dataclass(val) else val
+            for key, val in values.items() if val is not None}
+
+
 def _matrix_param(params: dict, key: str, ndim: int = 2) -> np.ndarray | None:
     """The matrix (state at ndim 1) of a given key; None, for the scenario's default, if not."""
     return _complex_array(params[key], key, ndim) if key in params else None
 
 
 def _run_counterexample(cfg: RunConfig) -> dict:
-    report = scenarios.run_counterexample(_counterexample_params(cfg.params))
-    results = {key: getattr(report, key) for key in
-               ("a0", "expectation_R", "expectation_M", "discrepancy", "offdiag_final")}
-    for key in ("rho_initial", "rho_R", "rho_M"):
-        results[key] = _report_matrix(getattr(report, key))
-    if report.qsd is not None:
-        results["qsd"] = asdict(report.qsd)
-    return results
+    return _report_fields(scenarios.run_counterexample(_counterexample_params(cfg.params)))
 
 
 def _run_sweep(cfg: RunConfig) -> dict:
     p, betas = _counterexample_params(cfg.params), cfg.params["betas"]
     reports = scenarios.sweep_velocity(p, betas, _matrix_param(cfg.params, "k_correction"))
+    first = _report_fields(reports[0], omit=("params", "offdiag_final"))
     # each beta as given: a -0.0 runs as +0.0 but keeps its sign in the report
     points = {"beta": betas, "ell": [r.params.ell for r in reports]}
-    points.update({key: [getattr(r, key) for r in reports]
-                   for key in ("a0", "expectation_R", "expectation_M", "discrepancy")})
+    points.update({key: [getattr(r, key) for r in reports] for key, val in first.items()
+                   if not isinstance(val, dict)})  # a point holds no matrix
     return {"points": {key: np.array(col) for key, col in points.items()}}
-
-
-def _plane(plane) -> dict:
-    return {"normal_t": plane.normal.t, "normal_x": plane.normal.x, "offset": plane.offset}
 
 
 def _run_consistency(cfg: RunConfig) -> dict:
     params = cfg.params
-    report = scenarios.run_consistency(
+    return _report_fields(scenarios.run_consistency(
         **{key: params[key] for key in _OFFSET_KEYS},
         **{key: _matrix_param(params, key) for key in ("h", "k", "observable")},
-        psi0=_matrix_param(params, "psi0", ndim=1))
-    return {**asdict(report), "plane_rest": _plane(report.plane_rest),
-            "plane_moving": _plane(report.plane_moving)}
+        psi0=_matrix_param(params, "psi0", ndim=1)))
 
 
 def _run_lindblad(cfg: RunConfig) -> dict:
@@ -361,9 +361,8 @@ def _run_qsd_ensemble(cfg: RunConfig) -> dict:
     outcome, rho, rho_ref = scenarios.run_qsd(
         params["gamma"], params["span"], params["step"], cfg.seed, params["n_traj"],
         params["renormalize"], _matrix_param(params, "psi0", ndim=1))
-    results = {key: getattr(outcome, key) for key in
-               ("expectation", "trace_distance_to_lindblad", "step", "steps")}
-    return {**results, "rho_ensemble": _report_matrix(rho), "rho_lindblad": _report_matrix(rho_ref)}
+    return {**_report_fields(outcome, omit=("n_traj", "seed")),  # the config's own keys
+            "rho_ensemble": _report_matrix(rho), "rho_lindblad": _report_matrix(rho_ref)}
 
 
 _RUNNERS = {
@@ -374,21 +373,16 @@ _RUNNERS = {
     "qsd-ensemble": _run_qsd_ensemble,
 }
 
-# The counterexample's qsd columns: CSV name -> key of results["qsd"].
+# The leading CSV columns of a command without points, read from the params, the
+# seed or the results; each scalar result not among them follows in order, and the
+# columns of _QSD_COLUMNS (CSV name -> key) in place of the qsd block.
+_CSV_LEADS = {
+    "counterexample": ("beta", "ell", "gamma"),
+    "consistency": ("beta", "ell", "gamma"),
+    "qsd-ensemble": ("gamma", "span", "n_traj", "step", "steps", "seed"),
+}
 _QSD_COLUMNS = {"qsd_n_traj": "n_traj", "qsd_expectation": "expectation",
                 "qsd_trace_distance": "trace_distance_to_lindblad"}
-
-# CSV columns of the commands without points: one row that reads the key of
-# each column's name from the results, the params or, for seed, the master
-# seed; the qsd columns are left out when no qsd block ran. A command with
-# points writes one row per point, and its columns are the points' own.
-_CSV_COLUMNS = {
-    "counterexample": ("beta", "ell", "gamma", "a0", "expectation_R", "expectation_M",
-                       "discrepancy", "offdiag_final", *_QSD_COLUMNS),
-    "consistency": ("beta", "ell", "gamma", "deviation", "path_order_difference", "dissipative"),
-    "qsd-ensemble": ("gamma", "span", "n_traj", "step", "steps", "seed", "expectation",
-                     "trace_distance_to_lindblad"),
-}
 
 
 # -- output -------------------------------------------------------------------
@@ -415,17 +409,21 @@ def _table_chunks(table: list, cells):
 
 
 def _csv_chunks(cfg: RunConfig, results: dict):
-    base = {**cfg.params, "seed": cfg.seed, **results}
-    if "qsd" in results:
-        base.update({name: results["qsd"][key] for name, key in _QSD_COLUMNS.items()})
     points = results.get("points")
-    columns = list(points) if points else [col for col in _CSV_COLUMNS[cfg.command]
-                                           if "qsd" in results or col not in _QSD_COLUMNS]
-    table = [points[c] if points else np.array([base[c]]) for c in columns]
+    if not points:  # one row, of the columns _CSV_LEADS describes
+        known = {**cfg.params, "seed": cfg.seed, **results}
+        row = {col: known[col] for col in _CSV_LEADS[cfg.command]}
+        for key, val in results.items():
+            if key == "qsd":
+                row.update({name: val[field] for name, field in _QSD_COLUMNS.items()})
+            elif not isinstance(val, dict):  # a matrix, event or plane is in JSON only
+                row.setdefault(key, val)
+        points = {col: np.array([val]) for col, val in row.items()}
     config = json.dumps(dict(command=cfg.command, params=cfg.params, seed=cfg.seed), sort_keys=True)
     yield f"# qfoliation report\n# command: {cfg.command}\n# seed: {cfg.seed}\n# config: {config}\n"
-    yield ",".join(columns) + "\n"
-    yield from ("\n".join(map(",".join, rows)) + "\n" for rows in _table_chunks(table, _cells))
+    yield ",".join(points) + "\n"
+    yield from ("\n".join(map(",".join, rows)) + "\n"
+                for rows in _table_chunks(list(points.values()), _cells))
 
 
 def _json_cells(values: list) -> list[str]:
@@ -458,8 +456,8 @@ def _json_chunks(cfg: RunConfig, results: dict):
     yield head + mark
     if points:
         # json.dumps(indent=2) lays out a point, which maps names to numbers, as this template
-        fields = ",\n        ".join(f"{json.dumps(key)}: %s" for key in points)
-        point = f"\n      {{\n        {fields}\n      }}"
+        entries = ",\n        ".join(f"{json.dumps(key)}: %s" for key in points)
+        point = f"\n      {{\n        {entries}\n      }}"
         for i, rows in enumerate(_table_chunks(list(points.values()), _json_cells)):
             yield ("," if i else "") + ",".join(map(point.__mod__, rows))
     yield ("\n    " if points else "") + tail + "\n"

@@ -149,16 +149,20 @@ class CounterexampleParams:
 
 @dataclass(frozen=True)
 class QsdOutcome:
+    """qsd-ensemble keys and, in order, CSV columns after gamma, span; JSON omits n_traj, seed."""
+
     n_traj: int
-    seed: int
     step: float
     steps: int
+    seed: int
     expectation: float
     trace_distance_to_lindblad: float
 
 
 @dataclass(frozen=True)
 class CounterexampleReport:
+    """Report keys and, in order, CSV columns of its scalars; a sweep point omits offdiag_final."""
+
     params: CounterexampleParams
     a0: float
     expectation_R: float
@@ -173,6 +177,8 @@ class CounterexampleReport:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
+    """Report keys and, in order, CSV columns of its scalars (not the event or the planes)."""
+
     deviation: float
     path_order_difference: float
     event: FourVector
@@ -239,10 +245,9 @@ def _qsd_outcome(plan, finals: np.ndarray, rho_ref: np.ndarray) -> tuple[QsdOutc
     """The outcome and ensemble density of a `plan_qsd` plan's final states, checked
     against the Lindblad density rho_ref."""
     rho = mean_projector(finals)
-    outcome = QsdOutcome(n_traj=plan.n_traj, seed=plan.cfg.seed, step=plan.cfg.step,
-                         steps=plan.cfg.steps, expectation=expectation(spin_observable(), rho),
-                         trace_distance_to_lindblad=trace_distance(rho, rho_ref))
-    return outcome, rho
+    return QsdOutcome(n_traj=plan.n_traj, step=plan.cfg.step, steps=plan.cfg.steps,
+                      seed=plan.cfg.seed, expectation=expectation(spin_observable(), rho),
+                      trace_distance_to_lindblad=trace_distance(rho, rho_ref)), rho
 
 
 def _plan_counterexample(p: CounterexampleParams, k_correction: np.ndarray | None):
@@ -336,14 +341,9 @@ def run_consistency(beta: float, ell: float, gamma: float, method: str = "exact"
         path_n_then_a = u_offset @ psi_moving
         path_order_difference = float(np.linalg.norm(path_a_then_n - path_n_then_a))
 
-    return ConsistencyReport(
-        deviation=deviation,
-        path_order_difference=path_order_difference,
-        event=coincidence_event(ell, beta, c),
-        plane_rest=Hyperplane(FourVector(1.0), coincidence_offset(ell, beta, c)),
-        plane_moving=Hyperplane(frame_normal(beta), 0.0),
-        dissipative=gamma != 0.0,
-    )
+    return ConsistencyReport(deviation, path_order_difference, coincidence_event(ell, beta, c),
+                             Hyperplane(FourVector(1.0), coincidence_offset(ell, beta, c)),
+                             Hyperplane(frame_normal(beta), 0.0), dissipative=gamma != 0.0)
 
 
 def sweep_velocity(p: CounterexampleParams, betas: list[float],

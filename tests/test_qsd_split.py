@@ -201,9 +201,10 @@ def test_split_overflow_exits_2_with_the_message_of_one_worker(tmp_path, capsys,
 
 
 @pytest.mark.filterwarnings("ignore:step.max:UserWarning")
-def test_blocks_refused_at_one_step_are_checked_on_their_merged_norms(forks):
-    # streams 10..15: at step 10 stream 11 (first block) reaches inf and
-    # stream 14 (second block) NaN; one process sees NaN, as np.max does
+def test_blocks_failing_at_one_step_run_again_in_one_process_with_its_nan_message(forks):
+    # streams 10..15 in two blocks: at step 10 stream 11 (the parent's block) reaches
+    # inf and stream 14 (the child's) NaN. The split runs again in one process, which
+    # sees NaN, as np.max does, and raises that process's message
     gen, cfg = dephasing_model(100.0), TrajectoryConfig(step=0.05, steps=4000, renormalize=False)
     with pytest.raises(NumericalError) as one:
         dynamics.run_qsd_plan(dynamics.plan_qsd(PLUS_STATE, gen, cfg, 6, first=10))
