@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 if __name__ == "__main__":  # python -m qfoliation.cli, before numpy loads
     from .launch import one_blas_thread
@@ -36,8 +36,6 @@ from . import scenarios
 from .errors import NumericalError, ValidationError, log_warnings
 
 log = logging.getLogger("qfoliation")
-
-COMMANDS = ("counterexample", "sweep", "consistency", "lindblad", "qsd-ensemble")
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -101,34 +99,6 @@ _QSD_KEYS = {
     "n_traj": Key("int"),
     "seed": Key("int", lambda r: r["seed"]),  # the master seed
     "step": Key("number", None),
-}
-_SCHEMA = {
-    "counterexample": {**_OFFSET_KEYS, "qsd": Key("qsd", _OMIT)},
-    "sweep": {**_OFFSET_KEYS, "betas": Key("betas"), "k_correction": Key("matrix", _OMIT)},
-    "consistency": {
-        **_OFFSET_KEYS,
-        "gamma": Key("number", 0.0),
-        "h": Key("matrix", _OMIT),
-        "k": Key("matrix", _OMIT),
-        "observable": Key("matrix", _OMIT),
-        "psi0": Key("vector", _OMIT),
-    },
-    "lindblad": {
-        "gamma": Key("number"),
-        "span": Key("number"),
-        "method": Key("any", "exact"),
-        "step": Key("number", _rk4_step),
-        "samples": Key("int", 1),
-        "rho0": Key("matrix", _OMIT),
-    },
-    "qsd-ensemble": {
-        "gamma": Key("number"),
-        "span": Key("number"),
-        "n_traj": Key("int"),
-        "step": Key("number", _ensemble_step),
-        "renormalize": Key("bool", True),
-        "psi0": Key("vector", _OMIT),
-    },
 }
 _TOP_LEVEL_KEYS = {
     "seed": Key("int", 0, ge=0),  # the CLI's own key, printed before any run
@@ -272,7 +242,7 @@ def parse_config(text: str, command: str | None = None, *, seed: int | None = No
     flags = {"seed": seed, "format": format, "output_path": output_path}
     top.update({key: val for key, val in flags.items() if val is not None})
     top = _resolve(_TOP_LEVEL_KEYS, top, "config document", {"command": cfg_command})
-    params = _resolve(_SCHEMA[cfg_command], doc.get("params", {}), "'params'", top)
+    params = _resolve(_COMMANDS[cfg_command].keys, doc.get("params", {}), "'params'", top)
     return RunConfig(command=cfg_command, params=params, **top)
 
 
@@ -365,22 +335,49 @@ def _run_qsd_ensemble(cfg: RunConfig) -> dict:
             "rho_ensemble": _report_matrix(rho), "rho_lindblad": _report_matrix(rho_ref)}
 
 
-_RUNNERS = {
-    "counterexample": _run_counterexample,
-    "sweep": _run_sweep,
-    "consistency": _run_consistency,
-    "lindblad": _run_lindblad,
-    "qsd-ensemble": _run_qsd_ensemble,
-}
+class Command(NamedTuple):
+    """One command: its config keys, its runner and, for a command without points, the
+    leading columns of its one CSV row, read from the params, the seed or the results. Each
+    scalar result not among them follows in order, and the columns of _QSD_COLUMNS (CSV
+    name -> key) in place of the qsd block."""
 
-# The leading CSV columns of a command without points, read from the params, the
-# seed or the results; each scalar result not among them follows in order, and the
-# columns of _QSD_COLUMNS (CSV name -> key) in place of the qsd block.
-_CSV_LEADS = {
-    "counterexample": ("beta", "ell", "gamma"),
-    "consistency": ("beta", "ell", "gamma"),
-    "qsd-ensemble": ("gamma", "span", "n_traj", "step", "steps", "seed"),
+    keys: dict
+    run: Any
+    csv_leads: tuple = ()
+
+
+_COMMANDS = {
+    "counterexample": Command({**_OFFSET_KEYS, "qsd": Key("qsd", _OMIT)}, _run_counterexample,
+                              ("beta", "ell", "gamma")),
+    "sweep": Command({**_OFFSET_KEYS, "betas": Key("betas"), "k_correction": Key("matrix", _OMIT)},
+                     _run_sweep),
+    "consistency": Command({
+        **_OFFSET_KEYS,
+        "gamma": Key("number", 0.0),
+        "h": Key("matrix", _OMIT),
+        "k": Key("matrix", _OMIT),
+        "observable": Key("matrix", _OMIT),
+        "psi0": Key("vector", _OMIT),
+    }, _run_consistency, ("beta", "ell", "gamma")),
+    "lindblad": Command({
+        "gamma": Key("number"),
+        "span": Key("number"),
+        "method": Key("any", "exact"),
+        "step": Key("number", _rk4_step),
+        "samples": Key("int", 1),
+        "rho0": Key("matrix", _OMIT),
+    }, _run_lindblad),
+    "qsd-ensemble": Command({
+        "gamma": Key("number"),
+        "span": Key("number"),
+        "n_traj": Key("int"),
+        "step": Key("number", _ensemble_step),
+        "renormalize": Key("bool", True),
+        "psi0": Key("vector", _OMIT),
+    }, _run_qsd_ensemble, ("gamma", "span", "n_traj", "step", "steps", "seed")),
 }
+COMMANDS = tuple(_COMMANDS)  # the usage text's order
+
 _QSD_COLUMNS = {"qsd_n_traj": "n_traj", "qsd_expectation": "expectation",
                 "qsd_trace_distance": "trace_distance_to_lindblad"}
 
@@ -410,9 +407,9 @@ def _table_chunks(table: list, cells):
 
 def _csv_chunks(cfg: RunConfig, results: dict):
     points = results.get("points")
-    if not points:  # one row, of the columns _CSV_LEADS describes
+    if not points:  # one row, of the columns Command describes
         known = {**cfg.params, "seed": cfg.seed, **results}
-        row = {col: known[col] for col in _CSV_LEADS[cfg.command]}
+        row = {col: known[col] for col in _COMMANDS[cfg.command].csv_leads}
         for key, val in results.items():
             if key == "qsd":
                 row.update({name: val[field] for name, field in _QSD_COLUMNS.items()})
@@ -484,7 +481,7 @@ def run(cfg: RunConfig) -> int:
     try:
         chunks = _csv_chunks if cfg.format == "csv" else _json_chunks
         with log_warnings(log):
-            _write_report(cfg.output_path, chunks(cfg, _RUNNERS[cfg.command](cfg)))
+            _write_report(cfg.output_path, chunks(cfg, _COMMANDS[cfg.command].run(cfg)))
     except ValidationError as exc:
         log.error("validation failure: %s", exc)
         return 1

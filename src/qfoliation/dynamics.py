@@ -196,6 +196,8 @@ class TrajectoryConfig:
 
     The evolution spans step*steps in the hyperplane offset; seed picks the
     master noise stream and renormalize controls per-step normalization.
+    A raw run takes <L_k> unnormalized, so its Euler drift grows like |psi|^4
+    once |psi|^2 strays from 1: a trajectory can diverge, to a refused norm.
     """
 
     step: float

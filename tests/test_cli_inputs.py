@@ -772,6 +772,11 @@ def test_config_that_is_not_an_object_exits_1(tmp_path, capsys):
 # -- a failure while the report is written ----------------------------------------------
 
 
+def run_lindblad_as(monkeypatch, run):
+    """Have the lindblad command's row return run(cfg) in place of its scenario call."""
+    monkeypatch.setitem(cli._COMMANDS, "lindblad", cli._COMMANDS["lindblad"]._replace(run=run))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_value_late_in_the_report_exits_2_and_leaves_nothing(tmp_path, capsys,
                                                                          monkeypatch, fmt):
@@ -804,8 +809,7 @@ def test_the_first_non_finite_value_in_row_order_is_named(tmp_path, capsys, monk
     # the inf's row comes first
     first, second = np.zeros(300), np.zeros(300)
     first[7], second[3] = np.nan, np.inf
-    monkeypatch.setitem(cli._RUNNERS, "lindblad",
-                        lambda cfg: {"points": {"a": first, "b": second}})
+    run_lindblad_as(monkeypatch, lambda cfg: {"points": {"a": first, "b": second}})
     doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0}, "format": fmt}
     status, err, out = run_doc(tmp_path, doc, capsys)
     assert status == 2
@@ -819,7 +823,7 @@ def test_the_first_non_finite_value_of_a_row_is_named_in_the_formats_column_orde
     # CSV writes the columns as given, JSON in sorted key order
     b, a = np.zeros(300), np.zeros(300)
     b[260], a[260] = -np.inf, np.nan
-    monkeypatch.setitem(cli._RUNNERS, "lindblad", lambda cfg: {"points": {"b": b, "a": a}})
+    run_lindblad_as(monkeypatch, lambda cfg: {"points": {"b": b, "a": a}})
     doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0}, "format": fmt}
     status, err, out = run_doc(tmp_path, doc, capsys)
     assert status == 2
@@ -835,7 +839,7 @@ def test_json_names_the_non_finite_value_as_csv_does(tmp_path, capsys, monkeypat
     column = np.array([0.5, value, 0.25])
     results = ({"points": {"a": column}} if where == "point"
                else {"points": {"a": np.ones(3)}, "summary": {"x": 1.0, "y": [2.0, float(value)]}})
-    monkeypatch.setitem(cli._RUNNERS, "lindblad", lambda cfg: results)
+    run_lindblad_as(monkeypatch, lambda cfg: results)
     doc = {"command": "lindblad", "params": {"gamma": 1.0, "span": 1.0}, "format": "json"}
     status, err, _ = run_doc(tmp_path, doc, capsys)
     assert status == 2
@@ -850,7 +854,7 @@ def test_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
     def interrupted(cfg):
         raise KeyboardInterrupt
 
-    monkeypatch.setitem(cli._RUNNERS, "lindblad", interrupted)
+    run_lindblad_as(monkeypatch, interrupted)
     status, err, out = run_doc(tmp_path, LINDBLAD, capsys)
     assert status == 130
     assert err == "qfoliation: interrupted\n"

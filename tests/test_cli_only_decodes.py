@@ -20,9 +20,17 @@ def test_parse_config_compares_no_command_name():
     assert found == []
 
 
+def test_each_command_is_a_dict_key_once_in_the_order_of_the_usage_text():
+    # one row per command holds its config keys, its runner and its CSV leads
+    assert cli.COMMANDS == ("counterexample", "sweep", "consistency", "lindblad", "qsd-ensemble")
+    keys = [key.value for node in ast.walk(TREE) if isinstance(node, ast.Dict)
+            for key in node.keys if isinstance(key, ast.Constant)]
+    assert [key for key in keys if key in cli.COMMANDS] == list(cli.COMMANDS)
+
+
 def test_each_runner_makes_exactly_one_scenario_call():
     runners = {name: node for name, node in FUNCTIONS.items() if name.startswith("_run_")}
-    assert sorted(runners) == sorted(f.__name__ for f in cli._RUNNERS.values())
+    assert sorted(runners) == sorted(c.run.__name__ for c in cli._COMMANDS.values())
     for name, node in runners.items():
         calls = [call.func.attr for call in ast.walk(node) if isinstance(call, ast.Call)
                  and isinstance(call.func, ast.Attribute) and call.func.attr in SCENARIO_CALLS
