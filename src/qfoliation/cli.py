@@ -474,9 +474,14 @@ def _write_report(path: str, chunks) -> None:
 
 def run(cfg: RunConfig) -> int:
     """Execute a resolved config and write its report; returns the exit status."""
-    logging.basicConfig(
-        level=_LOG_LEVELS[cfg.log_level], format="%(levelname)s %(message)s", force=True
-    )
+    # the package logs to the current stderr through a handler of its own, in place of
+    # the last run's, and not to the root logger, which an embedding process keeps as it is
+    handler = logging.StreamHandler(sys.stderr)
+    handler.set_name(log.name)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    log.handlers = [h for h in log.handlers if h.name != log.name] + [handler]
+    log.setLevel(_LOG_LEVELS[cfg.log_level])
+    log.propagate = False
     print(f"seed: {cfg.seed}")
     try:
         chunks = _csv_chunks if cfg.format == "csv" else _json_chunks

@@ -55,12 +55,13 @@ G = 1 + step*(-iH - sum_k L_k^dag L_k / 2). Once per run (`_StepPlan`) the
 step is laid out as a flat list of ufunc calls over preallocated buffers,
 in which every term that only scales psi_i (G's diagonal, the <L_k> terms
 and each row of L_k whose only entry is diagonal) is folded into one factor
-per row, applied to the whole batch in one call. The noise of several steps
-is drawn in one `rng.wiener_block` call, whose fixed cost would otherwise
-dominate a small batch's step. Every operation is an elementwise numpy
-ufunc, and none is an in-place complex product (whose rounding depends on
-the length), so a trajectory's arithmetic, and its result to the last bit,
-does not depend on the batch it runs in.
+per row, applied to the whole batch in one call, and the renormalizing
+division writes the next state over the batch, its one buffer. The noise
+of several steps is drawn in one `rng.wiener_block` call, whose fixed
+cost would otherwise dominate a small batch's step. Every operation is an
+elementwise numpy ufunc, and none is an in-place complex product (whose
+rounding depends on the length), so a trajectory's arithmetic, and its
+result to the last bit, does not depend on the batch it runs in.
 
 A large final-state ensemble (not a recorded path) runs on every CPU the
 process may use: `_qsd_split` cuts its rows into one contiguous block per
@@ -537,27 +538,27 @@ def _sum_of_products(terms: list, acc: np.ndarray, tmp: np.ndarray, fresh: bool 
 
 
 class _StepPlan:
-    """One Euler-Maruyama step of a batch of states held as columns, shape
-    (d, M), as a flat list of (ufunc, args) over buffers made once per run:
-    at M = 10^4 fresh temporaries cost more in page faults than in
+    """One Euler-Maruyama step of a batch of states held as columns, cols of
+    shape (d, M), as two flat lists of (ufunc, args) over buffers made once
+    per run: at M = 10^4 fresh temporaries cost more in page faults than in
     arithmetic, and at M = 10^3 a step costs what its calls and the Python
     between them cost, not what its arithmetic does.
 
-    The batch lives in outs, shape (2, d, M): step s reads outs[1 - s % 2]
-    and writes outs[s % 2], so `calls` holds one list for each side, and a
-    run starts from outs[1]. With G and L_k from ops = `_qsd_ops(gen, step)`
-    and dx[k] the (M,) increments of channel k, a step computes
+    `calls` step cols into the scratch buffer out and end at the norms. With
+    G and L_k from ops = `_qsd_ops(gen, step)` and dx[k] the (M,) increments
+    of channel k, a step computes
         G psi + sum_k coef_k L_k psi - shift psi,
         half_k = step conj<L_k> / 2 + dx_k,  coef_k = half_k + step conj<L_k> / 2,
         shift = sum_k <L_k> half_k,
-    with <L_k> = sum_i conj(psi_i) (L_k psi)_i over the live rows i of L_k,
-    and then the norm of every trajectory. Every term that only scales psi_i
-    is folded into one (M,) factor per row,
+    with <L_k> = sum_i conj(psi_i) (L_k psi)_i over the live rows i of L_k.
+    Every term that only scales psi_i is folded into one (M,) factor per row,
         fac_i = G_ii - shift + sum_k coef_k L_k,ii
     over the rows i of L_k whose only entry is diagonal, and one call takes
     out = cols * fac for the whole batch; off-diagonal entries of G, and the
     rows of L_k with an off-diagonal entry, are added row by row. A zero L_k
     is skipped; without a live channel fac is G's diagonal, filled once.
+    After the norm check, `renormalization` writes out over its norms, or
+    for a raw run out itself, to cols.
 
     Every call is an elementwise ufunc or a copy, so every trajectory sees
     the same operations in the same order whatever the batch size: a column
@@ -569,15 +570,13 @@ class _StepPlan:
     per run: an overflow or NaN shows as a non-finite norm, which it refuses.
     """
 
-    def __init__(self, ops: tuple, outs: np.ndarray, renormalize: bool) -> None:
+    def __init__(self, ops: tuple, cols: np.ndarray, renormalize: bool) -> None:
         g_rows, channels, half_h = ops
-        _, d, m = outs.shape
+        d, m = cols.shape
         live = [(k, rows) for k, rows in enumerate(channels) if rows]
-        self.outs, self.renormalize = outs, renormalize
         self.dx = dx = np.empty((len(channels), m), dtype=np.complex128)
-        self.scale = np.empty(2 * m)
         self.norms = norms = np.empty(m)
-        conj, fac = np.empty((2, d, m), dtype=np.complex128)
+        out, conj, fac = np.empty((3, d, m), dtype=np.complex128)
         lcol = np.empty((len(live), d, m), dtype=np.complex128)
         lexp, coef, half = np.empty((3, len(live), m), dtype=np.complex128)
         tmp, shift = np.empty((2, m), dtype=np.complex128)
@@ -594,61 +593,57 @@ class _StepPlan:
                 else:
                     added[i].append((lcol[n, i], coef[n]))
         live_rows = sorted({i for _, rows in live for i, _ in rows})
+        self.calls = calls = [(np.conjugate, (cols[i], conj[i])) for i in live_rows]
+        for n, (k, rows) in enumerate(live):
+            for i, entries in rows:
+                calls += _sum_of_products([(cols[j], c) for j, c in entries], lcol[n, i], tmp)
+            calls += _sum_of_products([(conj[i], lcol[n, i]) for i, _ in rows], lexp[n], tmp)
+            calls += [(np.conjugate, (lexp[n], tmp)),
+                      (np.multiply, (tmp, half_h, coef[n])),  # step conj<L_k> / 2
+                      (np.add, (coef[n], dx[k], half[n])),
+                      (np.add, (half[n], coef[n], coef[n]))]
+        if live:
+            calls += _sum_of_products(list(zip(half, lexp)), shift, tmp)
+            calls.append((np.subtract, (gdiag, shift, fac)))
+        for i in range(d):
+            calls += _sum_of_products(folded[i], fac[i], tmp, fresh=False)
+        calls.append((np.multiply, (cols, fac, out)))
+        for i, entries in g_rows:
+            terms = [(cols[j], c) for j, c in entries if j != i] + added[i]
+            calls += _sum_of_products(terms, out[i], tmp, fresh=False)
+        # the squares of the float view of the batch, summed over rows and
+        # then over each (re, im) pair: one strided add of M entries, where
+        # pairs first take one of d*M, and np.add.reduce over pairs 10x as long
+        calls.append((np.square, (out.view(np.float64), sq)))
+        calls += [(np.add, (sq[0], sq[i], sq[0])) for i in range(1, d)]
+        calls += [(np.add, (sq[0, 0::2], sq[0, 1::2], norms)), (np.sqrt, (norms, norms))]
+        if renormalize:
+            # divide as floats, each norm laid out twice (for the real and the
+            # imaginary part) so that one contiguous division covers the batch:
+            # on a 2-vCPU host 9 us against 15 us for a complex np.divide by the
+            # norms at 10^3 trajectories, 26 against 48-59 us at 5*10^3, whose
+            # multiply by 1/norm would also move the last bits
+            scale = np.empty(2 * m)
+            self.renormalization = [
+                (np.copyto, (scale[0::2], norms)), (np.copyto, (scale[1::2], norms)),
+                (np.divide, (out.view(np.float64), scale, cols.view(np.float64)))]
+        else:
+            self.renormalization = [(np.copyto, (cols, out))]
 
-        def side(cols: np.ndarray, out: np.ndarray) -> list:
-            calls = [(np.conjugate, (cols[i], conj[i])) for i in live_rows]
-            for n, (k, rows) in enumerate(live):
-                for i, entries in rows:
-                    calls += _sum_of_products([(cols[j], c) for j, c in entries], lcol[n, i], tmp)
-                calls += _sum_of_products([(conj[i], lcol[n, i]) for i, _ in rows], lexp[n], tmp)
-                calls += [(np.conjugate, (lexp[n], tmp)),
-                          (np.multiply, (tmp, half_h, coef[n])),  # step conj<L_k> / 2
-                          (np.add, (coef[n], dx[k], half[n])),
-                          (np.add, (half[n], coef[n], coef[n]))]
-            if live:
-                calls += _sum_of_products(list(zip(half, lexp)), shift, tmp)
-                calls.append((np.subtract, (gdiag, shift, fac)))
-            for i in range(d):
-                calls += _sum_of_products(folded[i], fac[i], tmp, fresh=False)
-            calls.append((np.multiply, (cols, fac, out)))
-            for i, entries in g_rows:
-                terms = [(cols[j], c) for j, c in entries if j != i] + added[i]
-                calls += _sum_of_products(terms, out[i], tmp, fresh=False)
-            # the squares of the float view of the batch, summed over rows and
-            # then over each (re, im) pair: one strided add of M entries, where
-            # pairs first take one of d*M, and np.add.reduce over pairs 10x as long
-            calls.append((np.square, (out.view(np.float64), sq)))
-            calls += [(np.add, (sq[0], sq[i], sq[0])) for i in range(1, d)]
-            calls += [(np.add, (sq[0, 0::2], sq[0, 1::2], norms)), (np.sqrt, (norms, norms))]
-            return calls
-
-        self.calls = (side(outs[1], outs[0]), side(outs[0], outs[1]))
-
-    def step(self, s: int, dxi: np.ndarray) -> np.ndarray:
-        """Step s on the increments dxi, shape (K, M); returns outs[s % 2]."""
+    def step(self, dxi: np.ndarray) -> None:
+        """One step of cols on the increments dxi, shape (K, M), refused before
+        cols changes if a norm is zero or not finite."""
         np.copyto(self.dx, dxi)
-        for ufunc, args in self.calls[s % 2]:
+        for ufunc, args in self.calls:
             ufunc(*args)
-        norms = self.norms
         # the least norm is NaN if any norm is, and so is the greatest
-        worst, peak = float(norms.min()), float(norms.max())
+        worst, peak = float(self.norms.min()), float(self.norms.max())
         if worst < ZERO_NORM_FLOOR:
             raise NumericalError(f"trajectory norm collapsed to {worst:.3e} before renormalization")
         if not math.isfinite(peak):
             raise NumericalError(f"trajectory norm is {peak}")
-        out = self.outs[s % 2]
-        if self.renormalize:
-            # divide as floats, each norm laid out twice (for the real and the
-            # imaginary part) so that one contiguous division covers the batch,
-            # for speed: on a 2-vCPU host 9 us against 15 us for np.divide(out,
-            # norms, out) at 10^3 trajectories, 26 against 48-59 us at 5*10^3.
-            # Complex division multiplies by 1/norm, which moves the last bits.
-            scale = self.scale
-            scale[0::2] = norms
-            scale[1::2] = norms
-            flat = out.view(np.float64)
-            np.divide(flat, scale, flat)
-        return out
+        for ufunc, args in self.renormalization:
+            ufunc(*args)
 
 
 # all that a QSD run reads, refused and counted by `plan_qsd`, so `run_qsd_plan` needs
@@ -705,19 +700,17 @@ def _qsd_block(plan: QsdPlan, record: bool = False) -> np.ndarray:
     """
     cfg, psi0, n_traj, k = plan.cfg, plan.psi0, plan.n_traj, len(plan.ops[1])
     keys = rng.stream_keys(cfg.seed, range(plan.first, plan.first + n_traj))
-    outs = np.empty((2, psi0.shape[0], n_traj), dtype=np.complex128)
-    cols = outs[1]
-    cols[...] = psi0[:, None]
+    cols = np.repeat(psi0[:, None], n_traj, axis=1)  # the batch, stepped in place
     if record:
         path = np.empty((cfg.steps + 1, n_traj, psi0.shape[0]), dtype=np.complex128)
         path[0] = cols.T
-    kernel = _StepPlan(plan.ops, outs, cfg.renormalize)
+    kernel = _StepPlan(plan.ops, cols, cfg.renormalize)
     block = max(1, _NOISE_BLOCK_ENTRIES // max(1, n_traj * k))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused per step
         for start in range(0, cfg.steps, block):
             noise = rng.wiener_block(keys, start, min(block, cfg.steps - start), k, cfg.step)
             for s, dxi in enumerate(noise, start):
-                cols = kernel.step(s, dxi)
+                kernel.step(dxi)
                 if record:
                     path[s + 1] = cols.T
     return path if record else cols.T

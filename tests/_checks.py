@@ -107,11 +107,11 @@ def qsd_step(
     if psi.shape != (gen.dim,) or dxi.shape != (len(gen.Ls),):
         raise ValidationError(f"state shape {psi.shape} and noise shape {dxi.shape} do not fit "
                               f"dim {gen.dim} with {len(gen.Ls)} coupling operators")
-    outs = np.empty((2, gen.dim, 1), dtype=np.complex128)
-    outs[1, :, 0] = psi
-    plan = _StepPlan(_qsd_ops(gen, step), outs, renormalize)
+    col = psi[:, None].copy()  # stepped in place
+    plan = _StepPlan(_qsd_ops(gen, step), col, renormalize)
     with np.errstate(over="ignore", invalid="ignore"):  # as the ensembles run the kernel
-        return plan.step(0, dxi[:, None])[:, 0]
+        plan.step(dxi[:, None])
+    return col[:, 0]
 
 
 def counterexample_closed_form(beta: float, ell: float, gamma: float, c: float, k: np.ndarray,

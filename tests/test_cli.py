@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import re
@@ -502,6 +503,23 @@ def test_cli_logs_package_warnings_and_library_calls_still_warn(tmp_path, capsys
                                        dynamics.TrajectoryConfig(step=0.1, steps=1), 1)
     assert COARSE_STEP_LINE in capsys.readouterr().err.splitlines()
     assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
+
+
+def test_run_leaves_the_root_logger_of_its_process_alone(tmp_path, capsys):
+    # a process that embeds the CLI keeps its root handlers and level, and
+    # the package's records go only to the CLI's own stderr handler
+    root, records = logging.getLogger(), []
+    level, handler = root.level, logging.Handler()
+    handler.emit = records.append
+    root.addHandler(handler)
+    try:
+        for _ in range(2):  # the second run replaces the first run's handler
+            status, out = run_cli(tmp_path, json.loads(MINIMAL_CE))
+            assert status == 0
+        assert handler in root.handlers and root.level == level and records == []
+    finally:
+        root.removeHandler(handler)
+    assert capsys.readouterr().err.splitlines() == [f"INFO wrote {out}"] * 2
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

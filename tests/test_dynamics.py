@@ -863,24 +863,31 @@ def test_batch_rows_are_their_streams_run_alone_bitwise_at_every_batch_size(gen)
 @pytest.mark.parametrize("gen", QSD_MODELS)
 def test_step_plan_is_elementwise_ufuncs_and_copies(gen):
     # no matmul, dot, einsum or linalg call: a forked block makes no BLAS or
-    # LAPACK call in its steps
-    plan = dynamics._StepPlan(dynamics._qsd_ops(gen, 0.01), np.empty((2, 2, 5), complex), True)
-    assert plan.dx.shape == (len(gen.Ls), 5)
-    for side in plan.calls:
-        for call, args in side:
+    # LAPACK call in its steps, renormalized or raw
+    for renormalize in (True, False):
+        plan = dynamics._StepPlan(dynamics._qsd_ops(gen, 0.01), np.empty((2, 5), complex),
+                                  renormalize)
+        assert plan.dx.shape == (len(gen.Ls), 5)
+        for call, _ in plan.calls + plan.renormalization:
             assert call is np.copyto or (isinstance(call, np.ufunc) and call.signature is None), call
-    assert len(plan.calls[0]) == len(plan.calls[1])
 
 
-@pytest.mark.parametrize(("gen", "calls"), [
-    # <L> 3, coef and shift 5, fac 3, out 1, norms 4: with the copy of the
-    # noise, min, max and renormalization 22 calls a step
-    pytest.param(dephasing_model(1.0), 16, id="dephasing"),
-    pytest.param(GeneratorSet(H=SZ), 5, id="zero-channel"),  # out 1, norms 4
+@pytest.mark.parametrize(("gen", "renormalize", "calls", "renormalization"), [
+    # <L> 3, coef and shift 5, fac 3, out 1, norms 4; then the two copies of
+    # the norms into the scale and the division that writes the next state
+    pytest.param(dephasing_model(1.0), True, 16, [np.copyto, np.copyto, np.divide],
+                 id="dephasing"),
+    pytest.param(GeneratorSet(H=SZ), True, 5, [np.copyto, np.copyto, np.divide],
+                 id="zero-channel"),  # out 1, norms 4
+    pytest.param(dephasing_model(1.0), False, 16, [np.copyto], id="raw"),  # out copied as it is
 ])
-def test_step_plan_length(gen, calls):
-    plan = dynamics._StepPlan(dynamics._qsd_ops(gen, 0.01), np.empty((2, 2, 5), complex), True)
-    assert [len(side) for side in plan.calls] == [calls, calls]
+def test_step_plan_length(gen, renormalize, calls, renormalization):
+    cols = np.empty((2, 5), complex)
+    plan = dynamics._StepPlan(dynamics._qsd_ops(gen, 0.01), cols, renormalize)
+    assert len(plan.calls) == calls
+    assert [call for call, _ in plan.renormalization] == renormalization
+    call, args = plan.renormalization[-1]
+    assert np.shares_memory(args[0] if call is np.copyto else args[2], cols)  # the next state
 
 
 def test_ensemble_noise_blocks_match_the_per_row_reference(monkeypatch):
